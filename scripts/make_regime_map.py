@@ -20,12 +20,8 @@ def main():
     args = ap.parse_args()
 
     spec = parse_config((ROOT / "experiments" / "sweep_case1_c.cfg").read_text())
-    axes = tuple((name[len("sweep_"):], getattr(spec, name))
-                 for name in ("sweep_b", "sweep_c", "sweep_chi")
-                 if getattr(spec, name) is not None)
     out_csv = ROOT / "out" / "sweep_case1_c" / "regime_map.csv"
-    rows = sweep(SweepSpec(base=spec, axes=axes), out_csv,
-                 workers=args.workers)
+    rows = sweep(SweepSpec.from_spec(spec), out_csv, workers=args.workers)
     extinct = [r["c"] for r in rows if r["outcome"] == "extinction"]
     alive = [r["c"] for r in rows if r["outcome"] not in ("extinction",
                                                           "error", "skipped")]

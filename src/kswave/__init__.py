@@ -23,8 +23,8 @@ from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
                     classify_profile, sample, theta_root)
 from .spectral import (EigenResult, LambdaInfinityResult, lambda_infinity,
                        principal_eigenvalue)
-from .stepper import (BlowUpError, Outcome, OutcomeTag, RunConfig, State,
+from .stepper import (BlowUpError, Outcome, OutcomeTag, RunConfig,
                       Trajectory, cfl_check, detect_outcome, initial_state,
-                      make_run_config, run, step)
+                      make_run_config, run)
 
 __version__ = "0.1.0"

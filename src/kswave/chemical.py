@@ -2,11 +2,14 @@
 
 Two independent routes to v from u:
 
-* ``solve_chemical``: the discrete boundary-value problem used inside the
-  time stepper, (v_{i-1} - 2 v_i + v_{i+1})/h^2 - nu v_i + mu u_i = 0 on the
-  interior, closed with v(-L) = 0 and either the first-order one-sided
-  Neumann closure v_{M+1} = v_M (CASE1) or v(L) = 0 (CASE2).  The tridiagonal
-  elimination is delegated to LAPACK's banded solver; cost is linear in M.
+* ``ChemicalSolver`` / ``solve_chemical``: the discrete boundary-value problem
+  used inside the time stepper, (v_{i-1} - 2 v_i + v_{i+1})/h^2 - nu v_i +
+  mu u_i = 0 on the interior, closed with v(-L) = 0 and either the
+  first-order one-sided Neumann closure v_{M+1} = v_M (CASE1) or v(L) = 0
+  (CASE2).  The matrix does not depend on u, so the solver factors it once
+  with LAPACK ``dgttrf`` and each solve is one ``dgttrs`` call on the scaled
+  right-hand side; cost is linear in M.  The gradient vx of the returned
+  field is computed on first access only, since the stepper never reads it.
 
 * ``greens_psi`` / ``greens_psi_x``: the whole-line representation
   Psi(x; u) = mu/(2 sqrt(nu)) * integral exp(-sqrt(nu) |x-y|) u(y) dy and its
@@ -18,11 +21,12 @@ Two independent routes to v from u:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import BoundaryCase, Grid
+from .tridiagonal import TridiagonalLU
 
 __all__ = [
     "ChemicalField",
@@ -35,15 +39,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChemicalField:
-    """Concentration v on the grid nodes together with its first derivative
-    vx (central differences inside, one-sided at the ends)."""
+    """Concentration v on the grid nodes (spacing h, closure bc).  Its first
+    derivative vx (central differences inside, one-sided at the ends) is
+    computed on first access."""
 
     v: np.ndarray
-    vx: np.ndarray
+    h: float
+    bc: BoundaryCase
+
+    @cached_property
+    def vx(self) -> np.ndarray:
+        v, h = self.v, self.h
+        vx = np.empty_like(v)
+        vx[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        # second-order one-sided at the Dirichlet end(s)
+        vx[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+        if self.bc is BoundaryCase.CASE1:
+            # the backward difference used by the scheme; zero by closure
+            vx[-1] = (v[-1] - v[-2]) / h
+        else:
+            vx[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+        return vx
 
 
 class ChemicalSolver:
-    """Prefactored assembly of the tridiagonal system for one (grid, nu, bc).
+    """Factored tridiagonal system for one (grid, nu, mu, bc).
 
     The matrix does not depend on u, so a run builds this once and calls
     :meth:`solve` every step.  ``neumann_order=2`` switches the CASE1 right
@@ -66,27 +86,25 @@ class ChemicalSolver:
         self.neumann_order = neumann_order
 
         h2 = grid.h * grid.h
-        diag_val = -(2.0 + nu * h2)
         if bc is BoundaryCase.CASE1 and neumann_order == 2:
             # unknowns v_1..v_M (0-based), ghost v_{M+1} = v_{M-1}
             n = grid.M
         else:
             # unknowns v_1..v_{M-1}
             n = grid.M - 1
-        ab = np.zeros((3, n))
-        ab[0, 1:] = 1.0          # superdiagonal
-        ab[1, :] = diag_val      # diagonal
-        ab[2, :-1] = 1.0         # subdiagonal
+        dl = np.ones(n - 1)
+        d = np.full(n, -(2.0 + nu * h2))
+        du = np.ones(n - 1)
         if bc is BoundaryCase.CASE1:
             if neumann_order == 1:
                 # fold v_M = v_{M-1} into the last interior equation
-                ab[1, -1] = -(1.0 + nu * h2)
+                d[-1] = -(1.0 + nu * h2)
             else:
                 # fold ghost v_{M+1} = v_{M-1} into the equation at node M
-                ab[2, -2] = 2.0
-        self._ab = ab
+                dl[-1] = 2.0
+        self._lu = TridiagonalLU(dl, d, du)
         self._n = n
-        self._h2 = h2
+        self._rhs_scale = -self.mu * h2
 
     def solve(self, u: np.ndarray) -> ChemicalField:
         grid = self.grid
@@ -96,32 +114,19 @@ class ChemicalSolver:
         if not np.all(np.isfinite(u)):
             raise ValueError("u contains non-finite values")
 
-        rhs = -self.mu * self._h2 * u[1:1 + self._n]
-        try:
-            interior = solve_banded((1, 1), self._ab, rhs)
-        except np.linalg.LinAlgError as exc:  # zero pivot, unreachable for nu > 0
-            raise RuntimeError("singular tridiagonal chemical system") from exc
-
         v = np.empty(grid.M + 1)
         v[0] = 0.0
-        v[1:1 + self._n] = interior
+        # the right-hand side is built in place of the unknowns, and the
+        # solve overwrites it there
+        interior = v[1:1 + self._n]
+        np.multiply(self._rhs_scale, u[1:1 + self._n], out=interior)
+        interior[...] = self._lu.solve(interior)
         if self.bc is BoundaryCase.CASE1:
             if self.neumann_order == 1:
                 v[-1] = v[-2]
         else:
             v[-1] = 0.0
-
-        vx = np.empty_like(v)
-        h = grid.h
-        vx[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        # second-order one-sided at the Dirichlet end(s)
-        vx[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        if self.bc is BoundaryCase.CASE1:
-            # the backward difference used by the scheme; zero by closure
-            vx[-1] = (v[-1] - v[-2]) / h
-        else:
-            vx[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        return ChemicalField(v=v, vx=vx)
+        return ChemicalField(v=v, h=grid.h, bc=self.bc)
 
 
 def solve_chemical(u: np.ndarray, grid: Grid, nu: float, mu: float,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical fault.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s: %(message)s")
     try:
         text = args.config.read_text()
     except OSError as exc:
@@ -74,14 +76,10 @@ def main(argv=None) -> int:
     try:
         if args.mode == "sweep":
             from .harness import SweepSpec, render_manifest, sweep
-            axes = tuple((name[len("sweep_"):], getattr(spec, name))
-                         for name in ("sweep_b", "sweep_c", "sweep_chi")
-                         if getattr(spec, name) is not None)
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "manifest.cfg").write_text(render_manifest(spec))
-            rows = sweep(SweepSpec(base=spec, axes=axes,
-                                   horizon_scale=spec.horizon_scale),
-                         out_dir / "regime_map.csv", workers=args.workers)
+            rows = sweep(SweepSpec.from_spec(spec), out_dir / "regime_map.csv",
+                         workers=args.workers)
             n_err = sum(r["outcome"] == "error" for r in rows)
             print(f"sweep: {len(rows)} points, {n_err} errors "
                   f"-> {out_dir / 'regime_map.csv'}")

@@ -12,8 +12,8 @@ that round-trips a double exactly.
 from __future__ import annotations
 
 import datetime
+import logging
 import math
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,6 +33,8 @@ __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
            "render_manifest", "run_experiment", "sweep", "fmt"]
 
 MODES = ("simulate", "eig", "regime", "verify", "sweep")
+
+_log = logging.getLogger("kswave")
 
 
 class ConfigError(ValueError):
@@ -106,9 +108,22 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A grid of simulate runs around ``base``: each axis is a (name,
+    (min, max, count)) pair with name one of b, c, chi, and every point
+    marches to ``base.T * horizon_scale``."""
+
     base: RunSpec
     axes: tuple[tuple[str, tuple[float, float, int]], ...]
     horizon_scale: float = 1.0
+
+    @classmethod
+    def from_spec(cls, spec: RunSpec) -> SweepSpec:
+        """The sweep a spec's sweep_b/sweep_c/sweep_chi axes and its
+        horizon_scale describe."""
+        axes = tuple((name[len("sweep_"):], getattr(spec, name))
+                     for name in ("sweep_b", "sweep_c", "sweep_chi")
+                     if getattr(spec, name) is not None)
+        return cls(base=spec, axes=axes, horizon_scale=spec.horizon_scale)
 
 
 def fmt(x) -> str:
@@ -279,8 +294,8 @@ def _validate(spec: RunSpec, lines: dict | None = None):
         err("verify_samples must be >= 1", "verify_samples")
     params = spec.params()
     if not params.well_posed:
-        print(f"warning: b = {spec.b:g} <= chi*mu = {spec.chi * spec.mu:g}, "
-              "solutions may blow up", file=sys.stderr)
+        _log.warning("b = %g <= chi*mu = %g, solutions may blow up",
+                     spec.b, spec.chi * spec.mu)
 
 
 # --------------------------------------------------------------------------
@@ -417,11 +432,7 @@ def run_experiment(spec: RunSpec, out_dir: str | Path):
         return _run_verify(spec, out)
 
     if spec.mode == "sweep":
-        axes = tuple((name[len("sweep_"):], getattr(spec, name))
-                     for name in ("sweep_b", "sweep_c", "sweep_chi")
-                     if getattr(spec, name) is not None)
-        sw = SweepSpec(base=spec, axes=axes, horizon_scale=spec.horizon_scale)
-        return sweep(sw, out / "regime_map.csv")
+        return sweep(SweepSpec.from_spec(spec), out / "regime_map.csv")
 
     raise ConfigError(f"unknown mode {spec.mode!r}")
 
@@ -454,13 +465,12 @@ def _run_verify(spec: RunSpec, out: Path):
             try:
                 w = ignition_wave(params, profile.r_star, eps)
             except BracketError as exc:
-                print(f"warning: ignition eps={eps:g}: {exc}", file=sys.stderr)
+                _log.warning("ignition eps=%g: %s", eps, exc)
                 continue
             waves.append(w)
             ign_rows.append(f"{fmt(eps)},{fmt(w.speed)},{fmt(bound)}")
     else:
-        print("warning: b <= 2 chi mu, ignition wave construction skipped",
-              file=sys.stderr)
+        _log.warning("b <= 2 chi mu, ignition wave construction skipped")
     _write(out / "ignition.csv", "\n".join(ign_rows) + "\n")
 
     if habitat is HabitatClass.CASE2:
@@ -479,9 +489,9 @@ def _axis_values(axis):
 
 
 def _sweep_point(args):
-    spec, b, c, chi = args
+    spec, horizon_scale, b, c, chi = args
     point = replace(spec, mode="simulate", b=b, c=c, chi=chi,
-                    T=spec.T * spec.horizon_scale,
+                    T=spec.T * horizon_scale,
                     snapshot_times=())
     row = {"b": b, "c": c, "chi": chi, "outcome": "error",
            "plateau": math.nan, "final_sup_u": math.nan}
@@ -510,7 +520,7 @@ def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     cs = _axis_values(axis_map["c"]) if "c" in axis_map else [base.c]
     chis = _axis_values(axis_map["chi"]) if "chi" in axis_map else [base.chi]
     points = sorted((b, c, chi) for b in bs for c in cs for chi in chis)
-    jobs = [(base, b, c, chi) for b, c, chi in points]
+    jobs = [(base, sw.horizon_scale, b, c, chi) for b, c, chi in points]
 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import GrowthProfile
+from .tridiagonal import TridiagonalLU
 
 __all__ = ["EigenResult", "LambdaInfinityResult", "principal_eigenvalue",
            "lambda_infinity"]
@@ -104,13 +104,11 @@ def principal_eigenvalue(profile: GrowthProfile, c: float, L: float, h: float,
     phi = None
     if want_eigenfunction:
         shift = hi + 10.0 * tol
-        ab = np.zeros((3, n))
-        ab[0, 1:] = inv_h2
-        ab[1, :] = d - shift
-        ab[2, :-1] = inv_h2
+        off = np.full(n - 1, inv_h2)
+        lu = TridiagonalLU(off, d - shift, off)
         psi = np.ones(n)
         for _ in range(4):
-            psi = solve_banded((1, 1), ab, psi)
+            psi = lu.solve(psi)
             psi /= np.max(np.abs(psi))
         if psi[int(np.argmax(np.abs(psi)))] < 0.0:
             psi = -psi

@@ -14,6 +14,12 @@ tridiagonal solve, then the interior update reads (1-based i = 2..M)
 followed by the boundary closure (u_1 = 0 always; u_{M+1} = u_M in CASE1,
 u_{M+1} = 0 in CASE2).  Stability requires the usual tau/h^2 <= 1/2, which
 ``cfl_check`` enforces before a run starts.
+
+Everything in the update that does not depend on u or v (tau/h^2, the
+array 1 - 2 tau/h^2 + tau r_i, tau chi nu, tau (b - chi mu), tau/(2h) and
+2h) is computed once per run, and each step writes into preallocated
+buffers with the operations grouped exactly as in the formula above, so
+the results are bitwise those of the plain array expression.
 """
 
 from __future__ import annotations
@@ -24,20 +30,18 @@ from enum import Enum
 
 import numpy as np
 
-from .chemical import ChemicalField, ChemicalSolver
+from .chemical import ChemicalSolver
 from .model import BoundaryCase, Grid, SimParams
 
 __all__ = [
     "BlowUpError",
     "RunConfig",
-    "State",
     "OutcomeTag",
     "Outcome",
     "Trajectory",
     "cfl_check",
     "make_run_config",
     "initial_state",
-    "step",
     "run",
     "detect_outcome",
 ]
@@ -96,13 +100,6 @@ def make_run_config(params, profile, grid, bc, tau, T, **kwargs) -> RunConfig:
                      **kwargs)
 
 
-@dataclass(frozen=True)
-class State:
-    t: float
-    u: np.ndarray
-    chem: ChemicalField
-
-
 class OutcomeTag(Enum):
     FORCED_WAVE_CASE1 = "forced_wave_case1"
     FORCED_WAVE_CASE2 = "forced_wave_case2"
@@ -140,40 +137,67 @@ class Trajectory:
     max_sup_u: float = 0.0
 
 
-def _advance(u, chem, cfg: RunConfig, solver: ChemicalSolver):
-    """One explicit step; returns the new (u, chem, sup_u)."""
-    grid, params = cfg.grid, cfg.params
-    h, tau = grid.h, cfg.tau
-    v = chem.v
-    lam = tau / (h * h)
-    adv = params.c - params.chi * (v[2:] - v[:-2]) / (2.0 * h)
-    coef = tau / (2.0 * h) * adv
-    ui = u[1:-1]
-    u_new = np.empty_like(u)
-    u_new[1:-1] = (
-        (lam - coef) * u[:-2]
-        + (1.0 - 2.0 * lam + tau * cfg.r_samples[1:-1]
-           - tau * params.chi * params.nu * v[1:-1]) * ui
-        - tau * params.damping_gap * ui * ui
-        + (lam + coef) * u[2:]
-    )
-    u_new[0] = 0.0
-    if cfg.bc is BoundaryCase.CASE1:
-        u_new[-1] = u_new[-2]
-    else:
-        u_new[-1] = 0.0
-    # round-off negatives are clamped so the quadratic term and the chemical
-    # solve stay in the physical regime
-    np.maximum(u_new, 0.0, out=u_new)
-    m = float(u_new.max(initial=0.0))
-    if not math.isfinite(m) or m > BLOWUP_LIMIT:
-        raise BlowUpError(
-            f"|u| exceeded {BLOWUP_LIMIT:g}: unstable step (check CFL and b > chi*mu)")
-    return u_new, solver.solve(u_new), m
+class _ExplicitStep:
+    """The explicit update of one run: the coefficients that stay fixed over
+    the run, computed once, and the work buffers each step writes into."""
+
+    def __init__(self, cfg: RunConfig):
+        h, tau = cfg.grid.h, cfg.tau
+        params = cfg.params
+        self.case1 = cfg.bc is BoundaryCase.CASE1
+        self.c = params.c
+        self.chi = params.chi
+        self.lam = tau / (h * h)
+        self.two_h = 2.0 * h
+        self.tau_2h = tau / (2.0 * h)
+        self.center = 1.0 - 2.0 * self.lam + tau * cfg.r_samples[1:-1]
+        self.chem_rate = tau * params.chi * params.nu
+        self.damping = tau * params.damping_gap
+        n = cfg.grid.M - 1
+        self._coef, self._west, self._mid = (np.empty(n), np.empty(n),
+                                              np.empty(n))
+
+    def __call__(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> float:
+        """Write the step from (u, v) into ``out`` and return its sup."""
+        coef, west, mid = self._coef, self._west, self._mid
+        ui = u[1:-1]
+        # coef = tau/(2h) * (c - chi (v_{i+1} - v_{i-1}) / (2h))
+        np.subtract(v[2:], v[:-2], out=coef)
+        np.multiply(self.chi, coef, out=coef)
+        np.divide(coef, self.two_h, out=coef)
+        np.subtract(self.c, coef, out=coef)
+        np.multiply(self.tau_2h, coef, out=coef)
+        # west = (lam - coef) u_{i-1}
+        np.subtract(self.lam, coef, out=west)
+        west *= u[:-2]
+        # mid = (center - tau chi nu v_i) u_i
+        np.multiply(self.chem_rate, v[1:-1], out=mid)
+        np.subtract(self.center, mid, out=mid)
+        mid *= ui
+        # ((west + mid) - tau (b - chi mu) u_i^2) + (lam + coef) u_{i+1}
+        inner = out[1:-1]
+        np.add(west, mid, out=inner)
+        np.multiply(self.damping, ui, out=mid)
+        mid *= ui
+        inner -= mid
+        np.add(self.lam, coef, out=coef)
+        coef *= u[2:]
+        inner += coef
+        out[0] = 0.0
+        out[-1] = out[-2] if self.case1 else 0.0
+        # round-off negatives are clamped so the quadratic term and the
+        # chemical solve stay in the physical regime
+        np.maximum(out, 0.0, out=out)
+        m = float(out.max(initial=0.0))
+        if not math.isfinite(m) or m > BLOWUP_LIMIT:
+            raise BlowUpError(
+                f"|u| exceeded {BLOWUP_LIMIT:g}: unstable step "
+                "(check CFL and b > chi*mu)")
+        return m
 
 
-def initial_state(cfg: RunConfig, u0: np.ndarray,
-                  solver: ChemicalSolver | None = None) -> State:
+def initial_state(cfg: RunConfig, u0: np.ndarray) -> np.ndarray:
+    """The validated initial profile with the boundary closure imposed."""
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (cfg.grid.M + 1,):
         raise ValueError("u0 must be sampled on the grid nodes")
@@ -189,18 +213,7 @@ def initial_state(cfg: RunConfig, u0: np.ndarray,
         u[-1] = u[-2]
     else:
         u[-1] = 0.0
-    if solver is None:
-        solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
-    return State(t=0.0, u=u, chem=solver.solve(u))
-
-
-def step(state: State, cfg: RunConfig) -> State:
-    """Advance one step.  Bitwise deterministic for identical inputs."""
-    if not (cfg.allow_unstable or cfl_check(cfg.grid.h, cfg.tau)):
-        raise ValueError("CFL condition tau/h^2 <= 1/2 violated")
-    solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
-    u_new, chem_new, _ = _advance(state.u, state.chem, cfg, solver)
-    return State(t=state.t + cfg.tau, u=u_new, chem=chem_new)
+    return u
 
 
 def run(cfg: RunConfig, u0: np.ndarray):
@@ -209,8 +222,10 @@ def run(cfg: RunConfig, u0: np.ndarray):
     if not (cfg.allow_unstable or cfl_check(cfg.grid.h, cfg.tau)):
         raise ValueError("CFL condition tau/h^2 <= 1/2 violated")
     solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
-    state = initial_state(cfg, u0, solver)
-    u, chem = state.u, state.chem
+    u = initial_state(cfg, u0)
+    chem = solver.solve(u)
+    advance = _ExplicitStep(cfg)
+    u_next = np.empty_like(u)
 
     n_steps = round(cfg.T / cfg.tau)
     if abs(n_steps * cfg.tau - cfg.T) > 1e-9 * max(1.0, cfg.T):
@@ -258,7 +273,9 @@ def run(cfg: RunConfig, u0: np.ndarray):
         record(0, u, chem)
     try:
         for j in range(1, n_steps + 1):
-            u, chem, m = _advance(u, chem, cfg, solver)
+            m = advance(u, chem.v, u_next)
+            u, u_next = u_next, u
+            chem = solver.solve(u)
             max_sup = max(max_sup, m)
             if needed(j):
                 record(j, u, chem)

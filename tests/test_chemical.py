@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from kswave import (BoundaryCase, Grid, greens_psi, greens_psi_x,
-                    solve_chemical)
+from kswave import (BoundaryCase, ChemicalSolver, Grid, greens_psi,
+                    greens_psi_x, solve_chemical)
 
 BOTH_CASES = (BoundaryCase.CASE1, BoundaryCase.CASE2)
 
@@ -89,6 +90,67 @@ def test_vx_interior_is_central_difference(rng):
     f = solve_chemical(u, g, 1.0, 1.0, BoundaryCase.CASE2)
     fd = (f.v[2:] - f.v[:-2]) / (2 * g.h)
     np.testing.assert_allclose(f.vx[1:-1], fd, atol=1e-14)
+
+
+def banded_oracle(u, g, nu, mu, bc, neumann_order=1):
+    """v from scipy's banded solver on the same system, assembled afresh."""
+    h2 = g.h * g.h
+    n = g.M if neumann_order == 2 else g.M - 1
+    ab = np.zeros((3, n))
+    ab[0, 1:] = 1.0
+    ab[1, :] = -(2.0 + nu * h2)
+    ab[2, :-1] = 1.0
+    if bc is BoundaryCase.CASE1:
+        if neumann_order == 1:
+            ab[1, -1] = -(1.0 + nu * h2)
+        else:
+            ab[2, -2] = 2.0
+    v = np.zeros(g.M + 1)
+    v[1:1 + n] = solve_banded((1, 1), ab, -mu * h2 * u[1:1 + n])
+    if bc is BoundaryCase.CASE1 and neumann_order == 1:
+        v[-1] = v[-2]
+    return v
+
+
+@pytest.mark.parametrize("M", (2, 3, 400))
+@pytest.mark.parametrize("bc", BOTH_CASES)
+def test_factored_solve_matches_banded_oracle_bitwise(bc, M, rng):
+    # one, two and many unknowns: the 1x1 division, dgtsv and dgttrf/dgttrs
+    g = Grid(L=M / 16, h=0.125)
+    solver = ChemicalSolver(g, 0.05, 1.3, bc)
+    for _ in range(5):
+        u = rng.random(g.M + 1) * rng.uniform(0.1, 30.0)
+        v = solver.solve(u).v
+        assert v.tobytes() == banded_oracle(u, g, 0.05, 1.3, bc).tobytes()
+
+
+@pytest.mark.parametrize("M", (2, 3, 400))
+def test_ghost_closure_solve_matches_banded_oracle(M, rng):
+    # the ghost row's subdiagonal 2 can pivot, so only round-off is promised
+    g = Grid(L=M / 16, h=0.125)
+    solver = ChemicalSolver(g, 0.05, 1.3, BoundaryCase.CASE1, neumann_order=2)
+    for _ in range(5):
+        u = rng.random(g.M + 1) * 10.0
+        np.testing.assert_allclose(
+            solver.solve(u).v,
+            banded_oracle(u, g, 0.05, 1.3, BoundaryCase.CASE1, 2),
+            rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("bc", BOTH_CASES)
+def test_lazy_vx_matches_eager_formula_bitwise(bc, rng):
+    g = Grid(L=5.0, h=0.1)
+    f = solve_chemical(rng.random(g.M + 1), g, 0.7, 1.3, bc)
+    v, h = f.v, g.h
+    vx = np.empty_like(v)
+    vx[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    vx[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    if bc is BoundaryCase.CASE1:
+        vx[-1] = (v[-1] - v[-2]) / h
+    else:
+        vx[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    assert f.vx.tobytes() == vx.tobytes()
+    assert f.vx is f.vx                   # computed once, then cached
 
 
 def test_ghost_node_closure_is_second_order():

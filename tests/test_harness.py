@@ -1,10 +1,11 @@
+import logging
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kswave import BoundaryCase, OutcomeTag
+from kswave import BoundaryCase, OutcomeTag, harness
 from kswave.cli import main as cli_main
 from kswave.harness import (ConfigError, SweepSpec, parse_config,
                             render_manifest, run_experiment, sweep)
@@ -90,6 +91,14 @@ def test_parse_rejects_bad_axis_and_bump():
         parse_config(MINI_CFG + "sweep_c = 1, 2, 0\n")
     with pytest.raises(ConfigError, match="exactly xl,xr"):
         parse_config(MINI_CFG.replace("u0 = -1:0, 1:10", "u0_bump = 1"))
+
+
+def test_ill_posed_damping_warns_through_logging(caplog):
+    with caplog.at_level(logging.WARNING, logger="kswave"):
+        parse_config(MINI_CFG.replace("b = 1", "b = 0.05"))   # chi mu = 0.1
+    [record] = [r for r in caplog.records if r.name == "kswave"]
+    assert record.levelno == logging.WARNING
+    assert "solutions may blow up" in record.getMessage()
 
 
 def test_parse_sweep_mode_requires_an_axis():
@@ -239,6 +248,33 @@ def test_sweep_parallel_matches_serial(tmp_path):
     sweep(SweepSpec(base=spec, axes=axes), tmp_path / "par.csv", workers=2)
     assert (tmp_path / "serial.csv").read_bytes() == \
         (tmp_path / "par.csv").read_bytes()
+
+
+def test_sweep_spec_from_spec_carries_axes_and_horizon():
+    spec = parse_config(SWEEP_CFG + "sweep_b = 1, 2, 2\nhorizon_scale = 0.4\n")
+    sw = SweepSpec.from_spec(spec)
+    assert sw.base is spec
+    assert sw.axes == (("b", (1.0, 2.0, 2)), ("c", (1.0, 1.0, 1)))
+    assert sw.horizon_scale == 0.4
+
+
+def test_sweep_runs_its_own_horizon(tmp_path, monkeypatch):
+    # the SweepSpec's horizon_scale, not the base spec's, sets the horizon
+    spec = parse_config(SWEEP_CFG)
+    assert spec.horizon_scale == 1.0 and spec.T == 0.5
+    horizons = []
+    real_run = harness.run
+
+    def spy(cfg, u0):
+        horizons.append(cfg.T)
+        return real_run(cfg, u0)
+    monkeypatch.setattr(harness, "run", spy)
+    rows = sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),),
+                           horizon_scale=0.2), tmp_path / "map.csv")
+    assert horizons == [pytest.approx(0.1)]
+    short = run_experiment(replace(parse_config(MINI_CFG), T=0.1,
+                                   snapshot_times=()), tmp_path / "short")
+    assert rows[0]["outcome"] == short.tag.value
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kswave import (BlowUpError, BoundaryCase, Grid, GrowthProfile, Outcome,
                     OutcomeTag, SimParams, Trajectory, cfl_check,
-                    detect_outcome, initial_state, make_run_config, run, step)
+                    detect_outcome, initial_state, make_run_config, run)
 
 
 def tiny_cfg(**over):
@@ -44,25 +44,22 @@ def test_run_refuses_unstable():
 
 
 # ---------------------------------------------------------------------------
-# single-step oracles
+# few-step oracles (runs of n steps, T = n tau)
 
 def test_zero_is_fixed_point():
-    cfg = tiny_cfg()
-    state = initial_state(cfg, np.zeros(cfg.grid.M + 1))
-    for _ in range(3):
-        state = step(state, cfg)
-    assert np.all(state.u == 0.0)
-    assert state.t == pytest.approx(0.3)
+    cfg = tiny_cfg(T=0.3)
+    traj, _ = run(cfg, np.zeros(cfg.grid.M + 1))
+    assert np.all(traj.u_final == 0.0)
+    assert traj.t_final == pytest.approx(0.3)
 
 
 def test_single_interior_node_update_oracle():
     # M = 2, h = 1, tau = 0.1, c = 0, chi = 0, r = 1, b = 1, u = (0,1,0):
     # u2' = (1 - 2*0.1 + 0.1*1) * 1 - 0.1 * 1 = 0.8
-    cfg = tiny_cfg()
-    state = initial_state(cfg, np.array([0.0, 1.0, 0.0]))
-    new = step(state, cfg)
-    assert new.u[1] == pytest.approx(0.8, abs=1e-15)
-    assert new.u[0] == 0.0 and new.u[2] == 0.0
+    cfg = tiny_cfg(T=0.1)
+    traj, _ = run(cfg, np.array([0.0, 1.0, 0.0]))
+    assert traj.u_final[1] == pytest.approx(0.8, abs=1e-15)
+    assert traj.u_final[0] == 0.0 and traj.u_final[2] == 0.0
 
 
 def test_determinism_bitwise(case1_profile, exp1_params, case1_u0):
@@ -94,6 +91,9 @@ def test_initial_state_validation():
         initial_state(cfg, np.array([0.0, 1.0, 1.0]))   # CASE2 right end
     with pytest.raises(ValueError):
         initial_state(cfg, np.zeros(7))
+    # round-off negatives are clamped and the closure imposed
+    u = initial_state(cfg, np.array([1e-13, -1e-13, 0.0]))
+    assert np.array_equal(u, [0.0, 0.0, 0.0])
 
 
 def test_blowup_guard_carries_partial_trajectory():
