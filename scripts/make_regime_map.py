@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from kswave.harness import SweepSpec, parse_config, sweep
+from kswave.harness import parse_config, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,8 +20,8 @@ def main():
     args = ap.parse_args()
 
     spec = parse_config((ROOT / "experiments" / "sweep_case1_c.cfg").read_text())
-    out_csv = ROOT / "out" / "sweep_case1_c" / "regime_map.csv"
-    rows = sweep(SweepSpec.from_spec(spec), out_csv, workers=args.workers)
+    out_dir = ROOT / "out" / "sweep_case1_c"
+    rows = run_experiment(spec, out_dir, workers=args.workers)
     extinct = [r["c"] for r in rows if r["outcome"] == "extinction"]
     alive = [r["c"] for r in rows if r["outcome"] not in ("extinction",
                                                           "error", "skipped")]
@@ -30,7 +30,7 @@ def main():
     if extinct and alive:
         print(f"transition between c = {max(extinct)} and c = {min(alive)} "
               f"(theory: -2 sqrt(r*) = -6.3246)")
-    print(f"regime map written to {out_csv}")
+    print(f"regime map written to {out_dir / 'regime_map.csv'}")
     return 0
 
 

@@ -4,8 +4,7 @@ analytic verification toolkit (Green's-kernel chemical fields, principal
 eigenvalues, super/sub-solution envelopes, and the frozen-chemotaxis
 fixed-point iteration)."""
 
-from .chemical import (ChemicalField, ChemicalSolver, greens_psi,
-                       greens_psi_x, solve_chemical)
+from .chemical import ChemicalField, ChemicalSolver, greens_psi, greens_psi_x
 from .envelopes import (CertificationReport, Envelope, EnvelopeKind,
                         ResidualField, build_lower_envelope_case1,
                         build_lower_envelope_case2,

@@ -2,14 +2,14 @@
 
 Two independent routes to v from u:
 
-* ``ChemicalSolver`` / ``solve_chemical``: the discrete boundary-value problem
-  used inside the time stepper, (v_{i-1} - 2 v_i + v_{i+1})/h^2 - nu v_i +
-  mu u_i = 0 on the interior, closed with v(-L) = 0 and either the
-  first-order one-sided Neumann closure v_{M+1} = v_M (CASE1) or v(L) = 0
-  (CASE2).  The matrix does not depend on u, so the solver factors it once
-  with LAPACK ``dgttrf`` and each solve is one ``dgttrs`` call on the scaled
-  right-hand side; cost is linear in M.  The gradient vx of the returned
-  field is computed on first access only, since the stepper never reads it.
+* ``ChemicalSolver``: the discrete boundary-value problem used inside the
+  time stepper, (v_{i-1} - 2 v_i + v_{i+1})/h^2 - nu v_i + mu u_i = 0 on
+  the interior, closed with v(-L) = 0 and either the first-order one-sided
+  Neumann closure v_{M+1} = v_M (CASE1) or v(L) = 0 (CASE2).  The matrix
+  does not depend on u, so the solver factors it once with LAPACK
+  ``dgttrf`` and each solve is one ``dgttrs`` call on the scaled right-hand
+  side; cost is linear in M.  The gradient vx of the returned field is
+  computed on first access only, since the stepper never reads it.
 
 * ``greens_psi`` / ``greens_psi_x``: the whole-line representation
   Psi(x; u) = mu/(2 sqrt(nu)) * integral exp(-sqrt(nu) |x-y|) u(y) dy and its
@@ -31,7 +31,6 @@ from .tridiagonal import TridiagonalLU
 __all__ = [
     "ChemicalField",
     "ChemicalSolver",
-    "solve_chemical",
     "greens_psi",
     "greens_psi_x",
 ]
@@ -127,12 +126,6 @@ class ChemicalSolver:
         else:
             v[-1] = 0.0
         return ChemicalField(v=v, h=grid.h, bc=self.bc)
-
-
-def solve_chemical(u: np.ndarray, grid: Grid, nu: float, mu: float,
-                   bc: BoundaryCase, neumann_order: int = 1) -> ChemicalField:
-    """One-shot tridiagonal solve; see :class:`ChemicalSolver`."""
-    return ChemicalSolver(grid, nu, mu, bc, neumann_order).solve(u)
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -18,7 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .fixedpoint import SandwichError
-from .harness import ConfigError, fmt, parse_config, run_experiment
+from .harness import (ConfigError, _parse_floats, _validate, fmt,
+                      parse_config, run_experiment)
 from .ignition import BracketError
 from .stepper import BlowUpError
 
@@ -66,25 +67,17 @@ def main(argv=None) -> int:
                             allow_unstable=getattr(args, "allow_unstable",
                                                    False))
         if getattr(args, "snapshot_times", None):
-            times = tuple(float(t) for t in args.snapshot_times.split(","))
+            times = _parse_floats(args.snapshot_times, None, "snapshot_times")
             spec = replace(spec, snapshot_times=times)
+            _validate(spec)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     out_dir = args.out if args.out is not None else Path("out") / args.config.stem
     try:
-        if args.mode == "sweep":
-            from .harness import SweepSpec, render_manifest, sweep
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "manifest.cfg").write_text(render_manifest(spec))
-            rows = sweep(SweepSpec.from_spec(spec), out_dir / "regime_map.csv",
-                         workers=args.workers)
-            n_err = sum(r["outcome"] == "error" for r in rows)
-            print(f"sweep: {len(rows)} points, {n_err} errors "
-                  f"-> {out_dir / 'regime_map.csv'}")
-            return 2 if n_err else 0
-        result = run_experiment(spec, out_dir)
+        result = run_experiment(spec, out_dir,
+                                workers=getattr(args, "workers", 1))
     except (BlowUpError, BracketError, SandwichError) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 2
@@ -123,6 +116,11 @@ def main(argv=None) -> int:
         for w in waves:
             print(f"  ignition eps = {fmt(w.epsilon)}: speed {fmt(w.speed)} "
                   f"< bound {fmt(w.speed_bound)}")
+    elif args.mode == "sweep":
+        n_err = sum(r["outcome"] == "error" for r in result)
+        print(f"sweep: {len(result)} points, {n_err} errors "
+              f"-> {out_dir / 'regime_map.csv'}")
+        return 2 if n_err else 0
     return 0
 
 

@@ -14,9 +14,12 @@ chemical field v(.;u) is the same boundary-closed tridiagonal solve the
 coupled stepper uses: the zero-extended whole-line kernel would halve the
 chemical mass seen at the zero-flux boundary and inflate the plateau from
 r*/b to r*/(b - chi mu / 2), so the fixed point would not be stationary
-for the coupled scheme.  Every inner evolution is checked for pointwise
-monotone decay, and every outer iterate must stay inside the envelope
-sandwich U1- <= u <= U1+.
+for the coupled scheme.  The inner flow is the coupled stepper's own
+explicit kernel: it loads the frozen v once (the v-stage) and then runs
+only the u-stage each step, and the stepper's lag monitor decides when it
+has settled.  Every inner evolution is checked for pointwise monotone
+decay, and every outer iterate must stay inside the envelope sandwich
+U1- <= u <= U1+.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .envelopes import (Envelope, build_lower_envelope_case1,
                         build_upper_envelope_case1)
 from .ignition import ignition_wave
 from .model import BoundaryCase, Grid, GrowthProfile, SimParams
+from .stepper import RunConfig, _ExplicitStep, _LagMonitor, make_run_config
 
 __all__ = ["SandwichError", "FixedPointResult", "frozen_flow_fixed_point",
            "stationary_residual"]
@@ -52,56 +56,34 @@ class FixedPointResult:
     lower: Envelope
 
 
-def _evolve_frozen(u_init, v, vx, r, params: SimParams, grid: Grid,
-                   bc: BoundaryCase, tau: float, horizon: float,
-                   window: float, tol: float, snapshot_dt: float):
-    """Explicit march of the frozen flow until the sup change over the
-    trailing window drops below tol (or the horizon is reached).  Returns
-    the terminal profile and the worst pointwise increase between
-    consecutive snapshots (monotone decay means it stays at round-off)."""
-    h = grid.h
-    lam = tau / (h * h)
-    drift = params.c - params.chi * vx
-    coef = tau / (2.0 * h) * drift[1:-1]
-    growth = r - params.chi * params.nu * v
-    gap = params.damping_gap
-
-    n_steps = round(horizon / tau)
-    lag = max(1, round(window / tau))
-    cadence = math.gcd(max(1, lag // 10), lag)
-    snap_every = max(1, round(snapshot_dt / tau))
+def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray,
+                   snapshot_dt: float):
+    """Explicit march of the frozen flow with the stepper's kernel, v loaded
+    once, until the sup change over the trailing cfg.conv_window drops
+    below cfg.conv_tol (or t reaches cfg.T).  Returns the terminal profile
+    and the worst pointwise increase between consecutive snapshots
+    (monotone decay means it stays at round-off)."""
+    advance = _ExplicitStep(cfg)
+    advance.load(v)
+    n_steps = round(cfg.T / cfg.tau)
+    # tau = 0.4 h^2 rarely divides the window, so the lag is rounded
+    monitor = _LagMonitor(max(1, round(cfg.conv_window / cfg.tau)))
+    snap_every = max(1, round(snapshot_dt / cfg.tau))
 
     u = u_init.copy()
-    buffer = {0: u.copy()}
+    u_next = np.empty_like(u)
+    monitor.push(0, u)
     prev_snap = u.copy()
     worst_increase = -math.inf
 
     for j in range(1, n_steps + 1):
-        un = np.empty_like(u)
-        un[1:-1] = (
-            (lam - coef) * u[:-2]
-            + (1.0 - 2.0 * lam + tau * growth[1:-1]) * u[1:-1]
-            - tau * gap * u[1:-1] * u[1:-1]
-            + (lam + coef) * u[2:]
-        )
-        un[0] = 0.0
-        if bc is BoundaryCase.CASE1:
-            un[-1] = un[-2]
-        else:
-            un[-1] = 0.0
-        np.maximum(un, 0.0, out=un)
-        u = un
+        advance(u, u_next)
+        u, u_next = u_next, u
         if j % snap_every == 0:
             worst_increase = max(worst_increase, float(np.max(u - prev_snap)))
             prev_snap = u.copy()
-        if j % cadence == 0:
-            buffer[j] = u.copy()
-            old = j - lag
-            if old in buffer:
-                if float(np.max(np.abs(u - buffer[old]))) < tol:
-                    break
-            for k in [k for k in buffer if k < j - lag]:
-                del buffer[k]
+        if j % monitor.cadence == 0 and monitor.push(j, u) < cfg.conv_tol:
+            break
     return u, worst_increase
 
 
@@ -122,8 +104,9 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
         wave = ignition_wave(params, profile.r_star, wave_epsilon)
         lower = build_lower_envelope_case1(params, profile, grid, wave,
                                            upper=upper)
-    r = np.asarray(profile(grid.nodes), dtype=float)
     tau = 0.4 * grid.h * grid.h
+    cfg = make_run_config(params, profile, grid, bc, tau, inner_T,
+                          conv_window=1.0, conv_tol=inner_tol)
     solver = ChemicalSolver(grid, params.nu, params.mu, bc)
 
     u = upper.values.copy()
@@ -132,11 +115,8 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
     converged = False
     n_outer = 0
     for n_outer in range(1, max_outer + 1):
-        chem = solver.solve(u)
-        u_next, slack = _evolve_frozen(
-            upper.values, chem.v, chem.vx, r, params, grid, bc, tau,
-            horizon=inner_T, window=1.0, tol=inner_tol,
-            snapshot_dt=snapshot_dt)
+        u_next, slack = _evolve_frozen(cfg, upper.values, solver.solve(u).v,
+                                       snapshot_dt)
         worst_slack = max(worst_slack, slack)
         low_viol = float(np.max(lower.values - u_next))
         high_viol = float(np.max(u_next - upper.values))

@@ -245,6 +245,9 @@ def parse_config(text: str, mode: str | None = None,
 
     spec = RunSpec(**values)
     _validate(spec, lines)
+    if not spec.params().well_posed:
+        _log.warning("b = %g <= chi*mu = %g, solutions may blow up",
+                     spec.b, spec.chi * spec.mu)
     return spec
 
 
@@ -292,10 +295,6 @@ def _validate(spec: RunSpec, lines: dict | None = None):
         err("tolerances must be positive", "conv_tol")
     if spec.verify_samples < 1:
         err("verify_samples must be >= 1", "verify_samples")
-    params = spec.params()
-    if not params.well_posed:
-        _log.warning("b = %g <= chi*mu = %g, solutions may blow up",
-                     spec.b, spec.chi * spec.mu)
 
 
 # --------------------------------------------------------------------------
@@ -369,9 +368,10 @@ def _outcome_lines(outcome):
     return lines
 
 
-def run_experiment(spec: RunSpec, out_dir: str | Path):
+def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     """Execute the spec's mode, writing the artifact bundle into out_dir.
-    Returns the mode's principal result object."""
+    Returns the mode's principal result object.  ``workers`` is passed to
+    ``sweep`` in sweep mode."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "manifest.cfg", render_manifest(spec))
@@ -432,7 +432,8 @@ def run_experiment(spec: RunSpec, out_dir: str | Path):
         return _run_verify(spec, out)
 
     if spec.mode == "sweep":
-        return sweep(SweepSpec.from_spec(spec), out / "regime_map.csv")
+        return sweep(SweepSpec.from_spec(spec), out / "regime_map.csv",
+                     workers=workers)
 
     raise ConfigError(f"unknown mode {spec.mode!r}")
 

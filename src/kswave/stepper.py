@@ -20,6 +20,11 @@ array 1 - 2 tau/h^2 + tau r_i, tau chi nu, tau (b - chi mu), tau/(2h) and
 2h) is computed once per run, and each step writes into preallocated
 buffers with the operations grouped exactly as in the formula above, so
 the results are bitwise those of the plain array expression.
+
+The update is one kernel with a v-stage (the three bracketed stencil
+factors from v) and a u-stage (the rest).  ``run`` calls both every step;
+the frozen-chemotaxis flow of ``kswave.fixedpoint`` loads its fixed v once
+and calls only the u-stage.  Both judge convergence with one lag monitor.
 """
 
 from __future__ import annotations
@@ -138,8 +143,12 @@ class Trajectory:
 
 
 class _ExplicitStep:
-    """The explicit update of one run: the coefficients that stay fixed over
-    the run, computed once, and the work buffers each step writes into."""
+    """The explicit update of one run in two stages.  ``load`` is the
+    v-stage: it fills the west, centre and east factors of the three-point
+    stencil from the chemical field v.  ``__call__`` is the u-stage: it
+    applies the loaded factors to u, then the damping, the boundary
+    closure, the clamp and the blow-up guard.  The coefficients that stay
+    fixed over the run and the work buffers are set up once."""
 
     def __init__(self, cfg: RunConfig):
         h, tau = cfg.grid.h, cfg.tau
@@ -153,36 +162,39 @@ class _ExplicitStep:
         self.center = 1.0 - 2.0 * self.lam + tau * cfg.r_samples[1:-1]
         self.chem_rate = tau * params.chi * params.nu
         self.damping = tau * params.damping_gap
-        n = cfg.grid.M - 1
-        self._coef, self._west, self._mid = (np.empty(n), np.empty(n),
-                                              np.empty(n))
+        self._west, self._mid, self._east, self._work = np.empty(
+            (4, cfg.grid.M - 1))
 
-    def __call__(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> float:
-        """Write the step from (u, v) into ``out`` and return its sup."""
-        coef, west, mid = self._coef, self._west, self._mid
-        ui = u[1:-1]
+    def load(self, v: np.ndarray) -> None:
+        """Fill the stencil factors lam - coef, center - tau chi nu v_i and
+        lam + coef from v."""
+        coef = self._east
         # coef = tau/(2h) * (c - chi (v_{i+1} - v_{i-1}) / (2h))
         np.subtract(v[2:], v[:-2], out=coef)
         np.multiply(self.chi, coef, out=coef)
         np.divide(coef, self.two_h, out=coef)
         np.subtract(self.c, coef, out=coef)
         np.multiply(self.tau_2h, coef, out=coef)
-        # west = (lam - coef) u_{i-1}
-        np.subtract(self.lam, coef, out=west)
-        west *= u[:-2]
-        # mid = (center - tau chi nu v_i) u_i
-        np.multiply(self.chem_rate, v[1:-1], out=mid)
-        np.subtract(self.center, mid, out=mid)
-        mid *= ui
-        # ((west + mid) - tau (b - chi mu) u_i^2) + (lam + coef) u_{i+1}
+        np.subtract(self.lam, coef, out=self._west)
+        np.add(self.lam, coef, out=self._east)
+        np.multiply(self.chem_rate, v[1:-1], out=self._mid)
+        np.subtract(self.center, self._mid, out=self._mid)
+
+    def __call__(self, u: np.ndarray, out: np.ndarray) -> float:
+        """Write the step from u with the loaded factors into ``out`` and
+        return its sup."""
+        work = self._work
+        ui = u[1:-1]
+        # ((west u_{i-1} + mid u_i) - tau (b - chi mu) u_i^2) + east u_{i+1}
         inner = out[1:-1]
-        np.add(west, mid, out=inner)
-        np.multiply(self.damping, ui, out=mid)
-        mid *= ui
-        inner -= mid
-        np.add(self.lam, coef, out=coef)
-        coef *= u[2:]
-        inner += coef
+        np.multiply(self._west, u[:-2], out=inner)
+        np.multiply(self._mid, ui, out=work)
+        inner += work
+        np.multiply(self.damping, ui, out=work)
+        work *= ui
+        inner -= work
+        np.multiply(self._east, u[2:], out=work)
+        inner += work
         out[0] = 0.0
         out[-1] = out[-2] if self.case1 else 0.0
         # round-off negatives are clamped so the quadratic term and the
@@ -194,6 +206,26 @@ class _ExplicitStep:
                 f"|u| exceeded {BLOWUP_LIMIT:g}: unstable step "
                 "(check CFL and b > chi*mu)")
         return m
+
+
+class _LagMonitor:
+    """The convergence check over a lag of ``lag`` steps: ``push`` keeps a
+    copy of step j in ``kept``, drops the copies older than the lag and
+    returns sup|u_j - u_{j-lag}| (nan if step j - lag was not pushed)."""
+
+    def __init__(self, lag: int):
+        self.lag = lag
+        # steps are pushed every ``cadence`` steps; the cadence divides the
+        # lag so every pushed step can see its partner
+        self.cadence = math.gcd(max(1, lag // 10), lag)
+        self.kept: dict[int, np.ndarray] = {}
+
+    def push(self, j: int, u: np.ndarray) -> float:
+        self.kept[j] = u.copy()
+        old = self.kept.get(j - self.lag)
+        for k in [k for k in self.kept if k < j - self.lag]:
+            del self.kept[k]
+        return math.nan if old is None else float(np.max(np.abs(u - old)))
 
 
 def initial_state(cfg: RunConfig, u0: np.ndarray) -> np.ndarray:
@@ -233,9 +265,6 @@ def run(cfg: RunConfig, u0: np.ndarray):
     lag_steps = round(cfg.conv_window / cfg.tau)
     if abs(lag_steps * cfg.tau - cfg.conv_window) > 1e-9:
         raise ValueError("conv_window must be an integer multiple of tau")
-    # cadence must divide the lag so every recorded step can see its partner
-    cadence = math.gcd(max(1, lag_steps // 10), lag_steps)
-
     snap_steps = {}
     for t in cfg.snapshot_times:
         j = round(t / cfg.tau)
@@ -245,20 +274,12 @@ def run(cfg: RunConfig, u0: np.ndarray):
 
     times, sup_diffs, sup_us, u_rights = [], [], [], []
     snapshots = []
-    lag_buffer: dict[int, np.ndarray] = {}
+    monitor = _LagMonitor(lag_steps)
     max_sup = float(u.max())
 
     def record(j, u, chem):
-        t = j * cfg.tau
-        lag_buffer[j] = u.copy()
-        old = j - lag_steps
-        sup_diff = math.nan
-        if old in lag_buffer:
-            sup_diff = float(np.max(np.abs(u - lag_buffer[old])))
-        for k in [k for k in lag_buffer if k < j - lag_steps]:
-            del lag_buffer[k]
-        times.append(t)
-        sup_diffs.append(sup_diff)
+        times.append(j * cfg.tau)
+        sup_diffs.append(monitor.push(j, u))
         sup_us.append(float(u.max()))
         u_rights.append(float(u[-1]))
         if j in snap_steps:
@@ -266,14 +287,15 @@ def run(cfg: RunConfig, u0: np.ndarray):
 
     def needed(j):
         # cadence points, the final step, its lag partner, and snapshot steps
-        return (j % cadence == 0 or j == n_steps or j == n_steps - lag_steps
-                or j in snap_steps)
+        return (j % monitor.cadence == 0 or j == n_steps
+                or j == n_steps - lag_steps or j in snap_steps)
 
     if needed(0):
         record(0, u, chem)
     try:
         for j in range(1, n_steps + 1):
-            m = advance(u, chem.v, u_next)
+            advance.load(chem.v)
+            m = advance(u, u_next)
             u, u_next = u_next, u
             chem = solver.solve(u)
             max_sup = max(max_sup, m)
@@ -287,7 +309,7 @@ def run(cfg: RunConfig, u0: np.ndarray):
             max_sup_u=max_sup)
         raise
 
-    u_lag = lag_buffer.get(n_steps - lag_steps)
+    u_lag = monitor.kept.get(n_steps - lag_steps)
     traj = Trajectory(
         times=np.array(times), sup_diff=np.array(sup_diffs),
         sup_u=np.array(sup_us), u_at_right=np.array(u_rights),

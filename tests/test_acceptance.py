@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kswave import (BoundaryCase, Grid, GrowthProfile, OutcomeTag,
-                    build_upper_envelope_case1, build_upper_envelope_case2,
-                    certify_supersolution, frozen_flow_fixed_point,
-                    greens_psi, greens_psi_x, make_run_config,
-                    principal_eigenvalue, richardson_speed, run,
-                    solve_chemical, speed_limit)
+from kswave import (BoundaryCase, ChemicalSolver, Grid, GrowthProfile,
+                    OutcomeTag, build_upper_envelope_case1,
+                    build_upper_envelope_case2, certify_supersolution,
+                    frozen_flow_fixed_point, greens_psi, greens_psi_x,
+                    make_run_config, principal_eigenvalue, richardson_speed,
+                    run, speed_limit)
 from kswave.harness import SweepSpec, parse_config, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,7 +155,7 @@ def test_criterion_7_greens_oracle_equivalence():
         amp = rng.uniform(0.2, 2.0)
         u = np.where(np.abs(x - x0) < w,
                      amp * (1 + np.cos(np.pi * (x - x0) / w)) / 2, 0.0)
-        v = solve_chemical(u, grid, nu, mu, BoundaryCase.CASE2).v
+        v = ChemicalSolver(grid, nu, mu, BoundaryCase.CASE2).solve(u).v
         psi = greens_psi(u, grid, nu, mu)
         worst = max(worst, float(np.abs(v - psi)[mid].max()))
     ok = worst < 1e-3

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from kswave import (BoundaryCase, ChemicalSolver, Grid, greens_psi,
-                    greens_psi_x, solve_chemical)
+from kswave import BoundaryCase, ChemicalSolver, Grid, greens_psi, greens_psi_x
 
 BOTH_CASES = (BoundaryCase.CASE1, BoundaryCase.CASE2)
 
@@ -16,7 +15,7 @@ BOTH_CASES = (BoundaryCase.CASE1, BoundaryCase.CASE2)
 @pytest.mark.parametrize("bc", BOTH_CASES)
 def test_zero_input_gives_zero_field(bc):
     g = Grid(L=5.0, h=0.1)
-    field = solve_chemical(np.zeros(g.M + 1), g, 1.0, 1.0, bc)
+    field = ChemicalSolver(g, 1.0, 1.0, bc).solve(np.zeros(g.M + 1))
     assert np.all(field.v == 0.0)
     assert np.all(field.vx == 0.0)
 
@@ -25,8 +24,8 @@ def test_three_node_elimination_oracle():
     # M = 2, h = 1, nu = mu = 1, CASE2, u = (0,1,0):
     # (v1 - 2 v2 + v3) - v2 + 1 = 0 with v1 = v3 = 0  =>  v2 = 1/3
     g = Grid(L=1.0, h=1.0)
-    field = solve_chemical(np.array([0.0, 1.0, 0.0]), g, 1.0, 1.0,
-                           BoundaryCase.CASE2)
+    field = ChemicalSolver(g, 1.0, 1.0, BoundaryCase.CASE2).solve(
+        np.array([0.0, 1.0, 0.0]))
     np.testing.assert_allclose(field.v, [0.0, 1.0 / 3.0, 0.0], atol=1e-15)
 
 
@@ -35,8 +34,8 @@ def test_constant_input_interior_level():
     nu, mu = 0.05, 1.0
     cap = 10.0 / 0.9
     g = Grid(L=40.0, h=0.1)
-    field = solve_chemical(np.full(g.M + 1, cap), g, nu, mu,
-                           BoundaryCase.CASE1)
+    field = ChemicalSolver(g, nu, mu, BoundaryCase.CASE1).solve(
+        np.full(g.M + 1, cap))
     center = g.M // 2
     assert field.v[center] == pytest.approx(mu * cap / nu, rel=1e-3)
 
@@ -46,7 +45,7 @@ def test_discrete_maximum_principle(bc, rng):
     g = Grid(L=5.0, h=0.05)
     for _ in range(20):
         u = rng.random(g.M + 1) * rng.uniform(0.1, 30.0)
-        assert solve_chemical(u, g, 0.7, 1.3, bc).v.min() >= 0.0
+        assert ChemicalSolver(g, 0.7, 1.3, bc).solve(u).v.min() >= 0.0
 
 
 @pytest.mark.parametrize("bc", BOTH_CASES)
@@ -54,9 +53,9 @@ def test_linearity(bc, rng):
     g = Grid(L=5.0, h=0.1)
     u1, u2 = rng.random(g.M + 1), rng.random(g.M + 1)
     a, b = 1.7, -0.4
-    lhs = solve_chemical(a * u1 + b * u2, g, 0.7, 1.3, bc).v
-    rhs = a * solve_chemical(u1, g, 0.7, 1.3, bc).v \
-        + b * solve_chemical(u2, g, 0.7, 1.3, bc).v
+    lhs = ChemicalSolver(g, 0.7, 1.3, bc).solve(a * u1 + b * u2).v
+    rhs = a * ChemicalSolver(g, 0.7, 1.3, bc).solve(u1).v \
+        + b * ChemicalSolver(g, 0.7, 1.3, bc).solve(u2).v
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -65,7 +64,7 @@ def test_interior_residual_bound(bc, rng):
     g = Grid(L=5.0, h=0.1)
     nu, mu = 0.7, 1.3
     u = rng.random(g.M + 1) * 3.0
-    v = solve_chemical(u, g, nu, mu, bc).v
+    v = ChemicalSolver(g, nu, mu, bc).solve(u).v
     res = (v[:-2] - 2 * v[1:-1] + v[2:]) / g.h ** 2 - nu * v[1:-1] \
         + mu * u[1:-1]
     bound = 1e-10 * (np.abs(v).max() * (2 / g.h ** 2 + nu)
@@ -76,18 +75,18 @@ def test_interior_residual_bound(bc, rng):
 def test_boundary_closures(rng):
     g = Grid(L=5.0, h=0.1)
     u = rng.random(g.M + 1)
-    f1 = solve_chemical(u, g, 1.0, 1.0, BoundaryCase.CASE1)
+    f1 = ChemicalSolver(g, 1.0, 1.0, BoundaryCase.CASE1).solve(u)
     assert f1.v[0] == 0.0
     assert f1.v[-1] == f1.v[-2]          # first-order zero-flux closure
     assert f1.vx[-1] == 0.0              # the scheme's backward difference
-    f2 = solve_chemical(u, g, 1.0, 1.0, BoundaryCase.CASE2)
+    f2 = ChemicalSolver(g, 1.0, 1.0, BoundaryCase.CASE2).solve(u)
     assert f2.v[0] == 0.0 and f2.v[-1] == 0.0
 
 
 def test_vx_interior_is_central_difference(rng):
     g = Grid(L=5.0, h=0.1)
     u = rng.random(g.M + 1)
-    f = solve_chemical(u, g, 1.0, 1.0, BoundaryCase.CASE2)
+    f = ChemicalSolver(g, 1.0, 1.0, BoundaryCase.CASE2).solve(u)
     fd = (f.v[2:] - f.v[:-2]) / (2 * g.h)
     np.testing.assert_allclose(f.vx[1:-1], fd, atol=1e-14)
 
@@ -140,7 +139,7 @@ def test_ghost_closure_solve_matches_banded_oracle(M, rng):
 @pytest.mark.parametrize("bc", BOTH_CASES)
 def test_lazy_vx_matches_eager_formula_bitwise(bc, rng):
     g = Grid(L=5.0, h=0.1)
-    f = solve_chemical(rng.random(g.M + 1), g, 0.7, 1.3, bc)
+    f = ChemicalSolver(g, 0.7, 1.3, bc).solve(rng.random(g.M + 1))
     v, h = f.v, g.h
     vx = np.empty_like(v)
     vx[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
@@ -163,8 +162,8 @@ def test_ghost_node_closure_is_second_order():
         g = Grid(L=L, h=h)
         v_exact = np.cos(k * (g.nodes - L))
         u = (nu + k * k) * v_exact / mu
-        v = solve_chemical(u, g, nu, mu, BoundaryCase.CASE1,
-                           neumann_order=order).v
+        v = ChemicalSolver(g, nu, mu, BoundaryCase.CASE1,
+                           neumann_order=order).solve(u).v
         return np.abs(v - v_exact).max()
 
     for h in (0.1, 0.05):
@@ -179,8 +178,8 @@ def test_ghost_node_closure_is_second_order():
 def test_ghost_closure_rejected_for_case2():
     g = Grid(L=1.0, h=0.5)
     with pytest.raises(ValueError):
-        solve_chemical(np.zeros(g.M + 1), g, 1.0, 1.0, BoundaryCase.CASE2,
-                       neumann_order=2)
+        ChemicalSolver(g, 1.0, 1.0, BoundaryCase.CASE2,
+                       neumann_order=2).solve(np.zeros(g.M + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_kernel_bounds_random_envelope_members(rng):
 
 
 def test_oracle_equivalence_with_frozen_constant(rng):
-    # || solve_chemical - greens_psi || on the middle half is bounded by
+    # || ChemicalSolver.solve - greens_psi || on the middle half is bounded by
     # C h^2 + exp(-sqrt(nu) dist(support, boundary)); C fit once and frozen
     C = 0.3
     nu, mu, L = 1.0, 1.0, 20.0
@@ -256,7 +255,7 @@ def test_oracle_equivalence_with_frozen_constant(rng):
             amp = rng.uniform(0.2, 2.0)
             u = np.where(np.abs(x - x0) < w,
                          amp * (1 + np.cos(np.pi * (x - x0) / w)) / 2, 0.0)
-            v = solve_chemical(u, g, nu, mu, BoundaryCase.CASE2).v
+            v = ChemicalSolver(g, nu, mu, BoundaryCase.CASE2).solve(u).v
             psi = greens_psi(u, g, nu, mu)
             mid = np.abs(x) <= L / 2
             worst = max(worst, float(np.abs(v - psi)[mid].max()))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from kswave import (BoundaryCase, Grid, SimParams, frozen_flow_fixed_point,
-                    stationary_residual)
+from kswave import (BoundaryCase, ChemicalSolver, Grid, SimParams,
+                    frozen_flow_fixed_point, initial_state, make_run_config,
+                    run, sample, stationary_residual)
+from kswave.fixedpoint import _evolve_frozen
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +60,20 @@ def test_rejects_case2_profiles(exp1_params, case2_profile):
     with pytest.raises(ValueError):
         frozen_flow_fixed_point(exp1_params, case2_profile, grid,
                                 bc=BoundaryCase.CASE2)
+
+
+def test_frozen_step_is_the_coupled_step(exp1_params, case1_profile,
+                                         case1_u0):
+    # the frozen flow runs the stepper's kernel: one step from u0 with v
+    # frozen at v(.;u0) is bitwise the first step of the coupled run
+    grid = Grid(L=20.0, h=0.1)
+    tau = 0.4 * grid.h * grid.h
+    cfg = make_run_config(exp1_params, case1_profile, grid,
+                          BoundaryCase.CASE1, tau, tau)
+    u0 = initial_state(cfg, sample(case1_u0, grid))
+    v = ChemicalSolver(grid, exp1_params.nu, exp1_params.mu,
+                       BoundaryCase.CASE1).solve(u0).v
+    frozen, _ = _evolve_frozen(cfg, u0, v, snapshot_dt=0.5)
+    traj, _ = run(cfg, u0)
+    assert not np.array_equal(frozen, u0)
+    assert np.array_equal(frozen, traj.u_final)

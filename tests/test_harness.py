@@ -337,3 +337,37 @@ def test_cli_snapshot_times_override(tmp_path):
                      "--snapshot-times", "0.1,0.2"]) == 0
     snap = (out / "snapshots.csv").read_text().splitlines()
     assert {row.split(",")[0] for row in snap[1:]} == {"0.1", "0.2"}
+
+
+@pytest.mark.parametrize("times", ("0.1,abc", "0.1,0.7"))
+def test_cli_snapshot_times_validated_before_any_write(times, tmp_path,
+                                                       capsys):
+    # a non-number and a time past T = 0.5 are validation errors: exit 1
+    # with a message, and nothing is written
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG)
+    out = tmp_path / "o4"
+    assert cli_main(["simulate", str(cfg), "--out", str(out),
+                     "--snapshot-times", times]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_sweep_goes_through_run_experiment(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("sweep_c = 1, 1, 1",
+                                     "sweep_c = 0.5, 1, 2"))
+    out = tmp_path / "o5"
+    assert cli_main(["sweep", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.cfg", "regime_map.csv", "timestamp.txt"]
+    spec = parse_config(cfg.read_text())
+    assert (out / "manifest.cfg").read_text() == render_manifest(spec)
+    sweep(SweepSpec.from_spec(spec), tmp_path / "direct.csv")
+    assert (out / "regime_map.csv").read_bytes() == \
+        (tmp_path / "direct.csv").read_bytes()
+
+    # a row that errors (T not a multiple of tau) makes the exit code 2
+    cfg.write_text(cfg.read_text().replace("T = 0.5", "T = 0.5001"))
+    assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "o6")]) == 2
+    assert "error" in (tmp_path / "o6" / "regime_map.csv").read_text()
