@@ -15,6 +15,7 @@ import datetime
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .envelopes import (build_lower_envelope_case2, build_upper_envelope_case1,
                         build_upper_envelope_case2, certify_supersolution)
 from .ignition import BracketError, ignition_wave, speed_limit
 from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
-                    InitialCondition, RegimeReport, SimParams, check_regime,
+                    InitialCondition, SimParams, check_regime,
                     classify_profile, sample)
 from .spectral import lambda_infinity
 from .stepper import BlowUpError, cfl_check, make_run_config, run
@@ -412,10 +413,7 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
         profile = spec.growth_profile()
         report = check_regime(params, profile)
         res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
-        report = RegimeReport(h1_holds=report.h1_holds,
-                              h1_threshold=report.h1_threshold,
-                              h2_damping_holds=report.h2_damping_holds,
-                              c_star=report.c_star, lambda_inf=res.estimate)
+        report = replace(report, lambda_inf=res.estimate)
         thr = "undefined" if report.h1_threshold is None \
             else fmt(report.h1_threshold)
         lines = [
@@ -514,7 +512,10 @@ def _sweep_point(args):
 
 def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     """Run the cartesian grid of the sweep axes, classify each point, and
-    stream rows to the CSV in deterministic sorted order."""
+    stream rows to the CSV in deterministic sorted order.  At most
+    ``min(workers, points)`` worker processes are started."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     base = sw.base
     axis_map = dict(sw.axes)
     bs = _axis_values(axis_map["b"]) if "b" in axis_map else [base.b]
@@ -526,21 +527,16 @@ def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
-    with open(out_path, "w") as fh:
+    n_proc = min(workers, len(jobs))
+    with ExitStack() as stack:
+        fh = stack.enter_context(open(out_path, "w"))
         fh.write("b,c,chi,outcome,plateau,final_sup_u\n")
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(_sweep_point, jobs)
-                for row in results:
-                    rows.append(row)
-                    fh.write(_sweep_row_text(row))
-                    fh.flush()
-        else:
-            for job in jobs:
-                row = _sweep_point(job)
-                rows.append(row)
-                fh.write(_sweep_row_text(row))
-                fh.flush()
+        mapper = map if n_proc <= 1 else stack.enter_context(
+            ProcessPoolExecutor(max_workers=n_proc)).map
+        for row in mapper(_sweep_point, jobs):
+            rows.append(row)
+            fh.write(_sweep_row_text(row))
+            fh.flush()
     return rows
 
 

@@ -175,6 +175,32 @@ def test_eig_and_regime_modes(tmp_path):
     assert "h1_holds = true" in (tmp_path / "regime" / "regime.txt").read_text()
 
 
+# eig-mode tables of the shipped configs as the pure-Python Sturm bisection
+# computed them before the LAPACK switch: rows (L, h, lambda_L)
+GOLDEN_EIG = {
+    "case1_exp1": [(18.0, 0.01, 9.734960669001957),
+                   (36.0, 0.01, 9.744812213845083),
+                   (72.0, 0.01, 9.748443011860758),
+                   (144.0, 0.01, 9.749570658822215),
+                   (288.0, 0.01, 9.749887061955764),
+                   (576.0, 0.01, 9.749971023654943)],
+    "case2_exp1": [(18.0, 0.01, 9.707481086341652),
+                   (36.0, 0.01, 9.707481086341652)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EIG))
+def test_eig_mode_matches_golden_table(name, tmp_path):
+    spec = parse_config((EXPERIMENTS / f"{name}.cfg").read_text(), mode="eig")
+    run_experiment(spec, tmp_path)
+    lines = (tmp_path / "eigenvalues.csv").read_text().splitlines()[1:]
+    rows = [tuple(map(float, line.split(","))) for line in lines]
+    golden = GOLDEN_EIG[name]
+    assert [row[:2] for row in rows] == [row[:2] for row in golden]
+    for row, ref in zip(rows, golden):
+        assert abs(row[2] - ref[2]) <= 1e-10
+
+
 def test_verify_mode(tmp_path):
     spec = parse_config((EXPERIMENTS / "case1_exp1.cfg").read_text(),
                         mode="verify")
@@ -248,6 +274,50 @@ def test_sweep_parallel_matches_serial(tmp_path):
     sweep(SweepSpec(base=spec, axes=axes), tmp_path / "par.csv", workers=2)
     assert (tmp_path / "serial.csv").read_bytes() == \
         (tmp_path / "par.csv").read_bytes()
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    # a stand-in executor records max_workers and maps in-process, so no
+    # real process is started
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    spec = parse_config(SWEEP_CFG.replace("sweep_c = 1, 1, 1",
+                                          "sweep_c = 0.5, 1.5, 3"))
+    sw = SweepSpec(base=spec, axes=(("c", spec.sweep_c),))
+    sweep(sw, tmp_path / "serial.csv", workers=1)
+    sweep(sw, tmp_path / "capped.csv", workers=64)
+    sweep(sw, tmp_path / "two.csv", workers=2)
+    one = SweepSpec(base=spec, axes=(("c", (1.0, 1.0, 1)),))
+    sweep(one, tmp_path / "one.csv", workers=8)   # one point runs serially
+    assert started == [3, 2]
+    assert (tmp_path / "capped.csv").read_bytes() == \
+        (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_workers_below_one(workers, tmp_path):
+    spec = parse_config(SWEEP_CFG)
+    with pytest.raises(ValueError, match="workers"):
+        sweep(SweepSpec.from_spec(spec), tmp_path / "map.csv",
+              workers=workers)
+    assert not (tmp_path / "map.csv").exists()
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "o"),
+                     "--workers", str(workers)]) == 1
 
 
 def test_sweep_spec_from_spec_carries_axes_and_horizon():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from kswave import GrowthProfile, lambda_infinity, principal_eigenvalue
+from kswave import GrowthProfile, lambda_infinity, principal_eigenvalue, spectral
 
 CONST_TEN = GrowthProfile.from_breakpoints([(-7.0, 10.0), (7.0, 10.0)])
 
@@ -12,7 +12,6 @@ def test_constant_profile_closed_form():
     # lambda = 10 - 1/4 - (pi/14)^2
     exact = 10.0 - 0.25 - math.pi ** 2 / 196.0
     res = principal_eigenvalue(CONST_TEN, c=1.0, L=7.0, h=0.01)
-    assert res.converged
     assert res.lambda_L == pytest.approx(exact, abs=1e-3)
 
 
@@ -21,6 +20,17 @@ def test_dirichlet_laplacian_closed_form():
     res = principal_eigenvalue(flat, c=0.0, L=math.pi / 2,
                                h=math.pi / 2 / 200)
     assert res.lambda_L == pytest.approx(-1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("h", [0.02, 0.01])
+@pytest.mark.parametrize("c", [0.0, 1.0, 2.5])
+def test_constant_profile_exact_discrete_eigenvalue(c, h):
+    # the 3-point Dirichlet Laplacian with m = 2L/h cells has top eigenvalue
+    # -(4/h^2) sin^2(pi/(2m)); the default tol must hold against it
+    m = round(14.0 / h)
+    exact = 10.0 - 0.25 * c * c - 4.0 / h ** 2 * math.sin(math.pi / (2 * m)) ** 2
+    res = principal_eigenvalue(CONST_TEN, c, 7.0, h)
+    assert abs(res.lambda_L - exact) <= 1e-10
 
 
 def test_h_convergence_is_second_order():
@@ -50,17 +60,8 @@ def test_advection_penalty_is_quarter_c_squared(case2_profile):
     assert lam_c == pytest.approx(lam_0 - c * c / 4.0, abs=5e-10)
 
 
-def test_eigenfunction_positive_and_normalized(case2_profile):
-    res = principal_eigenvalue(case2_profile, 1.0, 10.0, 0.02)
-    phi = res.eigenfunction
-    assert phi is not None
-    assert phi.min() > 0.0
-    assert phi.max() == pytest.approx(1.0)
-
-
 def test_monotone_in_L_at_fixed_h(case2_profile):
-    lams = [principal_eigenvalue(case2_profile, 1.0, L, 0.02,
-                                 want_eigenfunction=False).lambda_L
+    lams = [principal_eigenvalue(case2_profile, 1.0, L, 0.02).lambda_L
             for L in (10.0, 14.0, 20.0, 28.0)]
     for a, b in zip(lams, lams[1:]):
         assert a <= b + 1e-9
@@ -71,6 +72,16 @@ def test_rejects_bad_geometry(case2_profile):
         principal_eigenvalue(case2_profile, 1.0, -1.0, 0.1)
     with pytest.raises(ValueError):
         principal_eigenvalue(case2_profile, 1.0, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+def test_rejects_tol_not_finite_positive(case2_profile, tol, monkeypatch):
+    # refused before any solve: LAPACK would read tol <= 0 as its own default
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with an invalid tol")
+    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", no_solve)
+    with pytest.raises(ValueError, match="tol"):
+        principal_eigenvalue(case2_profile, 1.0, 10.0, 0.02, tol=tol)
 
 
 # ---------------------------------------------------------------------------
