@@ -14,12 +14,18 @@ Two independent routes to v from u:
 * ``greens_psi`` / ``greens_psi_x``: the whole-line representation
   Psi(x; u) = mu/(2 sqrt(nu)) * integral exp(-sqrt(nu) |x-y|) u(y) dy and its
   derivative, evaluated by trapezoidal quadrature over the grid with u
-  treated as zero outside.  This is the oracle the analytic envelope bounds
-  are stated against, and it never shares code with the tridiagonal route.
+  treated as zero outside.  The kernel splits at the diagonal into the
+  one-sided sums I_L(x_i) (nodes y <= x_i) and I_R(x_i) (nodes y >= x_i),
+  so Psi = mu/(2 sqrt(nu)) (I_L + I_R) and Psi_x = mu/2 (I_R - I_L).  Each
+  sum is one O(M) pass acc = acc*q + h u_j with q = exp(-sqrt(nu) h) <= 1,
+  so every exponent is nonpositive and nothing overflows however large the
+  domain.  This is the oracle the analytic envelope bounds are stated
+  against, and it never shares code with the tridiagonal route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,42 +71,26 @@ class ChemicalSolver:
     """Factored tridiagonal system for one (grid, nu, mu, bc).
 
     The matrix does not depend on u, so a run builds this once and calls
-    :meth:`solve` every step.  ``neumann_order=2`` switches the CASE1 right
-    closure to a ghost-node second-order variant for convergence studies;
-    the default reproduces the first-order closure exactly.
+    :meth:`solve` every step.
     """
 
-    def __init__(self, grid: Grid, nu: float, mu: float, bc: BoundaryCase,
-                 neumann_order: int = 1):
+    def __init__(self, grid: Grid, nu: float, mu: float, bc: BoundaryCase):
         if nu <= 0.0 or mu <= 0.0:
             raise ValueError("nu and mu must be positive")
-        if neumann_order not in (1, 2):
-            raise ValueError("neumann_order must be 1 or 2")
-        if neumann_order == 2 and bc is not BoundaryCase.CASE1:
-            raise ValueError("ghost-node closure only applies to CASE1")
         self.grid = grid
         self.nu = float(nu)
         self.mu = float(mu)
         self.bc = bc
-        self.neumann_order = neumann_order
 
         h2 = grid.h * grid.h
-        if bc is BoundaryCase.CASE1 and neumann_order == 2:
-            # unknowns v_1..v_M (0-based), ghost v_{M+1} = v_{M-1}
-            n = grid.M
-        else:
-            # unknowns v_1..v_{M-1}
-            n = grid.M - 1
+        # unknowns v_1..v_{M-1}
+        n = grid.M - 1
         dl = np.ones(n - 1)
         d = np.full(n, -(2.0 + nu * h2))
         du = np.ones(n - 1)
         if bc is BoundaryCase.CASE1:
-            if neumann_order == 1:
-                # fold v_M = v_{M-1} into the last interior equation
-                d[-1] = -(1.0 + nu * h2)
-            else:
-                # fold ghost v_{M+1} = v_{M-1} into the equation at node M
-                dl[-1] = 2.0
+            # fold v_M = v_{M-1} into the last interior equation
+            d[-1] = -(1.0 + nu * h2)
         self._lu = TridiagonalLU(dl, d, du)
         self._n = n
         self._rhs_scale = -self.mu * h2
@@ -121,28 +111,39 @@ class ChemicalSolver:
         np.multiply(self._rhs_scale, u[1:1 + self._n], out=interior)
         interior[...] = self._lu.solve(interior)
         if self.bc is BoundaryCase.CASE1:
-            if self.neumann_order == 1:
-                v[-1] = v[-2]
+            v[-1] = v[-2]
         else:
             v[-1] = 0.0
         return ChemicalField(v=v, h=grid.h, bc=self.bc)
 
 
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = 0.5 * h
-    w[-1] = 0.5 * h
-    return w
+def _one_sided_sums(u, grid: Grid, nu: float):
+    """Trapezoid sums (I_L, I_R) of exp(-sqrt(nu)|x_i - y|) u(y) over the
+    nodes y <= x_i and y >= x_i; the end nodes and the diagonal node each
+    carry weight h/2, so I_L[0] = I_R[-1] = 0."""
+    hu = grid.h * np.asarray(u, dtype=float)
+    if hu.shape != (grid.M + 1,):
+        raise ValueError(f"u must have length {grid.M + 1}")
+    q = math.exp(-math.sqrt(nu) * grid.h)
+    w = hu.tolist()
+    acc = 0.5 * w[0]
+    left = [acc]
+    for wj in w[1:]:
+        acc = acc * q + wj
+        left.append(acc)
+    acc = 0.5 * w[-1]
+    right = [acc]
+    for wj in w[-2::-1]:
+        acc = acc * q + wj
+        right.append(acc)
+    half = 0.5 * hu
+    return np.array(left) - half, np.array(right[::-1]) - half
 
 
 def greens_psi(u: np.ndarray, grid: Grid, nu: float, mu: float) -> np.ndarray:
     """Whole-line kernel quadrature Psi(x_i; u), with u zero off the grid."""
-    u = np.asarray(u, dtype=float)
-    x = grid.nodes
-    s = np.sqrt(nu)
-    kernel = np.exp(-s * np.abs(np.subtract.outer(x, x)))
-    w = _trapezoid_weights(x.size, grid.h)
-    return (mu / (2.0 * s)) * kernel.dot(w * u)
+    left, right = _one_sided_sums(u, grid, nu)
+    return (mu / (2.0 * math.sqrt(nu))) * (left + right)
 
 
 def greens_psi_x(u: np.ndarray, grid: Grid, nu: float, mu: float) -> np.ndarray:
@@ -151,28 +152,6 @@ def greens_psi_x(u: np.ndarray, grid: Grid, nu: float, mu: float) -> np.ndarray:
         Psi_x(x) = -mu/2 * I_left(x) + mu/2 * I_right(x),
 
     where I_left integrates exp(-sqrt(nu)(x-y)) u(y) over y <= x and I_right
-    the mirrored factor over y >= x.  Both one-sided integrals are evaluated
-    in the shifted form with nonpositive exponents only, so there is no
-    overflow however large the domain."""
-    u = np.asarray(u, dtype=float)
-    x = grid.nodes
-    n = x.size
-    s = np.sqrt(nu)
-    kernel = np.exp(-s * np.abs(np.subtract.outer(x, x)))
-
-    # trapezoid weights of the one-sided integrals: row i of w_left covers
-    # nodes 0..i (h/2 at both ends), row i of w_right covers nodes i..n-1
-    w_left = np.tril(np.full((n, n), grid.h))
-    w_left[:, 0] *= 0.5
-    idx = np.arange(n)
-    w_left[idx, idx] *= 0.5
-    w_left[0, 0] = 0.0
-
-    w_right = np.triu(np.full((n, n), grid.h))
-    w_right[:, -1] *= 0.5
-    w_right[idx, idx] *= 0.5
-    w_right[-1, -1] = 0.0
-
-    left = (kernel * w_left).dot(u)
-    right = (kernel * w_right).dot(u)
-    return 0.5 * mu * (right - left)
+    the mirrored factor over y >= x."""
+    left, right = _one_sided_sums(u, grid, nu)
+    return (0.5 * mu) * (right - left)

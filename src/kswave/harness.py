@@ -372,7 +372,9 @@ def _outcome_lines(outcome):
 def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     """Execute the spec's mode, writing the artifact bundle into out_dir.
     Returns the mode's principal result object.  ``workers`` is passed to
-    ``sweep`` in sweep mode."""
+    ``sweep`` in sweep mode and is checked before anything is written."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "manifest.cfg", render_manifest(spec))

@@ -15,11 +15,15 @@ The speed is found by phase-plane shooting: with p = psi' > 0 the orbit from
 the saddle (Q, 0) satisfies dp/dpsi = ct - f(psi)/p, integrated from
 psi = Q - delta down to psi = 0 with fixed-step RK4.  The correct speed makes
 p(0) = ct*eps, the unique slope from which the f = 0 zone carries the orbit
-exactly to (-eps, 0); p(0) - ct*eps changes sign across the front speed and
-is bisected to tolerance.  The left tail is then the explicit exponential
+exactly to (-eps, 0); p(0) - ct*eps changes sign across the front speed on
+(0, 2 sqrt(r* (b - 2 chi mu)/(b - chi mu))) and is rooted to tolerance by
+Brent's zeroin (R. P. Brent, Algorithms for Minimization without
+Derivatives, 1973): inverse quadratic or secant steps where the shots are
+finite, bisection where one has collapsed (-inf); about a dozen shots where
+bisection took thirty-odd.  The left tail is then the explicit exponential
 psi(x) = eps (exp(ct x) - 1) for x <= 0, the middle is rebuilt by a stable
-backward x-integration off the saddle, and the far right tail uses the
-saddle asymptotics.
+backward x-integration off the saddle (plain-float RK4, like the shots),
+and the far right tail uses the saddle asymptotics.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = ["BracketError", "IgnitionWave", "ignition_wave", "speed_limit",
            "profile_residual", "richardson_speed"]
 
 SADDLE_OFFSET = 1e-6
+_EPS = np.finfo(float).eps
 
 
 class BracketError(RuntimeError):
@@ -122,6 +127,47 @@ def _shoot(ct: float, alpha: float, beta: float, step: float):
     return p
 
 
+def _zeroin(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+    """Brent's zeroin for a root of f in [a, b], given fa = f(a) and
+    fb = f(b) of opposite signs.  Returns a point within tol (plus a few
+    ulps) of the root.  Interpolation uses only finite values of f; a step
+    next to an infinite one bisects."""
+    c, fc, d = a, fa, b - a
+    e = d
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, d = a, fa, b - a
+            e = d
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
+            return b
+        if (abs(e) >= tol1 and abs(fa) > abs(fb)
+                and math.isfinite(fa) and math.isfinite(fc)):
+            s = fb / fa
+            if a == c:      # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:           # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+
+
 def ignition_wave(params: SimParams, r_star: float, epsilon: float,
                   truncation_radius: float = 60.0, step: float = 1e-3,
                   speed_tol: float = 1e-8) -> IgnitionWave:
@@ -130,8 +176,12 @@ def ignition_wave(params: SimParams, r_star: float, epsilon: float,
     beta = params.damping_gap
     if params.b <= 2.0 * chimu:
         raise ValueError("ignition construction requires b > 2 chi mu")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    for name, value in (("epsilon", epsilon), ("step", step),
+                        ("speed_tol", speed_tol),
+                        ("truncation_radius", truncation_radius)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(
+                f"{name} must be finite and positive, got {value!r}")
     alpha = r_star - epsilon - chimu * r_star / beta
     if alpha <= 0.0:
         raise BracketError(f"epsilon = {epsilon!r} too large: no positive zero gap")
@@ -140,21 +190,14 @@ def ignition_wave(params: SimParams, r_star: float, epsilon: float,
     def overshoot(ct):
         return _shoot(ct, alpha, beta, step) - ct * epsilon
 
-    lo, hi = 0.0, bound
-    s_lo = overshoot(lo)
-    s_hi = overshoot(hi)
+    s_lo = overshoot(0.0)
+    s_hi = overshoot(bound)
     if not (s_lo > 0.0 and s_hi < 0.0):
         raise BracketError(
             f"speed bracket (0, {bound:.6g}) has no sign change "
             f"(s(0)={s_lo:.3g}, s(bound)={s_hi:.3g}): epsilon too large "
             "or hypothesis violated")
-    while hi - lo > speed_tol:
-        mid = 0.5 * (lo + hi)
-        if overshoot(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    ct = 0.5 * (lo + hi)
+    ct = _zeroin(overshoot, 0.0, bound, s_lo, s_hi, speed_tol)
 
     # rebuild psi(x): backward-in-x integration from the saddle is stable,
     # so integrate d(psi,p)/ds = -(p, ct p - f) with s = -x from the offset
@@ -163,26 +206,27 @@ def ignition_wave(params: SimParams, r_star: float, epsilon: float,
     lamm = _lam_minus(ct, alpha)
     delta = SADDLE_OFFSET
     ds = step
+    half, sixth = 0.5 * ds, ds / 6.0
     max_steps = int(2.0 * truncation_radius / ds)
-    psis = [Q - delta]
-    ps = [-lamm * delta]
+    psi_v, p_v = Q - delta, -lamm * delta
+    psis = [psi_v]
+    ps = [p_v]
 
-    def rhs2(state):
-        psi_v, p_v = state
+    def rhs2(psi_v, p_v):
         f = psi_v * (alpha - beta * psi_v) if psi_v >= 0.0 else 0.0
-        return np.array([-p_v, -(ct * p_v - f)])
+        return -p_v, -(ct * p_v - f)
 
-    state = np.array([Q - delta, -lamm * delta])
     crossed = False
     for _ in range(max_steps):
-        k1 = rhs2(state)
-        k2 = rhs2(state + 0.5 * ds * k1)
-        k3 = rhs2(state + 0.5 * ds * k2)
-        k4 = rhs2(state + ds * k3)
-        state = state + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        psis.append(float(state[0]))
-        ps.append(float(state[1]))
-        if state[0] <= 0.0:
+        a1, b1 = rhs2(psi_v, p_v)
+        a2, b2 = rhs2(psi_v + half * a1, p_v + half * b1)
+        a3, b3 = rhs2(psi_v + half * a2, p_v + half * b2)
+        a4, b4 = rhs2(psi_v + ds * a3, p_v + ds * b3)
+        psi_v = psi_v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        p_v = p_v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        psis.append(psi_v)
+        ps.append(p_v)
+        if psi_v <= 0.0:
             crossed = True
             break
     if not crossed:

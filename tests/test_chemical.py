@@ -91,22 +91,19 @@ def test_vx_interior_is_central_difference(rng):
     np.testing.assert_allclose(f.vx[1:-1], fd, atol=1e-14)
 
 
-def banded_oracle(u, g, nu, mu, bc, neumann_order=1):
+def banded_oracle(u, g, nu, mu, bc):
     """v from scipy's banded solver on the same system, assembled afresh."""
     h2 = g.h * g.h
-    n = g.M if neumann_order == 2 else g.M - 1
+    n = g.M - 1
     ab = np.zeros((3, n))
     ab[0, 1:] = 1.0
     ab[1, :] = -(2.0 + nu * h2)
     ab[2, :-1] = 1.0
     if bc is BoundaryCase.CASE1:
-        if neumann_order == 1:
-            ab[1, -1] = -(1.0 + nu * h2)
-        else:
-            ab[2, -2] = 2.0
+        ab[1, -1] = -(1.0 + nu * h2)
     v = np.zeros(g.M + 1)
     v[1:1 + n] = solve_banded((1, 1), ab, -mu * h2 * u[1:1 + n])
-    if bc is BoundaryCase.CASE1 and neumann_order == 1:
+    if bc is BoundaryCase.CASE1:
         v[-1] = v[-2]
     return v
 
@@ -121,19 +118,6 @@ def test_factored_solve_matches_banded_oracle_bitwise(bc, M, rng):
         u = rng.random(g.M + 1) * rng.uniform(0.1, 30.0)
         v = solver.solve(u).v
         assert v.tobytes() == banded_oracle(u, g, 0.05, 1.3, bc).tobytes()
-
-
-@pytest.mark.parametrize("M", (2, 3, 400))
-def test_ghost_closure_solve_matches_banded_oracle(M, rng):
-    # the ghost row's subdiagonal 2 can pivot, so only round-off is promised
-    g = Grid(L=M / 16, h=0.125)
-    solver = ChemicalSolver(g, 0.05, 1.3, BoundaryCase.CASE1, neumann_order=2)
-    for _ in range(5):
-        u = rng.random(g.M + 1) * 10.0
-        np.testing.assert_allclose(
-            solver.solve(u).v,
-            banded_oracle(u, g, 0.05, 1.3, BoundaryCase.CASE1, 2),
-            rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("bc", BOTH_CASES)
@@ -152,43 +136,63 @@ def test_lazy_vx_matches_eager_formula_bitwise(bc, rng):
     assert f.vx is f.vx                   # computed once, then cached
 
 
-def test_ghost_node_closure_is_second_order():
-    # manufactured solution v = cos(k (x - L)) with k = pi/(4L): satisfies
-    # v(-L) = 0 and v'(L) = 0, with source u = (nu + k^2) v / mu
-    nu, mu, L = 1.0, 1.0, 5.0
-    k = math.pi / (4 * L)
-
-    def boundary_error(h, order):
-        g = Grid(L=L, h=h)
-        v_exact = np.cos(k * (g.nodes - L))
-        u = (nu + k * k) * v_exact / mu
-        v = ChemicalSolver(g, nu, mu, BoundaryCase.CASE1,
-                           neumann_order=order).solve(u).v
-        return np.abs(v - v_exact).max()
-
-    for h in (0.1, 0.05):
-        assert boundary_error(h, 2) < boundary_error(h, 1)
-    # first-order closure converges at O(h), ghost closure at O(h^2)
-    r1 = boundary_error(0.1, 1) / boundary_error(0.05, 1)
-    r2 = boundary_error(0.1, 2) / boundary_error(0.05, 2)
-    assert 1.5 < r1 < 2.5
-    assert 3.0 < r2 < 5.0
-
-
-def test_ghost_closure_rejected_for_case2():
-    g = Grid(L=1.0, h=0.5)
-    with pytest.raises(ValueError):
-        ChemicalSolver(g, 1.0, 1.0, BoundaryCase.CASE2,
-                       neumann_order=2).solve(np.zeros(g.M + 1))
-
-
 # ---------------------------------------------------------------------------
 # kernel quadrature oracle
+
+def dense_greens(u, g, nu, mu):
+    """(Psi, Psi_x) from the dense n x n kernel with the trapezoid weights:
+    h/2 at the domain ends for Psi; for the one-sided integrals of Psi_x,
+    h/2 at the domain end and at the diagonal node, which row 0 (left) and
+    row n-1 (right) share."""
+    x = g.nodes
+    n = x.size
+    s = np.sqrt(nu)
+    kernel = np.exp(-s * np.abs(np.subtract.outer(x, x)))
+    w = np.full(n, g.h)
+    w[0] = w[-1] = 0.5 * g.h
+    psi = (mu / (2.0 * s)) * kernel.dot(w * u)
+
+    idx = np.arange(n)
+    w_left = np.tril(np.full((n, n), g.h))
+    w_left[:, 0] *= 0.5
+    w_left[idx, idx] *= 0.5
+    w_left[0, 0] = 0.0
+    w_right = np.triu(np.full((n, n), g.h))
+    w_right[:, -1] *= 0.5
+    w_right[idx, idx] *= 0.5
+    w_right[-1, -1] = 0.0
+    psi_x = 0.5 * mu * ((kernel * w_right).dot(u) - (kernel * w_left).dot(u))
+    return psi, psi_x
+
+
+@pytest.mark.parametrize("L, h, nu", [(20.0, 0.1, 0.05), (40.0, 0.05, 0.5),
+                                      (200.0, 0.25, 4.0)])
+def test_one_sided_passes_match_dense_kernel(L, h, nu, rng):
+    # the O(M) recursions sum the same terms in another order, so they agree
+    # with the dense kernel to round-off, relative to the field's size
+    g = Grid(L=L, h=h)
+    mu = 1.3
+    for u in (rng.random(g.M + 1) * 5.0,
+              np.exp(-((g.nodes - 0.3 * L) / 2.0) ** 2),
+              np.full(g.M + 1, 2.0)):
+        psi, psi_x = dense_greens(u, g, nu, mu)
+        got, got_x = greens_psi(u, g, nu, mu), greens_psi_x(u, g, nu, mu)
+        assert np.max(np.abs(got - psi)) <= 1e-13 * np.max(np.abs(psi))
+        assert np.max(np.abs(got_x - psi_x)) <= 1e-13 * np.max(np.abs(psi_x))
+
 
 def test_greens_psi_zero():
     g = Grid(L=5.0, h=0.1)
     assert np.all(greens_psi(np.zeros(g.M + 1), g, 1.0, 1.0) == 0.0)
     assert np.all(greens_psi_x(np.zeros(g.M + 1), g, 1.0, 1.0) == 0.0)
+
+
+def test_greens_rejects_u_of_wrong_length():
+    # the recursions would silently run over the wrong node count
+    g = Grid(L=5.0, h=0.1)
+    for fn in (greens_psi, greens_psi_x):
+        with pytest.raises(ValueError, match="length"):
+            fn(np.ones(g.M), g, 1.0, 1.0)
 
 
 def test_greens_psi_wide_constant_input():

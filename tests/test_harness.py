@@ -1,4 +1,7 @@
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -314,10 +317,12 @@ def test_sweep_rejects_workers_below_one(workers, tmp_path):
         sweep(SweepSpec.from_spec(spec), tmp_path / "map.csv",
               workers=workers)
     assert not (tmp_path / "map.csv").exists()
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SWEEP_CFG)
-    assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "o"),
-                     "--workers", str(workers)]) == 1
+    # through the CLI, workers is rejected before the bundle is started
+    out = tmp_path / "o"
+    assert cli_main(["sweep", str(EXPERIMENTS / "sweep_case1_c.cfg"),
+                     "--out", str(out), "--workers", str(workers)]) == 1
+    assert not (out / "manifest.cfg").exists()
+    assert not (out / "timestamp.txt").exists()
 
 
 def test_sweep_spec_from_spec_carries_axes_and_horizon():
@@ -441,3 +446,14 @@ def test_cli_sweep_goes_through_run_experiment(tmp_path):
     cfg.write_text(cfg.read_text().replace("T = 0.5", "T = 0.5001"))
     assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "o6")]) == 2
     assert "error" in (tmp_path / "o6" / "regime_map.csv").read_text()
+
+
+def test_import_loads_no_scipy_optimize_or_signal():
+    # both are heavy imports that kswave does not need: they would add to
+    # the start-up time and peak memory of every run
+    code = ("import sys, kswave; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.signal'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"

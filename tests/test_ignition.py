@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kswave import (BracketError, SimParams, ignition_wave, profile_residual,
-                    richardson_speed, speed_limit)
+from kswave import (BracketError, SimParams, ignition, ignition_wave,
+                    profile_residual, richardson_speed, speed_limit)
 
 PARAMS = SimParams(chi=0.1, mu=1.0, nu=0.05, b=1.0, c=1.0)
 
@@ -101,3 +101,45 @@ def test_speed_against_pde_front_tracking():
     times, pos = np.array(times), np.array(pos)
     fit = np.polyfit(times[times >= T / 2], pos[times >= T / 2], 1)
     assert fit[0] == pytest.approx(wave.speed, abs=0.06)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("speed_tol", math.nan),      # used to return bound/2 as the speed
+    ("speed_tol", 0.0),           # used to bisect forever
+    ("epsilon", math.nan),        # used to die converting nan to an integer
+    ("step", -1e-3),              # used to shoot 32 times, then give up
+    ("truncation_radius", math.inf),
+])
+def test_rejects_argument_not_finite_positive(name, value, monkeypatch):
+    def no_shot(*args):
+        pytest.fail("a shot was taken before the arguments were checked")
+    monkeypatch.setattr(ignition, "_shoot", no_shot)
+    kwargs = {"epsilon": 0.05, name: value}
+    with pytest.raises(ValueError, match=name):
+        ignition_wave(PARAMS, 10.0, **kwargs)
+
+
+@pytest.mark.parametrize("eps", (0.1, 0.05, 0.025))
+def test_brent_speed_matches_bisection_in_few_shots(eps, monkeypatch):
+    # reference: bisection of the same overshoot on the same (0, bound)
+    # bracket down to a width of speed_tol, as the speed was found before
+    speed_tol, step = 1e-8, 1e-3
+    beta = PARAMS.damping_gap
+    alpha = 10.0 - eps - PARAMS.chi * PARAMS.mu * 10.0 / beta
+    lo, hi = 0.0, speed_limit(PARAMS, 10.0)
+    while hi - lo > speed_tol:
+        mid = 0.5 * (lo + hi)
+        if ignition._shoot(mid, alpha, beta, step) - mid * eps > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    shots = []
+    shoot = ignition._shoot
+
+    def counted(*args):
+        shots.append(args[0])
+        return shoot(*args)
+    monkeypatch.setattr(ignition, "_shoot", counted)
+    wave = ignition_wave(PARAMS, 10.0, eps, step=step, speed_tol=speed_tol)
+    assert abs(wave.speed - 0.5 * (lo + hi)) <= speed_tol
+    assert len(shots) <= 16
