@@ -6,20 +6,19 @@ fixed-point iteration)."""
 
 from .chemical import ChemicalField, ChemicalSolver, greens_psi, greens_psi_x
 from .envelopes import (CertificationReport, Envelope, EnvelopeKind,
-                        ResidualField, build_lower_envelope_case1,
+                        build_lower_envelope_case1,
                         build_lower_envelope_case2,
                         build_upper_envelope_case1,
-                        build_upper_envelope_case2, certify_supersolution,
-                        envelope_branch_residual, residual_A)
+                        build_upper_envelope_case2, certify_supersolution)
 from .fixedpoint import (FixedPointResult, SandwichError,
                          frozen_flow_fixed_point, stationary_residual)
 from .harness import (ConfigError, RunSpec, SweepSpec, parse_config,
                       render_manifest, run_experiment, sweep)
 from .ignition import (BracketError, IgnitionWave, ignition_wave,
-                       profile_residual, richardson_speed, speed_limit)
+                       profile_residual, richardson_speed)
 from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
                     InitialCondition, RegimeReport, SimParams, check_regime,
-                    classify_profile, sample, theta_root)
+                    classify_profile, sample, speed_limit, theta_root)
 from .spectral import (EigenResult, LambdaInfinityResult, lambda_infinity,
                        principal_eigenvalue)
 from .stepper import (BlowUpError, Outcome, OutcomeTag, RunConfig,

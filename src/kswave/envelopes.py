@@ -1,19 +1,29 @@
 """Analytic super/sub-solution envelopes and their numerical certification.
 
-Upper envelopes for the two habitat classes:
+Each upper envelope is the pointwise minimum of smooth branches, and each
+branch is one row (name, theta, x0, side) of a table:
 
-    CASE1:  U+(x) = min( K, K exp(theta1 (x - x1)) ),      K = r*/(b - chi mu),
-    CASE2:  K exp(theta_bar (x - x_bar)) | K | K exp(-theta_tilde (x - x_tilde)),
+    U(x) = K exp(theta * clip(x - x0)),      K = r*/(b - chi mu),
 
-with theta* the positive roots of theta^2 +- c theta + r_neg = 0 and the
-junction abscissae computed exactly from the piecewise-linear ramps.  The
-stationary residual operator
+with clip = min(., 0) on the left side (side -1) and max(., 0) on the right
+(side +1), so U' = theta U and U'' = theta^2 U off the kink.  The branches:
 
-    A_u(U) = U'' + (c - chi Psi_x(.;u)) U' + (r - chi nu Psi(.;u) - (b - chi mu) U) U
+    flat       theta = 0                                 (everywhere)
+    left_exp   theta = theta1 | theta_bar,  x0 = x1 | x_bar,    side -1
+    right_exp  theta = -theta_tilde,        x0 = x_tilde,       side +1
 
-is evaluated against the whole-line kernel fields of a frozen u.  The
-certification draws random u below the envelope and checks the claimed sign
-of A_u on each branch region; see ``certify_supersolution``.
+CASE1 (separated habitat) takes flat and left_exp; CASE2 (bounded patch)
+takes all three.  theta* are the positive roots of theta^2 +- c theta +
+r_neg = 0 and the junction abscissae are computed exactly from the
+piecewise-linear ramps.  Every branch is checked against the one stationary
+operator
+
+    A_u(U) = U'' + (c - chi w_x) U' + (r - chi nu w - (b - chi mu) U) U,
+
+with w the chemical field of a frozen u: the whole-line kernel fields
+during certification (``certify_supersolution`` draws random u below the
+envelope and checks the claimed sign of A_u on each branch region), the
+boundary-closed solve in ``fixedpoint.stationary_residual``.
 
 The CASE1 lower envelope is the ignition traveling wave translated so that
 its zero sits at the first point x0 beyond which r stays above r* - eps.
@@ -38,14 +48,11 @@ from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass, SimParams,
 __all__ = [
     "EnvelopeKind",
     "Envelope",
-    "ResidualField",
     "CertificationReport",
     "build_upper_envelope_case1",
     "build_upper_envelope_case2",
     "build_lower_envelope_case1",
     "build_lower_envelope_case2",
-    "residual_A",
-    "envelope_branch_residual",
     "certify_supersolution",
 ]
 
@@ -63,15 +70,6 @@ class Envelope:
     values: np.ndarray
     constants: dict
     grid: Grid
-
-
-@dataclass(frozen=True)
-class ResidualField:
-    """A_u(U) sampled on the grid together with the node mask on which the
-    envelope construction claims its sign (kink nodes excluded)."""
-
-    values: np.ndarray
-    region_mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,6 +145,45 @@ def _last_below_crossing(profile: GrowthProfile, level: float) -> float | None:
     return last
 
 
+def _branches(kind: EnvelopeKind, constants: dict):
+    """The (name, theta, x0, side) rows of an upper envelope's branch
+    table; see the module docstring."""
+    flat = ("flat", 0.0, 0.0, 0)
+    if kind is EnvelopeKind.UPPER_CASE1:
+        return (flat, ("left_exp", constants["theta1"], constants["x1"], -1))
+    if kind is EnvelopeKind.UPPER_CASE2:
+        return (flat,
+                ("left_exp", constants["theta_bar"], constants["xbar"], -1),
+                ("right_exp", -constants["theta_tilde"], constants["xtilde"],
+                 1))
+    raise ValueError(f"no analytic branches for {kind}")
+
+
+def _branch(K: float, theta: float, x0: float, side: int, x: np.ndarray,
+            h: float):
+    """One branch on the nodes x: (U, U', U'', region), with the analytic
+    derivatives of the smooth formula and the region on which its sign is
+    claimed, kink nodes excluded by half a cell (all of x when flat)."""
+    clip = np.minimum if side < 0 else np.maximum
+    U = K * np.exp(theta * clip(x - x0, 0.0))
+    if side < 0:
+        region = x < x0 - 0.5 * h
+    elif side > 0:
+        region = x > x0 + 0.5 * h
+    else:
+        region = np.ones_like(x, bool)
+    return U, theta * U, theta * theta * U, region
+
+
+def _upper_envelope(kind: EnvelopeKind, constants: dict,
+                    grid: Grid) -> Envelope:
+    """The envelope as the pointwise minimum of its branches."""
+    values = np.minimum.reduce(
+        [_branch(constants["level"], theta, x0, side, grid.nodes, grid.h)[0]
+         for _, theta, x0, side in _branches(kind, constants)])
+    return Envelope(kind=kind, values=values, grid=grid, constants=constants)
+
+
 def build_upper_envelope_case1(params: SimParams, profile: GrowthProfile,
                                grid: Grid, r1: float | None = None) -> Envelope:
     if classify_profile(profile) is not HabitatClass.CASE1:
@@ -161,12 +198,9 @@ def build_upper_envelope_case1(params: SimParams, profile: GrowthProfile,
     if x1 is None:
         raise ValueError("profile never exceeds r1")
     theta1 = theta_root(params.c, r1, "forward")
-    level = profile.r_star / params.damping_gap
-    x = grid.nodes
-    values = level * np.exp(theta1 * np.minimum(x - x1, 0.0))
-    return Envelope(kind=EnvelopeKind.UPPER_CASE1, values=values, grid=grid,
-                    constants={"r1": r1, "x1": x1, "theta1": theta1,
-                               "level": level})
+    constants = {"r1": r1, "x1": x1, "theta1": theta1,
+                 "level": profile.r_star / params.damping_gap}
+    return _upper_envelope(EnvelopeKind.UPPER_CASE1, constants, grid)
 
 
 def build_upper_envelope_case2(params: SimParams, profile: GrowthProfile,
@@ -186,17 +220,10 @@ def build_upper_envelope_case2(params: SimParams, profile: GrowthProfile,
         raise ValueError("profile never crosses rbar")
     theta_bar = theta_root(params.c, rbar, "forward")
     theta_tilde = theta_root(params.c, rbar, "backward")
-    level = profile.r_star / params.damping_gap
-    x = grid.nodes
-    values = np.where(
-        x < xbar, level * np.exp(theta_bar * np.minimum(x - xbar, 0.0)),
-        np.where(x > xtilde,
-                 level * np.exp(-theta_tilde * np.maximum(x - xtilde, 0.0)),
-                 level))
-    return Envelope(kind=EnvelopeKind.UPPER_CASE2, values=values, grid=grid,
-                    constants={"rbar": rbar, "xbar": xbar, "xtilde": xtilde,
-                               "theta_bar": theta_bar,
-                               "theta_tilde": theta_tilde, "level": level})
+    constants = {"rbar": rbar, "xbar": xbar, "xtilde": xtilde,
+                 "theta_bar": theta_bar, "theta_tilde": theta_tilde,
+                 "level": profile.r_star / params.damping_gap}
+    return _upper_envelope(EnvelopeKind.UPPER_CASE2, constants, grid)
 
 
 def build_lower_envelope_case1(params: SimParams, profile: GrowthProfile,
@@ -241,7 +268,10 @@ def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
         tau = 0.4 * grid.h * grid.h
     n = max(1, round(T / tau))
     tau = T / n
-    cfg = make_run_config(heavy, profile, grid, BoundaryCase.CASE2, tau, T)
+    # only u_final is read, so the convergence window is the whole run: a
+    # fixed window of 1.0 need not divide the adjusted tau = T/n
+    cfg = make_run_config(heavy, profile, grid, BoundaryCase.CASE2, tau, T,
+                          conv_window=T)
     u0 = InitialCondition(bump=(-1.0, 1.0))(grid.nodes)
     traj, _ = run(cfg, u0)
     values = traj.u_final.copy()
@@ -257,92 +287,12 @@ def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
                                           "T": T})
 
 
-def _frozen_fields(u_freeze, grid, params):
-    psi = greens_psi(u_freeze, grid, params.nu, params.mu)
-    psi_x = greens_psi_x(u_freeze, grid, params.nu, params.mu)
-    return psi, psi_x
-
-
-def _residual(U, Ux, Uxx, psi, psi_x, r, params):
-    drift = params.c - params.chi * psi_x
-    growth = r - params.chi * params.nu * psi - params.damping_gap * U
+def _residual(U, Ux, Uxx, w, w_x, r, params):
+    """A_u(U) = U'' + (c - chi w_x) U' + (r - chi nu w - (b - chi mu) U) U,
+    with w, w_x the chemical field of the frozen u and its slope."""
+    drift = params.c - params.chi * w_x
+    growth = r - params.chi * params.nu * w - params.damping_gap * U
     return Uxx + drift * Ux + growth * U
-
-
-def residual_A(u_freeze: np.ndarray, U: np.ndarray, grid: Grid,
-               params: SimParams, profile: GrowthProfile) -> ResidualField:
-    """A_u(U) with central-difference derivatives of a raw profile U;
-    the mask covers the interior nodes."""
-    U = np.asarray(U, dtype=float)
-    psi, psi_x = _frozen_fields(u_freeze, grid, params)
-    h = grid.h
-    Ux = np.zeros_like(U)
-    Uxx = np.zeros_like(U)
-    Ux[1:-1] = (U[2:] - U[:-2]) / (2.0 * h)
-    Uxx[1:-1] = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / (h * h)
-    r = np.asarray(profile(grid.nodes), dtype=float)
-    values = _residual(U, Ux, Uxx, psi, psi_x, r, params)
-    mask = np.zeros(U.size, dtype=bool)
-    mask[1:-1] = True
-    return ResidualField(values=values, region_mask=mask)
-
-
-def _branches(envelope: Envelope):
-    """(name, value_fn, Ux_fn, Uxx_fn, region predicate) per sign claim.
-    Each branch is the globally smooth formula; the region restricts where
-    the claim applies.  Kink nodes are excluded by half a cell."""
-    con = envelope.constants
-    K = con["level"]
-    if envelope.kind is EnvelopeKind.UPPER_CASE1:
-        th, x1 = con["theta1"], con["x1"]
-
-        def exp_left(x):
-            return K * np.exp(th * np.minimum(x - x1, 0.0))
-
-        return [
-            ("flat", lambda x: np.full_like(x, K), lambda x: np.zeros_like(x),
-             lambda x: np.zeros_like(x), lambda x, h: np.ones_like(x, bool)),
-            ("left_exp", exp_left, lambda x: th * exp_left(x),
-             lambda x: th * th * exp_left(x),
-             lambda x, h: x < x1 - 0.5 * h),
-        ]
-    if envelope.kind is EnvelopeKind.UPPER_CASE2:
-        thb, tht = con["theta_bar"], con["theta_tilde"]
-        xb, xt = con["xbar"], con["xtilde"]
-
-        def exp_left(x):
-            return K * np.exp(thb * np.minimum(x - xb, 0.0))
-
-        def exp_right(x):
-            return K * np.exp(-tht * np.maximum(x - xt, 0.0))
-
-        return [
-            ("flat", lambda x: np.full_like(x, K), lambda x: np.zeros_like(x),
-             lambda x: np.zeros_like(x), lambda x, h: np.ones_like(x, bool)),
-            ("left_exp", exp_left, lambda x: thb * exp_left(x),
-             lambda x: thb * thb * exp_left(x),
-             lambda x, h: x < xb - 0.5 * h),
-            ("right_exp", exp_right, lambda x: -tht * exp_right(x),
-             lambda x: tht * tht * exp_right(x),
-             lambda x, h: x > xt + 0.5 * h),
-        ]
-    raise ValueError(f"no analytic branches for {envelope.kind}")
-
-
-def envelope_branch_residual(envelope: Envelope, branch: str,
-                             u_freeze: np.ndarray, params: SimParams,
-                             profile: GrowthProfile) -> ResidualField:
-    """A_u of one envelope branch with its analytic derivatives, masked to
-    the region on which the branch is claimed to be a supersolution."""
-    grid = envelope.grid
-    x = grid.nodes
-    psi, psi_x = _frozen_fields(u_freeze, grid, params)
-    r = np.asarray(profile(x), dtype=float)
-    for name, fU, fUx, fUxx, region in _branches(envelope):
-        if name == branch:
-            values = _residual(fU(x), fUx(x), fUxx(x), psi, psi_x, r, params)
-            return ResidualField(values=values, region_mask=region(x, grid.h))
-    raise ValueError(f"unknown branch {branch!r} for {envelope.kind}")
 
 
 def _sample_in_eplus(rng, envelope: Envelope, i: int) -> np.ndarray:
@@ -375,19 +325,27 @@ def certify_supersolution(envelope: Envelope, params: SimParams,
 
     Each branch's value and analytic derivatives do not depend on u, so
     they are evaluated on the grid once, before the sample loop; only the
-    kernel fields are recomputed per sample."""
+    kernel fields are recomputed per sample.  Raises ValueError, before any
+    kernel call, unless n_samples >= 1 and tol is finite: a certificate
+    over no samples would pass vacuously."""
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     grid = envelope.grid
     x = grid.nodes
     r = np.asarray(profile(x), dtype=float)
-    branches = [(name, fU(x), fUx(x), fUxx(x), region(x, grid.h))
-                for name, fU, fUx, fUxx, region in _branches(envelope)]
+    con = envelope.constants
+    branches = [(name, *_branch(con["level"], theta, x0, side, x, grid.h))
+                for name, theta, x0, side in _branches(envelope.kind, con)]
     rng = np.random.default_rng(seed)
     worst = {name: (-math.inf, -1, math.nan) for name, *_ in branches}
     n_nodes = {name: int(mask.sum()) for name, *_, mask in branches}
 
     for i in range(n_samples):
         u = _sample_in_eplus(rng, envelope, i)
-        psi, psi_x = _frozen_fields(u, grid, params)
+        psi = greens_psi(u, grid, params.nu, params.mu)
+        psi_x = greens_psi_x(u, grid, params.nu, params.mu)
         for name, U, Ux, Uxx, mask in branches:
             if not mask.any():
                 continue

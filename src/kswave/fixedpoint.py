@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chemical import ChemicalSolver
-from .envelopes import (Envelope, build_lower_envelope_case1,
+from .envelopes import (Envelope, _residual, build_lower_envelope_case1,
                         build_upper_envelope_case1)
 from .ignition import ignition_wave
 from .model import BoundaryCase, Grid, GrowthProfile, SimParams
@@ -142,17 +142,16 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
 def stationary_residual(u_star: np.ndarray, params: SimParams,
                         profile: GrowthProfile, grid: Grid,
                         bc: BoundaryCase = BoundaryCase.CASE1) -> float:
-    """Sup-norm residual of the stationary equation at the interior nodes,
-    with the chemical field recomputed from u_star itself through the same
-    boundary-closed solve the flow used."""
+    """Sup norm over the interior nodes of the stationary operator A_u(u)
+    (``envelopes._residual``) at u = u_star, with central differences for
+    u' and u'' and the chemical field recomputed from u_star itself through
+    the same boundary-closed solve the flow used."""
     chem = ChemicalSolver(grid, params.nu, params.mu, bc).solve(u_star)
     r = np.asarray(profile(grid.nodes), dtype=float)
     h = grid.h
     u = np.asarray(u_star, dtype=float)
     ux = (u[2:] - u[:-2]) / (2.0 * h)
     uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    drift = params.c - params.chi * chem.vx[1:-1]
-    growth = r[1:-1] - params.chi * params.nu * chem.v[1:-1] \
-        - params.damping_gap * u[1:-1]
-    res = uxx + drift * ux + growth * u[1:-1]
+    res = _residual(u[1:-1], ux, uxx, chem.v[1:-1], chem.vx[1:-1], r[1:-1],
+                    params)
     return float(np.max(np.abs(res)))

@@ -23,10 +23,10 @@ import numpy as np
 
 from .envelopes import (build_lower_envelope_case2, build_upper_envelope_case1,
                         build_upper_envelope_case2, certify_supersolution)
-from .ignition import BracketError, ignition_wave, speed_limit
+from .ignition import BracketError, ignition_wave
 from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
                     InitialCondition, SimParams, check_regime,
-                    classify_profile, sample)
+                    classify_profile, sample, speed_limit)
 from .spectral import lambda_infinity
 from .stepper import BlowUpError, cfl_check, make_run_config, run
 
@@ -337,25 +337,24 @@ def render_manifest(spec: RunSpec) -> str:
 # --------------------------------------------------------------------------
 # experiment execution
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _text(rows) -> str:
+    return "\n".join(rows) + "\n"
 
 
-def _write_snapshot_csv(path: Path, nodes, snapshots):
+def _snapshot_csv(nodes, snapshots) -> str:
     rows = ["t,x,u,v"]
     for t, u, v in snapshots:
         for xi, ui, vi in zip(nodes, u, v):
             rows.append(f"{fmt(t)},{fmt(xi)},{fmt(ui)},{fmt(vi)}")
-    _write(path, "\n".join(rows) + "\n")
+    return _text(rows)
 
 
-def _write_convergence_csv(path: Path, traj):
+def _convergence_csv(traj) -> str:
     rows = ["t,sup_diff,sup_u,u_at_L"]
     for t, d, s, ur in zip(traj.times, traj.sup_diff, traj.sup_u,
                            traj.u_at_right):
         rows.append(f"{fmt(t)},{fmt(d)},{fmt(s)},{fmt(ur)}")
-    _write(path, "\n".join(rows) + "\n")
+    return _text(rows)
 
 
 def _outcome_lines(outcome):
@@ -369,76 +368,83 @@ def _outcome_lines(outcome):
     return lines
 
 
+def _write_bundle(out: Path, files: dict):
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+
+
 def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     """Execute the spec's mode, writing the artifact bundle into out_dir.
-    Returns the mode's principal result object.  ``workers`` is passed to
-    ``sweep`` in sweep mode and is checked before anything is written."""
+    Returns the mode's principal result object.  Every mode but sweep
+    finishes its work before it writes anything, so a run that fails
+    leaves no files behind; sweep writes its manifest and timestamp first
+    and then streams its rows.  ``workers`` is passed to ``sweep`` in
+    sweep mode and is checked before anything is written."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if spec.mode not in MODES:
+        raise ConfigError(f"unknown mode {spec.mode!r}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "manifest.cfg", render_manifest(spec))
-    # wall-clock stamp lives in its own file so every other artifact is
-    # byte-identical across reruns
-    _write(out / "timestamp.txt",
-           datetime.datetime.now().isoformat() + "\n")
-
-    if spec.mode == "simulate":
-        cfg = spec.run_config()
-        u0 = sample(spec.initial_condition(), cfg.grid)
-        traj, outcome = run(cfg, u0)
-        _write_snapshot_csv(out / "snapshots.csv", cfg.grid.nodes,
-                            traj.snapshots)
-        _write_convergence_csv(out / "convergence.csv", traj)
-        _write(out / "outcome.txt", "\n".join(_outcome_lines(outcome)) + "\n")
-        return outcome
-
-    if spec.mode == "eig":
-        profile = spec.growth_profile()
-        res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
-        rows = ["L,h,lambda"]
-        for L, h, lam in res.table:
-            rows.append(f"{fmt(L)},{fmt(h)},{fmt(lam)}")
-        _write(out / "eigenvalues.csv", "\n".join(rows) + "\n")
-        cert = [
-            f"lambda_inf_estimate = {fmt(res.estimate)}",
-            f"lower_bound = {fmt(res.estimate)}",
-            f"upper_bound = {fmt(res.upper_bound)}",
-            f"converged = {'true' if res.converged else 'false'}",
-            f"positive = {'true' if res.positive else 'false'}",
-        ]
-        _write(out / "lambda_infinity.txt", "\n".join(cert) + "\n")
-        return res
-
-    if spec.mode == "regime":
-        params = spec.params()
-        profile = spec.growth_profile()
-        report = check_regime(params, profile)
-        res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
-        report = replace(report, lambda_inf=res.estimate)
-        thr = "undefined" if report.h1_threshold is None \
-            else fmt(report.h1_threshold)
-        lines = [
-            f"h1_holds = {'true' if report.h1_holds else 'false'}",
-            f"h1_threshold = {thr}",
-            f"h2_damping_holds = {'true' if report.h2_damping_holds else 'false'}",
-            f"c_star = {fmt(report.c_star)}",
-            f"lambda_inf = {fmt(report.lambda_inf)}",
-        ]
-        _write(out / "regime.txt", "\n".join(lines) + "\n")
-        return report
-
-    if spec.mode == "verify":
-        return _run_verify(spec, out)
-
+    # the wall-clock start time lives in its own file so every other
+    # artifact is byte-identical across reruns
+    head = {"manifest.cfg": render_manifest(spec),
+            "timestamp.txt": datetime.datetime.now().isoformat() + "\n"}
     if spec.mode == "sweep":
+        _write_bundle(out, head)
         return sweep(SweepSpec.from_spec(spec), out / "regime_map.csv",
                      workers=workers)
+    result, files = _RUNNERS[spec.mode](spec)
+    _write_bundle(out, {**head, **files})
+    return result
 
-    raise ConfigError(f"unknown mode {spec.mode!r}")
+
+def _run_simulate(spec: RunSpec):
+    cfg = spec.run_config()
+    u0 = sample(spec.initial_condition(), cfg.grid)
+    traj, outcome = run(cfg, u0)
+    return outcome, {
+        "snapshots.csv": _snapshot_csv(cfg.grid.nodes, traj.snapshots),
+        "convergence.csv": _convergence_csv(traj),
+        "outcome.txt": _text(_outcome_lines(outcome))}
 
 
-def _run_verify(spec: RunSpec, out: Path):
+def _run_eig(spec: RunSpec):
+    profile = spec.growth_profile()
+    res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
+    rows = ["L,h,lambda"]
+    for L, h, lam in res.table:
+        rows.append(f"{fmt(L)},{fmt(h)},{fmt(lam)}")
+    cert = [
+        f"lambda_inf_estimate = {fmt(res.estimate)}",
+        f"lower_bound = {fmt(res.estimate)}",
+        f"upper_bound = {fmt(res.upper_bound)}",
+        f"converged = {'true' if res.converged else 'false'}",
+        f"positive = {'true' if res.positive else 'false'}",
+    ]
+    return res, {"eigenvalues.csv": _text(rows),
+                 "lambda_infinity.txt": _text(cert)}
+
+
+def _run_regime(spec: RunSpec):
+    params = spec.params()
+    profile = spec.growth_profile()
+    report = check_regime(params, profile)
+    res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
+    report = replace(report, lambda_inf=res.estimate)
+    thr = "undefined" if report.h1_threshold is None \
+        else fmt(report.h1_threshold)
+    lines = [
+        f"h1_holds = {'true' if report.h1_holds else 'false'}",
+        f"h1_threshold = {thr}",
+        f"h2_damping_holds = {'true' if report.h2_damping_holds else 'false'}",
+        f"c_star = {fmt(report.c_star)}",
+        f"lambda_inf = {fmt(report.lambda_inf)}",
+    ]
+    return report, {"regime.txt": _text(lines)}
+
+
+def _run_verify(spec: RunSpec):
     params = spec.params()
     profile = spec.growth_profile()
     grid = spec.grid()
@@ -456,7 +462,6 @@ def _run_verify(spec: RunSpec, out: Path):
         rows.append(
             f"{b.branch},{b.n_nodes},{fmt(b.worst_residual)},{fmt(b.worst_x)},"
             f"{b.worst_sample},{'pass' if b.worst_residual <= report.tol else 'fail'}")
-    _write(out / "certification.csv", "\n".join(rows) + "\n")
 
     ign_rows = ["epsilon,speed,bound"]
     waves = []
@@ -472,11 +477,15 @@ def _run_verify(spec: RunSpec, out: Path):
             ign_rows.append(f"{fmt(eps)},{fmt(w.speed)},{fmt(bound)}")
     else:
         _log.warning("b <= 2 chi mu, ignition wave construction skipped")
-    _write(out / "ignition.csv", "\n".join(ign_rows) + "\n")
 
     if habitat is HabitatClass.CASE2:
         build_lower_envelope_case2(params, profile, grid, upper=envelope)
-    return report, waves
+    return (report, waves), {"certification.csv": _text(rows),
+                             "ignition.csv": _text(ign_rows)}
+
+
+_RUNNERS = {"simulate": _run_simulate, "eig": _run_eig,
+            "regime": _run_regime, "verify": _run_verify}
 
 
 # --------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SimParams
+from .model import SimParams, speed_limit
 
-__all__ = ["BracketError", "IgnitionWave", "ignition_wave", "speed_limit",
+__all__ = ["BracketError", "IgnitionWave", "ignition_wave",
            "profile_residual", "richardson_speed"]
 
 SADDLE_OFFSET = 1e-6
@@ -44,14 +44,6 @@ _EPS = np.finfo(float).eps
 
 class BracketError(RuntimeError):
     """No sign change in the speed bracket: eps too large or b <= 2 chi mu."""
-
-
-def speed_limit(params: SimParams, r_star: float) -> float:
-    """2 sqrt(r* (b - 2 chi mu)/(b - chi mu)), the eps -> 0 speed."""
-    chimu = params.chi * params.mu
-    if params.b <= 2.0 * chimu:
-        raise ValueError("requires b > 2 chi mu")
-    return 2.0 * math.sqrt(r_star * (params.b - 2.0 * chimu) / (params.b - chimu))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ __all__ = [
     "HabitatClass",
     "RegimeReport",
     "theta_root",
+    "speed_limit",
     "classify_profile",
     "check_regime",
     "sample",
@@ -248,6 +249,15 @@ def classify_profile(profile: GrowthProfile) -> HabitatClass:
     return HabitatClass.UNCLASSIFIED
 
 
+def speed_limit(params: SimParams, r_star: float) -> float:
+    """2 sqrt(r* (b - 2 chi mu)/(b - chi mu)), the eps -> 0 speed of the
+    ignition wave."""
+    chimu = params.chi * params.mu
+    if params.b <= 2.0 * chimu:
+        raise ValueError("requires b > 2 chi mu")
+    return 2.0 * math.sqrt(r_star * (params.b - 2.0 * chimu) / (params.b - chimu))
+
+
 def check_regime(params: SimParams, profile: GrowthProfile) -> RegimeReport:
     """Evaluate the speed and damping predicates for this parameter set."""
     if not params.well_posed:
@@ -260,9 +270,8 @@ def check_regime(params: SimParams, profile: GrowthProfile) -> RegimeReport:
     h2 = params.b >= 1.5 * chimu
     if params.b > 2.0 * chimu:
         gap = params.damping_gap
-        threshold = chimu * r_star / (2.0 * math.sqrt(params.nu) * gap) - 2.0 * math.sqrt(
-            r_star * (params.b - 2.0 * chimu) / gap
-        )
+        threshold = (chimu * r_star / (2.0 * math.sqrt(params.nu) * gap)
+                     - speed_limit(params, r_star))
         h1 = params.c > threshold
     else:
         threshold = None

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +8,26 @@ import pytest
 from kswave import (EnvelopeKind, Grid, GrowthProfile, SimParams,
                     build_lower_envelope_case1, build_lower_envelope_case2,
                     build_upper_envelope_case1, build_upper_envelope_case2,
-                    certify_supersolution, envelope_branch_residual,
-                    greens_psi, ignition_wave, residual_A, theta_root)
+                    certify_supersolution, greens_psi, greens_psi_x,
+                    ignition_wave, theta_root)
+from kswave import envelopes
+from kswave.envelopes import _branch, _branches, _residual
 
 GRID = Grid(L=20.0, h=0.1)
+
+
+def branch_residual(env, name, u, params, profile):
+    """A_u of the named branch of env on the grid, with its analytic
+    derivatives and the whole-line kernel fields of u, and the region on
+    which the branch claims its sign."""
+    grid = env.grid
+    x = grid.nodes
+    [row] = [row for row in _branches(env.kind, env.constants)
+             if row[0] == name]
+    U, Ux, Uxx, region = _branch(env.constants["level"], *row[1:], x, grid.h)
+    psi = greens_psi(u, grid, params.nu, params.mu)
+    psi_x = greens_psi_x(u, grid, params.nu, params.mu)
+    return _residual(U, Ux, Uxx, psi, psi_x, profile(x), params), region
 
 
 # ---------------------------------------------------------------------------
@@ -73,41 +91,53 @@ def test_case2_envelope_even_for_zero_speed(case2_profile):
 # ---------------------------------------------------------------------------
 # residual operator
 
-def test_residual_zero_function(exp1_params, case1_profile):
-    u = np.zeros(GRID.M + 1)
-    field = residual_A(u, np.zeros(GRID.M + 1), GRID, exp1_params,
-                       case1_profile)
-    assert np.all(field.values == 0.0)
-    assert field.region_mask.sum() == GRID.M - 1
-
-
 def test_residual_constant_level_nonpositive(exp1_params, case1_profile,
                                              rng):
     # A_u(r*/(b - chi mu)) <= 0 everywhere, for any u in E+
     K = 10.0 / 0.9
     U = np.full(GRID.M + 1, K)
+    zero = np.zeros(GRID.M + 1)
+    r = case1_profile(GRID.nodes)
     for _ in range(5):
         u = np.minimum(rng.random(GRID.M + 1) * K, K)
-        field = residual_A(u, U, GRID, exp1_params, case1_profile)
-        assert field.values[field.region_mask].max() <= 1e-10
+        psi = greens_psi(u, GRID, exp1_params.nu, exp1_params.mu)
+        psi_x = greens_psi_x(u, GRID, exp1_params.nu, exp1_params.mu)
+        values = _residual(U, zero, zero, psi, psi_x, r, exp1_params)
+        assert values[1:-1].max() <= 1e-10
 
 
 def test_branch_residual_exponential_region(exp1_params, case1_profile, rng):
     env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
     for _ in range(5):
         u = rng.uniform(0.0, 1.0) * env.values
-        field = envelope_branch_residual(env, "left_exp", u, exp1_params,
+        values, region = branch_residual(env, "left_exp", u, exp1_params,
                                          case1_profile)
-        assert field.values[field.region_mask].max() <= 1e-8
-        assert np.all(GRID.nodes[field.region_mask]
-                      < env.constants["x1"] - 0.049)
+        assert values[region].max() <= 1e-8
+        assert np.all(GRID.nodes[region] < env.constants["x1"] - 0.049)
 
 
-def test_branch_residual_unknown_branch(exp1_params, case1_profile):
-    env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
+def test_branch_table_rows(exp1_params, case2_exp1_params, case1_profile,
+                           case2_profile):
+    # (name, theta, x0, side): flat, then the left and right exponentials
+    con1 = build_upper_envelope_case1(exp1_params, case1_profile,
+                                      GRID).constants
+    assert _branches(EnvelopeKind.UPPER_CASE1, con1) == (
+        ("flat", 0.0, 0.0, 0), ("left_exp", con1["theta1"], con1["x1"], -1))
+    con2 = build_upper_envelope_case2(case2_exp1_params, case2_profile,
+                                      GRID).constants
+    assert _branches(EnvelopeKind.UPPER_CASE2, con2)[1:] == (
+        ("left_exp", con2["theta_bar"], con2["xbar"], -1),
+        ("right_exp", -con2["theta_tilde"], con2["xtilde"], 1))
     with pytest.raises(ValueError):
-        envelope_branch_residual(env, "middle", np.zeros(GRID.M + 1),
-                                 exp1_params, case1_profile)
+        _branches(EnvelopeKind.LOWER_CASE1, con1)
+
+
+def test_flat_branch_is_exactly_level():
+    x = GRID.nodes
+    U, Ux, Uxx, region = _branch(7.5, 0.0, 0.0, 0, x, GRID.h)
+    assert np.all(U == 7.5) and region.all()
+    assert np.all(Ux == 0.0) and np.all(Uxx == 0.0)
+    assert not np.signbit(Ux).any() and not np.signbit(Uxx).any()
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +167,12 @@ def test_certify_zero_sample_flat_branch_is_growth_gap(exp1_params,
                                                        case1_profile):
     # with u = 0 the kernel vanishes: A_0(K) = K (r(x) - r*), zero at the top
     env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
-    field = envelope_branch_residual(env, "flat", np.zeros(GRID.M + 1),
-                                     exp1_params, case1_profile)
+    values, _ = branch_residual(env, "flat", np.zeros(GRID.M + 1),
+                                exp1_params, case1_profile)
     K = env.constants["level"]
     r = case1_profile(GRID.nodes)
-    np.testing.assert_allclose(field.values, K * (r - 10.0), atol=1e-9)
-    assert field.values.max() == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(values, K * (r - 10.0), atol=1e-9)
+    assert values.max() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_certify_violated_hypothesis_reports_without_raising(case1_profile):
@@ -153,6 +183,76 @@ def test_certify_violated_hypothesis_reports_without_raising(case1_profile):
     report = certify_supersolution(env, params, case1_profile, n_samples=20)
     assert not report.hypothesis_satisfied
     assert math.isfinite(report.worst.worst_residual)
+
+
+@pytest.mark.parametrize("kwargs", ({"n_samples": 0}, {"n_samples": -3},
+                                    {"tol": math.nan}, {"tol": math.inf}))
+def test_certify_refuses_a_vacuous_certificate(kwargs, exp1_params,
+                                               case1_profile, monkeypatch):
+    # no samples passes every branch at -inf, and a non-finite tol decides
+    # nothing: both are refused before the kernel is ever evaluated
+    env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
+
+    def unreachable(*args, **kw):
+        pytest.fail("kernel evaluated before the arguments were checked")
+    monkeypatch.setattr(envelopes, "greens_psi", unreachable)
+    monkeypatch.setattr(envelopes, "greens_psi_x", unreachable)
+    with pytest.raises(ValueError):
+        certify_supersolution(env, exp1_params, case1_profile, **kwargs)
+
+
+# SHA-256 of the upper envelope's values and, per branch, (name, worst
+# residual, worst sample, worst x, region nodes) of a 30-sample certificate,
+# as the np.where envelopes and the per-branch lambdas computed them: the
+# shipped bundles cover neither c <= 0 nor the right branch off their grid
+GOLDEN_UPPER = {
+    ("case1", -3.0): (
+        "5f9b73a03e07f0267e3e1d62eb5e9719d8d20f0ccf49fdbaa555ceb8f2a977cb",
+        (("flat", 0.0, 0, -7.0, 401),
+         ("left_exp", -1.6700465821422436e-16, 0, -20.0, 120))),
+    ("case1", 0.0): (
+        "778b763ebfbb902c9b95554b0dda224fca28819824461efadbe7eadad6574759",
+        (("flat", 0.0, 0, -7.0, 401),
+         ("left_exp", -0.0011152986570899404, 0, -20.0, 120))),
+    ("case1", 2.5): (
+        "a238c5a716227e88e18e39b691024b506d160694c8c7733fd7d98706702e9641",
+        (("flat", 0.0, 0, -7.0, 401),
+         ("left_exp", -1.8440342877647924, 0, -20.0, 120))),
+    ("case2", -3.0): (
+        "b891cffd3e964b8d8b7c02167aa9f33a4bbb06abbd4959ac39f25368c453538c",
+        (("flat", 0.0, 0, -7.0, 401),
+         ("left_exp", -3.7576048098200544e-16, 0, -20.0, 120),
+         ("right_exp", -7.372218865097418, 0, 20.0, 120))),
+    ("case2", 0.0): (
+        "9ee361f9655f478bc75263cf141ffb43212c0eb319119f078ef3a7d8156b43f8",
+        (("flat", 0.0, 0, -7.0, 401),
+         ("left_exp", -0.0025094219784523664, 0, -20.0, 120),
+         ("right_exp", -0.0025094219784523664, 0, 20.0, 120))),
+    ("case2", 2.5): (
+        "5de18dc2f498dc16a43bf59f8110771e148f94d41add9ba206e19a4c3d7040b1",
+        (("flat", 0.0, 0, -7.0, 401),
+         ("left_exp", -4.149077147470783, 0, -20.0, 120),
+         ("right_exp", -1.109100815395993e-13, 0, 20.0, 120))),
+}
+
+
+@pytest.mark.parametrize("habitat, c", sorted(GOLDEN_UPPER))
+def test_upper_envelope_and_certificate_golden(habitat, c, exp1_params,
+                                               case2_exp1_params,
+                                               case1_profile, case2_profile):
+    if habitat == "case1":
+        build, params, profile = (build_upper_envelope_case1, exp1_params,
+                                  case1_profile)
+    else:
+        build, params, profile = (build_upper_envelope_case2,
+                                  case2_exp1_params, case2_profile)
+    params = replace(params, c=c)
+    env = build(params, profile, GRID)
+    report = certify_supersolution(env, params, profile, n_samples=30)
+    digest, branches = GOLDEN_UPPER[habitat, c]
+    assert hashlib.sha256(env.values.tobytes()).hexdigest() == digest
+    assert tuple((b.branch, b.worst_residual, b.worst_sample, b.worst_x,
+                  b.n_nodes) for b in report.branches) == branches
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +309,20 @@ def test_lower_case2_numeric(case2_exp1_params, case2_profile):
     assert low.values[0] == 0.0 and low.values[-1] == 0.0
 
 
+@pytest.mark.parametrize("L, h", ((20.0, 0.05), (21.0, 0.15), (20.0, 0.2)))
+def test_lower_case2_numeric_on_other_grids(L, h, case2_exp1_params,
+                                            case2_profile):
+    # tau = 0.4 h^2 is adjusted to divide T; the run reads only u_final, so
+    # no convergence window has to divide the adjusted step
+    grid = Grid(L=L, h=h)
+    up = build_upper_envelope_case2(case2_exp1_params, case2_profile, grid)
+    low = build_lower_envelope_case2(case2_exp1_params, case2_profile, grid,
+                                     upper=up)
+    inner = np.abs(grid.nodes) <= grid.L - 2.0
+    assert np.all(low.values[inner] > 0.0)
+    assert np.all(low.values < up.values)
+
+
 # ---------------------------------------------------------------------------
 # kernel fields feed the residual
 
@@ -217,10 +331,9 @@ def test_residual_uses_kernel_fields(exp1_params, case1_profile):
     env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
     u = env.values.copy()
     psi = greens_psi(u, GRID, exp1_params.nu, exp1_params.mu)
-    field = envelope_branch_residual(env, "flat", u, exp1_params,
-                                     case1_profile)
+    values, _ = branch_residual(env, "flat", u, exp1_params, case1_profile)
     K = env.constants["level"]
     r = case1_profile(GRID.nodes)
     expected = K * (r - exp1_params.chi * exp1_params.nu * psi
                     - exp1_params.damping_gap * K)
-    np.testing.assert_allclose(field.values, expected, atol=1e-9)
+    np.testing.assert_allclose(values, expected, atol=1e-9)

@@ -428,6 +428,24 @@ def test_cli_snapshot_times_validated_before_any_write(times, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, edit", (
+    ("simulate", ("T = 10\n", "T = 10.001\n")),
+    ("simulate", ("T = 10\n", "T = 10\nconv_window = 1.001\n")),
+    ("eig", ("h = 0.1\n", "h = 0.1\neig_h = 0.07\n")),
+))
+def test_cli_failing_run_writes_no_files(mode, edit, tmp_path, capsys):
+    # T and the convergence window must be multiples of tau, and eig_h must
+    # divide 2L: each run fails after parsing, and leaves no bundle behind
+    text = (EXPERIMENTS / "case1_exp1.cfg").read_text()
+    assert edit[0] in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(edit[0], edit[1]))
+    out = tmp_path / "o"
+    assert cli_main([mode, str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cli_sweep_goes_through_run_experiment(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG.replace("sweep_c = 1, 1, 1",
