@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Produce the shift-speed regime map across the extinction threshold.
 
-Runs the shipped sweep config (11 points, T = 140 each; about a minute)
-and prints the classified transition.  Pass --workers N to parallelize.
+Runs the shipped sweep config (11 points, T = 140 each, marched as one
+block; about half a minute) and prints the classified transition.  Pass
+--workers N to split the points into N blocks, one per worker process.
 """
 
 import argparse

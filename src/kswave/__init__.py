@@ -5,8 +5,8 @@ eigenvalues, super/sub-solution envelopes, and the frozen-chemotaxis
 fixed-point iteration)."""
 
 from .chemical import ChemicalField, ChemicalSolver, greens_psi, greens_psi_x
-from .envelopes import (CertificationReport, Envelope, EnvelopeKind,
-                        build_lower_envelope_case1,
+from .envelopes import (CertificationReport, Envelope, EnvelopeError,
+                        EnvelopeKind, build_lower_envelope_case1,
                         build_lower_envelope_case2,
                         build_upper_envelope_case1,
                         build_upper_envelope_case2, certify_supersolution)
@@ -23,6 +23,6 @@ from .spectral import (EigenResult, LambdaInfinityResult, lambda_infinity,
                        principal_eigenvalue)
 from .stepper import (BlowUpError, Outcome, OutcomeTag, RunConfig,
                       Trajectory, cfl_check, detect_outcome, initial_state,
-                      make_run_config, run)
+                      make_run_config, run, run_block)
 
 __version__ = "0.1.0"

@@ -44,9 +44,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChemicalField:
-    """Concentration v on the grid nodes (spacing h, closure bc).  Its first
-    derivative vx (central differences inside, one-sided at the ends) is
-    computed on first access."""
+    """Concentration v on the grid nodes (spacing h, closure bc), one row
+    per profile when solved for a block.  Its first derivative vx (central
+    differences inside, one-sided at the ends) is computed on first
+    access."""
 
     v: np.ndarray
     h: float
@@ -56,14 +57,15 @@ class ChemicalField:
     def vx(self) -> np.ndarray:
         v, h = self.v, self.h
         vx = np.empty_like(v)
-        vx[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        vx[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
         # second-order one-sided at the Dirichlet end(s)
-        vx[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+        vx[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
         if self.bc is BoundaryCase.CASE1:
             # the backward difference used by the scheme; zero by closure
-            vx[-1] = (v[-1] - v[-2]) / h
+            vx[..., -1] = (v[..., -1] - v[..., -2]) / h
         else:
-            vx[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+            vx[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2]
+                           + v[..., -3]) / (2.0 * h)
         return vx
 
 
@@ -93,27 +95,39 @@ class ChemicalSolver:
             d[-1] = -(1.0 + nu * h2)
         self._lu = TridiagonalLU(dl, d, du)
         self._n = n
-        self._rhs_scale = -self.mu * h2
+        # a 0-d array: numpy dispatches it faster than a Python float
+        self._rhs_scale = np.array(-self.mu * h2)
 
     def solve(self, u: np.ndarray) -> ChemicalField:
+        """The field v of u, for u of shape (M+1,) or a block (B, M+1) of
+        B profiles, one per row; v has the shape of u.  A block is one
+        ``dgttrs`` call, and each of its rows is bitwise the solve of that
+        row alone."""
         grid = self.grid
         u = np.asarray(u, dtype=float)
-        if u.shape != (grid.M + 1,):
-            raise ValueError(f"u must have length {grid.M + 1}")
-        if not np.all(np.isfinite(u)):
+        if u.ndim not in (1, 2) or u.shape[-1] != grid.M + 1:
+            raise ValueError(f"u must have length {grid.M + 1} "
+                             "(or be a block of such rows)")
+        if not np.isfinite(u).all():
             raise ValueError("u contains non-finite values")
 
-        v = np.empty(grid.M + 1)
-        v[0] = 0.0
-        # the right-hand side is built in place of the unknowns, and the
-        # solve overwrites it there
-        interior = v[1:1 + self._n]
-        np.multiply(self._rhs_scale, u[1:1 + self._n], out=interior)
-        interior[...] = self._lu.solve(interior)
-        if self.bc is BoundaryCase.CASE1:
-            v[-1] = v[-2]
+        v = np.empty(u.shape)
+        n = self._n
+        if u.ndim == 1:
+            # the right-hand side is built in place of the unknowns, and
+            # the solve overwrites it there
+            interior = v[1:1 + n]
+            np.multiply(self._rhs_scale, u[1:1 + n], out=interior)
+            interior[...] = self._lu.solve(interior)
         else:
-            v[-1] = 0.0
+            # the C-order (B, n) right-hand sides are the Fortran-order
+            # (n, B) columns LAPACK solves in place
+            rhs = np.multiply(self._rhs_scale, u[:, 1:1 + n])
+            v[:, 1:1 + n] = self._lu.solve(rhs.T).T
+        # node axis first: rows 0, -2 and -1 are the end nodes of each profile
+        ends = v.T
+        ends[0] = 0.0
+        ends[-1] = ends[-2] if self.bc is BoundaryCase.CASE1 else 0.0
         return ChemicalField(v=v, h=grid.h, bc=self.bc)
 
 

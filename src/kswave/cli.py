@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .envelopes import EnvelopeError
 from .fixedpoint import SandwichError
 from .harness import (ConfigError, _parse_floats, _validate, fmt,
                       parse_config, run_experiment)
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(spec, out_dir,
                                 workers=getattr(args, "workers", 1))
-    except (BlowUpError, BracketError, SandwichError) as exc:
+    except (BlowUpError, BracketError, EnvelopeError, SandwichError) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, ValueError) as exc:

@@ -46,6 +46,7 @@ from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass, SimParams,
                     classify_profile, theta_root)
 
 __all__ = [
+    "EnvelopeError",
     "EnvelopeKind",
     "Envelope",
     "CertificationReport",
@@ -55,6 +56,13 @@ __all__ = [
     "build_lower_envelope_case2",
     "certify_supersolution",
 ]
+
+
+class EnvelopeError(RuntimeError):
+    """A built lower envelope failed its checks: the CASE2 run is not
+    positive inside, or a lower envelope is not strictly below the upper
+    one.  This is a numerical outcome of the parameters (for example a
+    shift too fast for a wave), not a bad input."""
 
 
 class EnvelopeKind(Enum):
@@ -244,7 +252,7 @@ def build_lower_envelope_case1(params: SimParams, profile: GrowthProfile,
         raise ValueError(f"translation x0 = {x0!r} does not exceed x1 = {x1!r}")
     values = np.maximum(wave.evaluate(grid.nodes - x0), 0.0)
     if not np.all(values < upper.values):
-        raise RuntimeError("lower envelope is not strictly below the upper one")
+        raise EnvelopeError("lower envelope is not strictly below the upper one")
     return Envelope(kind=EnvelopeKind.LOWER_CASE1, values=values, grid=grid,
                     constants={"epsilon": eps, "x0": x0, "x1": x1,
                                "speed": wave.speed})
@@ -279,9 +287,9 @@ def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
     values[-1] = 0.0
     inner = np.abs(grid.nodes) <= grid.L - 2.0
     if not np.all(values[inner] > 0.0):
-        raise RuntimeError("numeric lower envelope is not positive inside")
+        raise EnvelopeError("numeric lower envelope is not positive inside")
     if not np.all(values < upper.values):
-        raise RuntimeError("numeric lower envelope exceeds the upper envelope")
+        raise EnvelopeError("numeric lower envelope exceeds the upper envelope")
     return Envelope(kind=EnvelopeKind.LOWER_CASE2_NUMERIC, values=values,
                     grid=grid, constants={"damping_scale": damping_scale,
                                           "T": T})

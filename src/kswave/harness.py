@@ -28,7 +28,7 @@ from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
                     InitialCondition, SimParams, check_regime,
                     classify_profile, sample, speed_limit)
 from .spectral import lambda_infinity
-from .stepper import BlowUpError, cfl_check, make_run_config, run
+from .stepper import cfl_check, make_run_config, run, run_block
 
 __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
            "render_manifest", "run_experiment", "sweep", "fmt"]
@@ -498,33 +498,50 @@ def _axis_values(axis):
     return list(np.linspace(lo, hi, count))
 
 
-def _sweep_point(args):
-    spec, horizon_scale, b, c, chi = args
-    point = replace(spec, mode="simulate", b=b, c=c, chi=chi,
-                    T=spec.T * horizon_scale,
-                    snapshot_times=())
-    row = {"b": b, "c": c, "chi": chi, "outcome": "error",
-           "plateau": math.nan, "final_sup_u": math.nan}
-    if b <= chi * point.mu:
-        row["outcome"] = "skipped"
-        return row
+def _sweep_block(args):
+    """The rows of a contiguous run of sweep points.  Points with b <= chi mu
+    are skipped, points whose config fails validation read ``error``, and
+    the rest march as one block."""
+    spec, horizon_scale, points = args
+    rows, cfgs, marched = [], [], []
+    for b, c, chi in points:
+        row = {"b": b, "c": c, "chi": chi, "outcome": "error",
+               "plateau": math.nan, "final_sup_u": math.nan}
+        rows.append(row)
+        if b <= chi * spec.mu:
+            row["outcome"] = "skipped"
+            continue
+        point = replace(spec, mode="simulate", b=b, c=c, chi=chi,
+                        T=spec.T * horizon_scale, snapshot_times=())
+        try:
+            cfgs.append(point.run_config())
+        except ValueError:
+            continue
+        marched.append(row)
+    if not cfgs:
+        return rows
     try:
-        cfg = point.run_config()
-        u0 = sample(point.initial_condition(), cfg.grid)
-        traj, outcome = run(cfg, u0)
-    except (BlowUpError, ValueError, RuntimeError):
-        return row
-    row["outcome"] = outcome.tag.value
-    if outcome.plateau is not None:
-        row["plateau"] = outcome.plateau
-    row["final_sup_u"] = float(traj.u_final.max())
-    return row
+        u0 = sample(spec.initial_condition(), cfgs[0].grid)
+        results = run_block(cfgs, u0)
+    except (ValueError, RuntimeError):
+        return rows
+    for row, result in zip(marched, results):
+        if result is None:          # blew up
+            continue
+        traj, outcome = result
+        row["outcome"] = outcome.tag.value
+        if outcome.plateau is not None:
+            row["plateau"] = outcome.plateau
+        row["final_sup_u"] = float(traj.u_final.max())
+    return rows
 
 
 def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     """Run the cartesian grid of the sweep axes, classify each point, and
-    stream rows to the CSV in deterministic sorted order.  At most
-    ``min(workers, points)`` worker processes are started."""
+    stream rows to the CSV in deterministic sorted order.  The sorted
+    points are cut into ``min(workers, points)`` contiguous blocks, each
+    marched as one array; with more than one block, each runs in its own
+    worker process."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     base = sw.base
@@ -533,20 +550,24 @@ def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     cs = _axis_values(axis_map["c"]) if "c" in axis_map else [base.c]
     chis = _axis_values(axis_map["chi"]) if "chi" in axis_map else [base.chi]
     points = sorted((b, c, chi) for b in bs for c in cs for chi in chis)
-    jobs = [(base, sw.horizon_scale, b, c, chi) for b, c, chi in points]
+    n = len(points)
+    n_proc = min(workers, n)
+    jobs = [(base, sw.horizon_scale,
+             points[k * n // n_proc:(k + 1) * n // n_proc])
+            for k in range(n_proc)]
 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
-    n_proc = min(workers, len(jobs))
     with ExitStack() as stack:
         fh = stack.enter_context(open(out_path, "w"))
         fh.write("b,c,chi,outcome,plateau,final_sup_u\n")
         mapper = map if n_proc <= 1 else stack.enter_context(
             ProcessPoolExecutor(max_workers=n_proc)).map
-        for row in mapper(_sweep_point, jobs):
-            rows.append(row)
-            fh.write(_sweep_row_text(row))
+        for block in mapper(_sweep_block, jobs):
+            for row in block:
+                rows.append(row)
+                fh.write(_sweep_row_text(row))
             fh.flush()
     return rows
 

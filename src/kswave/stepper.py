@@ -22,14 +22,21 @@ buffers with the operations grouped exactly as in the formula above, so
 the results are bitwise those of the plain array expression.
 
 The update is one kernel with a v-stage (the three bracketed stencil
-factors from v) and a u-stage (the rest).  ``run`` calls both every step;
-the frozen-chemotaxis flow of ``kswave.fixedpoint`` loads its fixed v once
-and calls only the u-stage.  Both judge convergence with one lag monitor.
+factors from v) and a u-stage (the rest), for one run (u of shape (M+1,))
+or a block of runs (u of shape (B, M+1), one run per row).  ``run`` calls
+both stages every step on one run.  ``run_block`` marches runs that share
+their grid, tau, r, nu and mu, and so one factored chemical matrix, as one
+block: the kernel steps the runs laid end to end as one line of nodes,
+the chemical solve takes all rows in one LAPACK call, and every row gets
+the bits its own ``run`` would.  The frozen-chemotaxis flow of
+``kswave.fixedpoint`` loads its fixed v once and calls only the u-stage.
+``run`` and the frozen flow judge convergence with one lag monitor.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +55,7 @@ __all__ = [
     "make_run_config",
     "initial_state",
     "run",
+    "run_block",
     "detect_outcome",
 ]
 
@@ -142,32 +150,60 @@ class Trajectory:
     max_sup_u: float = 0.0
 
 
-class _ExplicitStep:
-    """The explicit update of one run in two stages.  ``load`` is the
-    v-stage: it fills the west, centre and east factors of the three-point
-    stencil from the chemical field v.  ``__call__`` is the u-stage: it
-    applies the loaded factors to u, then the damping, the boundary
-    closure, the clamp and the blow-up guard.  The coefficients that stay
-    fixed over the run and the work buffers are set up once."""
+def _line(a: np.ndarray) -> np.ndarray:
+    """The nodes of one run, or of a C-order block's runs laid end to end,
+    as one contiguous 1-D view (never a copy)."""
+    return a if a.ndim == 1 else a.reshape(-1, copy=False)
 
-    def __init__(self, cfg: RunConfig):
+
+class _ExplicitStep:
+    """The explicit update in two stages, for one run (u of shape (M+1,))
+    or for a block of runs (u of shape (B, M+1), one run per row) that
+    share cfg's grid, tau, r, nu and mu and differ in (b, c, chi).  ``load``
+    is the v-stage: it fills the west, centre and east factors of the
+    three-point stencil from the chemical field v.  ``__call__`` is the
+    u-stage: it applies the loaded factors to u, then the damping, the
+    boundary closure and the clamp.  The coefficients that stay fixed over
+    the run and the work buffers are set up once.
+
+    A block is stepped as one line of B (M+1) nodes, the runs end to end,
+    so every array operation runs over contiguous memory.  An interior
+    node's neighbours are in its own run; the stencil values at the end
+    nodes, which mix two runs, are overwritten by the boundary closure.  So
+    c, chi, tau chi nu, tau (b - chi mu) and the centre factor hold one
+    value per line node (0-d arrays for one run), and each run gets the
+    bits it would get alone."""
+
+    def __init__(self, cfg: RunConfig, block: Sequence[SimParams] | None = None):
         h, tau = cfg.grid.h, cfg.tau
-        params = cfg.params
+        runs = [cfg.params] if block is None else block
+        nodes = cfg.grid.M + 1
+
+        # scalars are 0-d arrays, which numpy dispatches faster than Python
+        # floats, with the same float64 arithmetic
+        def coefficient(values):
+            if block is None:
+                return np.array(values[0])
+            return np.repeat(values, nodes)[1:-1]
+        self.block = block is not None
         self.case1 = cfg.bc is BoundaryCase.CASE1
-        self.c = params.c
-        self.chi = params.chi
-        self.lam = tau / (h * h)
-        self.two_h = 2.0 * h
-        self.tau_2h = tau / (2.0 * h)
-        self.center = 1.0 - 2.0 * self.lam + tau * cfg.r_samples[1:-1]
-        self.chem_rate = tau * params.chi * params.nu
-        self.damping = tau * params.damping_gap
+        self.c = coefficient([p.c for p in runs])
+        self.chi = coefficient([p.chi for p in runs])
+        lam = tau / (h * h)
+        self.lam = np.array(lam)
+        self.two_h = np.array(2.0 * h)
+        self.tau_2h = np.array(tau / (2.0 * h))
+        self.center = np.tile(1.0 - 2.0 * lam + tau * cfg.r_samples,
+                              len(runs))[1:-1]
+        self.chem_rate = coefficient([tau * p.chi * p.nu for p in runs])
+        self.damping = coefficient([tau * p.damping_gap for p in runs])
         self._west, self._mid, self._east, self._work = np.empty(
-            (4, cfg.grid.M - 1))
+            (4, len(runs) * nodes - 2))
 
     def load(self, v: np.ndarray) -> None:
         """Fill the stencil factors lam - coef, center - tau chi nu v_i and
         lam + coef from v."""
+        v = _line(v)
         coef = self._east
         # coef = tau/(2h) * (c - chi (v_{i+1} - v_{i-1}) / (2h))
         np.subtract(v[2:], v[:-2], out=coef)
@@ -180,32 +216,40 @@ class _ExplicitStep:
         np.multiply(self.chem_rate, v[1:-1], out=self._mid)
         np.subtract(self.center, self._mid, out=self._mid)
 
-    def __call__(self, u: np.ndarray, out: np.ndarray) -> float:
+    def __call__(self, u: np.ndarray, out: np.ndarray):
         """Write the step from u with the loaded factors into ``out`` and
-        return its sup."""
+        return its sup.  One run raises BlowUpError past the blow-up guard;
+        a block returns the sup of each row and leaves the guard to the
+        caller."""
         work = self._work
-        ui = u[1:-1]
+        line = _line(u)
+        ui = line[1:-1]
         # ((west u_{i-1} + mid u_i) - tau (b - chi mu) u_i^2) + east u_{i+1}
-        inner = out[1:-1]
-        np.multiply(self._west, u[:-2], out=inner)
+        inner = _line(out)[1:-1]
+        np.multiply(self._west, line[:-2], out=inner)
         np.multiply(self._mid, ui, out=work)
         inner += work
         np.multiply(self.damping, ui, out=work)
         work *= ui
         inner -= work
-        np.multiply(self._east, u[2:], out=work)
+        np.multiply(self._east, line[2:], out=work)
         inner += work
-        out[0] = 0.0
-        out[-1] = out[-2] if self.case1 else 0.0
+        # the transpose puts the node axis first, so its rows 0, -2 and -1
+        # are the end nodes of one run or of every run in a block
+        ends = out.T
+        ends[0] = 0.0
+        ends[-1] = ends[-2] if self.case1 else 0.0
         # round-off negatives are clamped so the quadratic term and the
         # chemical solve stay in the physical regime
         np.maximum(out, 0.0, out=out)
-        m = float(out.max(initial=0.0))
-        if not math.isfinite(m) or m > BLOWUP_LIMIT:
+        m = np.maximum.reduce(out, axis=-1)
+        if self.block:
+            return m
+        if not m <= BLOWUP_LIMIT:       # also catches nan
             raise BlowUpError(
                 f"|u| exceeded {BLOWUP_LIMIT:g}: unstable step "
                 "(check CFL and b > chi*mu)")
-        return m
+        return float(m)
 
 
 class _LagMonitor:
@@ -248,23 +292,30 @@ def initial_state(cfg: RunConfig, u0: np.ndarray) -> np.ndarray:
     return u
 
 
-def run(cfg: RunConfig, u0: np.ndarray):
-    """March to t = T, recording the convergence series and snapshots, then
-    classify the outcome.  Returns (Trajectory, Outcome)."""
+def _step_counts(cfg: RunConfig) -> tuple[int, int]:
+    """The steps to T and over the convergence window, after checking the
+    CFL condition and that tau divides both."""
     if not (cfg.allow_unstable or cfl_check(cfg.grid.h, cfg.tau)):
         raise ValueError("CFL condition tau/h^2 <= 1/2 violated")
-    solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
-    u = initial_state(cfg, u0)
-    chem = solver.solve(u)
-    advance = _ExplicitStep(cfg)
-    u_next = np.empty_like(u)
-
     n_steps = round(cfg.T / cfg.tau)
     if abs(n_steps * cfg.tau - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ValueError("T must be an integer multiple of tau")
     lag_steps = round(cfg.conv_window / cfg.tau)
     if abs(lag_steps * cfg.tau - cfg.conv_window) > 1e-9:
         raise ValueError("conv_window must be an integer multiple of tau")
+    return n_steps, lag_steps
+
+
+def run(cfg: RunConfig, u0: np.ndarray):
+    """March to t = T, recording the convergence series and snapshots, then
+    classify the outcome.  Returns (Trajectory, Outcome)."""
+    n_steps, lag_steps = _step_counts(cfg)
+    solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
+    u = initial_state(cfg, u0)
+    chem = solver.solve(u)
+    advance = _ExplicitStep(cfg)
+    u_next = np.empty_like(u)
+
     snap_steps = {}
     for t in cfg.snapshot_times:
         j = round(t / cfg.tau)
@@ -317,6 +368,62 @@ def run(cfg: RunConfig, u0: np.ndarray):
         u_final=u.copy(), v_final=chem.v.copy(), u_lag=u_lag,
         max_sup_u=max_sup)
     return traj, detect_outcome(traj, cfg)
+
+
+def _block_key(cfg: RunConfig):
+    return (cfg.grid, cfg.bc, cfg.tau, cfg.T, cfg.conv_window,
+            cfg.allow_unstable, cfg.params.nu, cfg.params.mu,
+            cfg.r_samples.tobytes())
+
+
+def run_block(cfgs: Sequence[RunConfig], u0: np.ndarray):
+    """March one or more runs that differ only in (b, c, chi) from one u0
+    as one (B, M+1) block, with ``run``'s kernel, chemical solve and checks, and
+    classify each row.  Row k's final (u, v), lag profile and outcome are
+    bitwise those of ``run(cfgs[k], u0)``.  Only those are kept: each
+    Trajectory has empty series, no snapshots and a nan max_sup_u.  A row
+    whose sup passes the blow-up guard is zeroed, which the scheme keeps
+    at zero, and gives None in place of its (Trajectory, Outcome)."""
+    cfg = cfgs[0]
+    if any(_block_key(k) != _block_key(cfg) for k in cfgs[1:]):
+        raise ValueError("a block shares its grid, bc, tau, T, conv_window, "
+                         "r, nu and mu")
+    n_steps, lag_steps = _step_counts(cfg)
+    solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
+    u = np.tile(initial_state(cfg, u0), (len(cfgs), 1))
+    chem = solver.solve(u)
+    advance = _ExplicitStep(cfg, [k.params for k in cfgs])
+    u_next = np.empty_like(u)
+    blown = np.zeros(len(cfgs), dtype=bool)
+    lag_at = n_steps - lag_steps
+    u_lag = u.copy() if lag_at == 0 else None
+
+    for j in range(1, n_steps + 1):
+        advance.load(chem.v)
+        m = advance(u, u_next)
+        u, u_next = u_next, u
+        bad = ~(m <= BLOWUP_LIMIT)      # also catches nan
+        if bad.any():
+            u[bad] = 0.0
+            blown |= bad
+        chem = solver.solve(u)
+        if j == lag_at:
+            u_lag = u.copy()
+
+    results = []
+    for k, cfg_k in enumerate(cfgs):
+        if blown[k]:
+            results.append(None)
+            continue
+        empty = np.empty(0)
+        traj = Trajectory(
+            times=empty, sup_diff=empty, sup_u=empty, u_at_right=empty,
+            snapshots=[], t_final=n_steps * cfg.tau, u_final=u[k].copy(),
+            v_final=chem.v[k].copy(),
+            u_lag=None if u_lag is None else u_lag[k].copy(),
+            max_sup_u=math.nan)
+        results.append((traj, detect_outcome(traj, cfg_k)))
+    return results
 
 
 def detect_outcome(traj: Trajectory, cfg: RunConfig) -> Outcome:

@@ -40,8 +40,11 @@ class TridiagonalLU:
         self._factors = factors
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solution x of A x = b.  A contiguous float ``b`` is overwritten by
-        x and returned; use the return value in any case."""
+        """Solution x of A x = b for ``b`` of shape (n,), or of shape (n, k)
+        for k right-hand sides at once (one LAPACK call; each column gets
+        the bits a solve of that column alone would).  A contiguous float
+        ``b`` (Fortran order when 2-D) is overwritten by x and returned;
+        use the return value in any case."""
         if self._n >= 3:
             x, info = dgttrs(*self._factors, b, overwrite_b=True)
         elif self._n == 2:

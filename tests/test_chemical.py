@@ -120,6 +120,42 @@ def test_factored_solve_matches_banded_oracle_bitwise(bc, M, rng):
         assert v.tobytes() == banded_oracle(u, g, 0.05, 1.3, bc).tobytes()
 
 
+@pytest.mark.parametrize("M", (2, 3, 400))
+@pytest.mark.parametrize("bc", BOTH_CASES)
+def test_block_solve_matches_row_solves_bitwise(bc, M, rng):
+    # a (B, M+1) block is one LAPACK call; each row must get the bits of
+    # its own 1-D solve, whatever the block size
+    g = Grid(L=M / 16, h=0.125)
+    solver = ChemicalSolver(g, 0.05, 1.3, bc)
+    for B in (1, 2, 7):
+        u = rng.random((B, g.M + 1)) * rng.uniform(0.1, 30.0, size=(B, 1))
+        field = solver.solve(u)
+        assert field.v.shape == (B, g.M + 1)
+        for k in range(B):
+            row = solver.solve(u[k])
+            assert field.v[k].tobytes() == row.v.tobytes()
+            assert field.vx[k].tobytes() == row.vx.tobytes()
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("row", (0, 2, 4))
+def test_block_solve_rejects_non_finite_row(row, bad, rng):
+    g = Grid(L=5.0, h=0.1)
+    solver = ChemicalSolver(g, 1.0, 1.0, BoundaryCase.CASE1)
+    u = rng.random((5, g.M + 1))
+    u[row, g.M // 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solver.solve(u)
+
+
+@pytest.mark.parametrize("shape", ((10,), (2, 10), (2, 2, 101)))
+def test_solve_rejects_wrong_shape(shape):
+    g = Grid(L=5.0, h=0.1)
+    solver = ChemicalSolver(g, 1.0, 1.0, BoundaryCase.CASE1)
+    with pytest.raises(ValueError, match="length"):
+        solver.solve(np.zeros(shape))
+
+
 @pytest.mark.parametrize("bc", BOTH_CASES)
 def test_lazy_vx_matches_eager_formula_bitwise(bc, rng):
     g = Grid(L=5.0, h=0.1)

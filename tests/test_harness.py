@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -279,22 +280,34 @@ def test_sweep_parallel_matches_serial(tmp_path):
         (tmp_path / "par.csv").read_bytes()
 
 
-def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
-    # a stand-in executor records max_workers and maps in-process, so no
-    # real process is started
-    started = []
+class InProcessExecutor:
+    """Stands in for ProcessPoolExecutor: maps in this process."""
 
-    class RecordingExecutor:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    # a stand-in executor records max_workers and the number of blocks it
+    # is given, and maps in-process, so no real process is started
+    started, blocks = [], []
+
+    class RecordingExecutor(InProcessExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, jobs):
+            jobs = list(jobs)
+            blocks.append(len(jobs))
             return map(fn, jobs)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
     spec = parse_config(SWEEP_CFG.replace("sweep_c = 1, 1, 1",
@@ -306,8 +319,46 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
     one = SweepSpec(base=spec, axes=(("c", (1.0, 1.0, 1)),))
     sweep(one, tmp_path / "one.csv", workers=8)   # one point runs serially
     assert started == [3, 2]
+    assert blocks == [3, 2]        # one block of contiguous points per worker
     assert (tmp_path / "capped.csv").read_bytes() == \
         (tmp_path / "serial.csv").read_bytes()
+
+
+def per_point_row(spec, b, c, chi) -> str:
+    """A sweep row computed the way a point alone is run: its own
+    stepper.run, or a skip or error."""
+    head = f"{harness.fmt(b)},{harness.fmt(c)},{harness.fmt(chi)},"
+    if b <= chi * spec.mu:
+        return head + "skipped,nan,nan\n"
+    point = replace(spec, mode="simulate", b=b, c=c, chi=chi,
+                    snapshot_times=())
+    try:
+        cfg = point.run_config()
+        traj, outcome = harness.run(
+            cfg, harness.sample(point.initial_condition(), cfg.grid))
+    except (ValueError, RuntimeError):
+        return head + "error,nan,nan\n"
+    plateau = math.nan if outcome.plateau is None else outcome.plateau
+    return (head + f"{outcome.tag.value},{harness.fmt(plateau)},"
+            f"{harness.fmt(traj.u_final.max())}\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, 9])
+def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch):
+    # one block or several: chi = -0.6 fails validation, b <= chi mu is
+    # skipped, and b = 1e-7 with chi = 0 blows up near t = 1.1; every other
+    # row must read what its own run gives
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessExecutor)
+    spec = replace(parse_config(SWEEP_CFG), T=2.0, snapshot_times=())
+    axes = (("b", (1e-7, 1.0, 3)), ("chi", (-0.6, 0.6, 3)))
+    rows = sweep(SweepSpec(base=spec, axes=axes), tmp_path / "map.csv",
+                 workers=workers)
+    assert [r["outcome"] for r in rows][:4] == [
+        "error", "error", "skipped", "error"]
+    expected = "b,c,chi,outcome,plateau,final_sup_u\n" + "".join(
+        per_point_row(spec, r["b"], r["c"], r["chi"]) for r in rows)
+    assert (tmp_path / "map.csv").read_text() == expected
+    assert [r["outcome"] for r in rows].count("skipped") == 2
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -338,12 +389,12 @@ def test_sweep_runs_its_own_horizon(tmp_path, monkeypatch):
     spec = parse_config(SWEEP_CFG)
     assert spec.horizon_scale == 1.0 and spec.T == 0.5
     horizons = []
-    real_run = harness.run
+    real_run_block = harness.run_block
 
-    def spy(cfg, u0):
-        horizons.append(cfg.T)
-        return real_run(cfg, u0)
-    monkeypatch.setattr(harness, "run", spy)
+    def spy(cfgs, u0):
+        horizons.extend(cfg.T for cfg in cfgs)
+        return real_run_block(cfgs, u0)
+    monkeypatch.setattr(harness, "run_block", spy)
     rows = sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),),
                            horizon_scale=0.2), tmp_path / "map.csv")
     assert horizons == [pytest.approx(0.1)]
@@ -402,6 +453,22 @@ def test_cli_numerical_fault_exit_code(tmp_path):
     rc = cli_main(["simulate", str(cfg), "--allow-unstable",
                    "--out", str(tmp_path / "o2")])
     assert rc == 2
+
+
+def test_cli_verify_envelope_fault_is_numerical(tmp_path, capsys):
+    # c = 12 is too fast a shift for a case2 wave: the numeric lower
+    # envelope dies out, which is a numerical fault (exit 2), not a
+    # traceback, and the verify bundle is not written
+    text = (EXPERIMENTS / "case2_exp1.cfg").read_text()
+    assert "\nc = 1\n" in text
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(text.replace("\nc = 1\n", "\nc = 12\n"))
+    out = tmp_path / "o"
+    assert cli_main(["verify", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("numerical fault: ") and "lower envelope" in line
+               for line in err)
+    assert not out.exists()
 
 
 def test_cli_snapshot_times_override(tmp_path):

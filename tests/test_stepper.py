@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kswave import (BlowUpError, BoundaryCase, Grid, GrowthProfile, Outcome,
-                    OutcomeTag, SimParams, Trajectory, cfl_check,
-                    detect_outcome, initial_state, make_run_config, run)
+from kswave import (BlowUpError, BoundaryCase, Grid, GrowthProfile,
+                    InitialCondition, Outcome, OutcomeTag, SimParams,
+                    Trajectory, cfl_check, detect_outcome, initial_state,
+                    make_run_config, run, run_block)
 
 
 def tiny_cfg(**over):
@@ -151,6 +152,71 @@ def test_extinction_from_zero_initial_data():
     cfg = tiny_cfg(T=2.0)
     traj, outcome = run(cfg, np.zeros(cfg.grid.M + 1))
     assert outcome.tag is OutcomeTag.EXTINCTION
+
+
+# ---------------------------------------------------------------------------
+# a block of runs marched as one array
+
+def block_cfgs(axis, values, bc=BoundaryCase.CASE1, **over):
+    """Runs on one grid that differ only in ``axis``: L = 5, 1000 steps."""
+    profile = GrowthProfile.from_breakpoints(
+        [(-2.0, -1.0), (-1.0, 10.0)] if bc is BoundaryCase.CASE1
+        else [(-2.0, -1.0), (-1.0, 10.0), (1.0, 10.0), (2.0, -1.0)])
+    base = {"chi": 0.0, "mu": 1.0, "nu": 0.05, "b": 1.0, "c": 1.0}
+    over = {"tau": 0.002, "T": 2.0, **over}
+    return [make_run_config(SimParams(**{**base, axis: x}), profile,
+                            Grid(L=5.0, h=0.1), bc, **over)
+            for x in values]
+
+
+def block_u0(bc):
+    ic = (InitialCondition(breakpoints=((-1.0, 0.0), (1.0, 10.0)))
+          if bc is BoundaryCase.CASE1 else InitialCondition(bump=(-1.0, 1.0)))
+    return ic(Grid(L=5.0, h=0.1).nodes)
+
+
+@pytest.mark.parametrize("bc", (BoundaryCase.CASE1, BoundaryCase.CASE2))
+@pytest.mark.parametrize("axis, values", [
+    ("c", (1.0,)),
+    ("c", (1.0, -3.0, 0.5, 6.0)),
+    # chi = 0 and b = 1e-7: u grows like exp(10 t) and passes the blow-up
+    # guard near t = 1.1, in the middle of the block and of the run
+    ("b", (1.0, 1e-7, 0.5)),
+    ("chi", (0.0, 0.6, 0.3)),
+])
+def test_block_rows_equal_serial_runs_bitwise(axis, values, bc):
+    cfgs = block_cfgs(axis, values, bc)
+    u0 = block_u0(bc)
+    rows = run_block(cfgs, u0)
+    assert len(rows) == len(cfgs)
+    blown = 0
+    for cfg, row in zip(cfgs, rows):
+        try:
+            traj, outcome = run(cfg, u0)
+        except BlowUpError:
+            assert row is None
+            blown += 1
+            continue
+        block_traj, block_outcome = row
+        assert block_traj.u_final.tobytes() == traj.u_final.tobytes()
+        assert block_traj.v_final.tobytes() == traj.v_final.tobytes()
+        assert block_traj.u_lag.tobytes() == traj.u_lag.tobytes()
+        assert block_outcome == outcome
+    assert blown == (axis == "b")
+
+
+def test_block_keeps_the_run_checks():
+    u0 = block_u0(BoundaryCase.CASE1)
+    with pytest.raises(ValueError, match="CFL"):
+        run_block(block_cfgs("c", (1.0, 2.0), tau=0.01), u0)
+    with pytest.raises(ValueError, match="T must be"):
+        run_block(block_cfgs("c", (1.0, 2.0), T=2.0001), u0)
+    with pytest.raises(ValueError, match="conv_window"):
+        run_block(block_cfgs("c", (1.0, 2.0), conv_window=1.0001), u0)
+    # rows must share everything the kernel and the solve hold fixed
+    mixed = block_cfgs("c", (1.0,)) + block_cfgs("nu", (0.5,))
+    with pytest.raises(ValueError, match="shares"):
+        run_block(mixed, u0)
 
 
 # ---------------------------------------------------------------------------
