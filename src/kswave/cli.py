@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .envelopes import EnvelopeError
 from .fixedpoint import SandwichError
-from .harness import (ConfigError, _parse_floats, _validate, fmt,
-                      parse_config, run_experiment)
+from .harness import (ConfigError, config_help, fmt, parse_config,
+                      run_experiment)
 from .ignition import BracketError
 from .stepper import BlowUpError
 
@@ -28,17 +27,13 @@ from .stepper import BlowUpError
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kswave",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Forced-wave simulator and verification toolkit for a "
-                    "1-D chemotaxis system in a shifting habitat.",
-        epilog="Config keys: chi mu nu b c (physics), L h tau T (grid and "
-               "horizon), bc (case1 = Dirichlet left / zero-flux right, "
-               "case2 = Dirichlet both), profile (x:r breakpoints), "
-               "u0 (x:value breakpoints) or u0_bump (xl,xr), snapshot_times, "
-               "conv_window [1.0] conv_tol [1e-3] extinct_tol [1e-3] "
-               "plateau_rel_tol [0.02], allow_unstable [false], eig_h [0.01] "
-               "eig_tol [1e-4], verify_samples [100] verify_epsilons "
-               "[0.1,0.05,0.025], sweep_b/sweep_c/sweep_chi (min,max,count), "
-               "horizon_scale [1.0].")
+                    "1-D chemotaxis system\nin a shifting habitat.",
+        epilog="config keys (key = value; the subcommand sets the mode; bc "
+               "case1 is Dirichlet\nat -L and zero flux at L, case2 is "
+               "Dirichlet at both ends; simulate and sweep\nneed exactly "
+               "one of u0 and u0_bump):\n" + config_help())
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in ("simulate", "eig", "regime", "verify", "sweep"):
         p = sub.add_parser(mode)
@@ -48,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if mode == "simulate":
             p.add_argument("--snapshot-times", default=None,
                            help="comma-separated times overriding the config")
-            p.add_argument("--allow-unstable", action="store_true")
+            p.add_argument("--allow-unstable", action="store_const",
+                           const="true")
         if mode == "sweep":
             p.add_argument("--workers", type=int, default=1)
     return parser
@@ -63,14 +59,11 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
+    # the simulate flags are raw config values, parsed like file lines
+    overrides = {key: raw for key in ("snapshot_times", "allow_unstable")
+                 if (raw := getattr(args, key, None))}
     try:
-        spec = parse_config(text, mode=args.mode,
-                            allow_unstable=getattr(args, "allow_unstable",
-                                                   False))
-        if getattr(args, "snapshot_times", None):
-            times = _parse_floats(args.snapshot_times, None, "snapshot_times")
-            spec = replace(spec, snapshot_times=times)
-            _validate(spec)
+        spec = parse_config(text, mode=args.mode, overrides=overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,9 +2,11 @@
 
 Configs are flat ``key = value`` text: ``#`` starts a comment, breakpoint
 lists are comma-separated ``x:r`` pairs, plain lists are comma-separated.
-Unknown keys are rejected with their line number.  ``render_manifest``
-writes back every effective value (defaults included) in the same format,
-so ``parse_config(render_manifest(spec)) == spec`` and a manifest alone
+One table, ``_SCHEMA``, says how each ``RunSpec`` field is parsed, written
+back and shown in the CLI help.  Unknown keys and malformed or non-finite
+numbers are rejected with their line number.  ``render_manifest`` writes
+back every effective value (defaults included), so
+``parse_config(render_manifest(spec)) == spec`` and a manifest alone
 reproduces a run bitwise.  All CSV numbers use the shortest representation
 that round-trips a double exactly.
 """
@@ -16,8 +18,9 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .spectral import lambda_infinity
 from .stepper import cfl_check, make_run_config, run, run_block
 
 __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
-           "render_manifest", "run_experiment", "sweep", "fmt"]
+           "render_manifest", "config_help", "run_experiment", "sweep", "fmt"]
 
 MODES = ("simulate", "eig", "regime", "verify", "sweep")
 
@@ -133,54 +136,111 @@ def fmt(x) -> str:
 
 
 # --------------------------------------------------------------------------
-# parsing
+# configs: one schema table drives parsing, the manifest and the CLI help
 
-_FLOAT_KEYS = {"chi", "mu", "nu", "b", "c", "L", "h", "tau", "T",
-               "conv_window", "conv_tol", "extinct_tol", "plateau_rel_tol",
-               "eig_h", "eig_tol", "horizon_scale"}
-_BOOL_KEYS = {"allow_unstable"}
-_INT_KEYS = {"verify_samples"}
-_PAIRLIST_KEYS = {"profile", "u0"}
-_FLOATLIST_KEYS = {"snapshot_times", "verify_epsilons", "u0_bump"}
-_AXIS_KEYS = {"sweep_b", "sweep_c", "sweep_chi"}
-_ALL_KEYS = ({"mode", "bc"} | _FLOAT_KEYS | _BOOL_KEYS | _INT_KEYS
-             | _PAIRLIST_KEYS | _FLOATLIST_KEYS | _AXIS_KEYS)
-
-_REQUIRED = {"chi", "mu", "nu", "b", "c", "L", "h", "tau", "T", "bc",
-             "profile"}
-
-
-def _parse_float(raw, line, key) -> float:
+def _number(raw: str) -> float:
     try:
-        return float(raw)
+        x = float(raw)
     except ValueError:
-        raise ConfigError(f"expected a number, got {raw!r}", line, key) from None
+        raise ValueError(f"expected a number, got {raw.strip()!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return x
 
 
-def _parse_pairs(raw, line, key):
-    pairs = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        parts = item.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"expected x:value pairs, got {item!r}", line, key)
-        pairs.append((_parse_float(parts[0], line, key),
-                      _parse_float(parts[1], line, key)))
-    return tuple(pairs)
+def _numbers(raw: str) -> tuple[float, ...]:
+    return tuple(_number(v) for v in raw.split(",") if v.strip())
 
 
-def _parse_floats(raw, line, key):
-    vals = [v.strip() for v in raw.split(",") if v.strip()]
-    return tuple(_parse_float(v, line, key) for v in vals)
+def _pairs(raw: str) -> tuple[tuple[float, float], ...]:
+    items = [item.split(":") for item in raw.split(",") if item.strip()]
+    if any(len(parts) != 2 for parts in items):
+        raise ValueError("expected x:value pairs")
+    return tuple((_number(x), _number(y)) for x, y in items)
+
+
+def _bump(raw: str) -> tuple[float, float]:
+    vals = _numbers(raw)
+    if len(vals) != 2:
+        raise ValueError("u0_bump needs exactly xl,xr")
+    return vals
+
+
+def _axis(raw: str) -> tuple[float, float, int]:
+    vals = _numbers(raw)
+    if len(vals) != 3 or vals[2] < 1 or vals[2] != int(vals[2]):
+        raise ValueError("axis needs min,max,count with count >= 1")
+    return (vals[0], vals[1], int(vals[2]))
+
+
+def _join(values) -> str:
+    return ", ".join(fmt(v) for v in values)
+
+
+class _Kind(NamedTuple):
+    parse: Callable[[str], object]      # raises ValueError on bad text
+    render: Callable[[object], str]     # parse(render(v)) == v
+    syntax: str                         # shown by `kswave --help`
+
+
+def _choice(options: tuple[str, ...], convert=str, render=str) -> _Kind:
+    def parse(raw: str):
+        if raw not in options:
+            raise ValueError(f"expected one of {'|'.join(options)}")
+        return convert(raw)
+    return _Kind(parse, render, "|".join(options))
+
+
+_NUMBER = _Kind(_number, fmt, "number")
+_NUMBERS = _Kind(_numbers, _join, "n1, n2, ...")
+_PAIRS = _Kind(_pairs, lambda v: ", ".join(f"{fmt(x)}:{fmt(y)}" for x, y in v),
+               "x:y, x:y, ...")
+_AXIS = _Kind(_axis, lambda v: f"{fmt(v[0])}, {fmt(v[1])}, {v[2]}",
+              "min, max, count")
+_SCHEMA = {
+    "mode": _choice(MODES),
+    "bc": _choice(("case1", "case2"), BoundaryCase, lambda bc: bc.value),
+    "profile": _PAIRS, "u0": _PAIRS, "u0_bump": _Kind(_bump, _join, "xl, xr"),
+    "snapshot_times": _NUMBERS, "verify_epsilons": _NUMBERS,
+    "allow_unstable": _choice(("true", "false"), lambda raw: raw == "true",
+                              lambda v: str(v).lower()),
+    "verify_samples": _Kind(int, str, "integer"),
+    "sweep_b": _AXIS, "sweep_c": _AXIS, "sweep_chi": _AXIS,
+    **dict.fromkeys(("chi", "mu", "nu", "b", "c", "L", "h", "tau", "T",
+                     "conv_window", "conv_tol", "extinct_tol",
+                     "plateau_rel_tol", "eig_h", "eig_tol", "horizon_scale"),
+                    _NUMBER),
+}
+
+
+def _parse_value(key: str, raw: str, line: int | None):
+    if key not in _SCHEMA:
+        raise ConfigError("unknown key", line, key)
+    try:
+        return _SCHEMA[key].parse(raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line, key) from None
+
+
+def config_help() -> str:
+    """A table of the config keys but mode (the CLI subcommand sets it):
+    each key's value syntax and its default, or ``required``."""
+    rows = [f"  {'key':<17}{'value':<17}default"]
+    for f in fields(RunSpec)[1:]:       # [0] is mode
+        kind = _SCHEMA[f.name]
+        default = ("required" if f.default is MISSING
+                   else "none" if f.default in (None, ())
+                   else kind.render(f.default))
+        rows.append(f"  {f.name:<17}{kind.syntax:<17}{default}")
+    return "\n".join(rows)
 
 
 def parse_config(text: str, mode: str | None = None,
-                 allow_unstable: bool = False) -> RunSpec:
+                 overrides: dict[str, str] | None = None) -> RunSpec:
     """Parse flat key = value text into a validated RunSpec.  ``mode``
     overrides any mode key in the text (the CLI subcommand wins), and
-    ``allow_unstable=True`` forces the override as if the key were set."""
+    ``overrides`` maps keys to raw values that replace the text's, parsed
+    and validated as if they were lines of it."""
     values: dict = {}
     lines: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -191,59 +251,21 @@ def parse_config(text: str, mode: str | None = None,
             raise ConfigError("expected key = value", lineno)
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError("unknown key", lineno, key)
         if key in values:
             raise ConfigError("duplicate key", lineno, key)
+        values[key] = _parse_value(key, raw.strip(), lineno)
         lines[key] = lineno
-        if key == "mode":
-            if raw not in MODES:
-                raise ConfigError(f"mode must be one of {MODES}", lineno, key)
-            values[key] = raw
-        elif key == "bc":
-            try:
-                values[key] = BoundaryCase(raw)
-            except ValueError:
-                raise ConfigError("bc must be case1 or case2", lineno, key) from None
-        elif key in _FLOAT_KEYS:
-            values[key] = _parse_float(raw, lineno, key)
-        elif key in _BOOL_KEYS:
-            if raw not in ("true", "false"):
-                raise ConfigError("expected true or false", lineno, key)
-            values[key] = raw == "true"
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"expected an integer, got {raw!r}",
-                                  lineno, key) from None
-        elif key in _PAIRLIST_KEYS:
-            values[key] = _parse_pairs(raw, lineno, key)
-        elif key in _FLOATLIST_KEYS:
-            vals = _parse_floats(raw, lineno, key)
-            if key == "u0_bump":
-                if len(vals) != 2:
-                    raise ConfigError("u0_bump needs exactly xl,xr", lineno, key)
-                vals = (vals[0], vals[1])
-            values[key] = vals
-        elif key in _AXIS_KEYS:
-            vals = _parse_floats(raw, lineno, key)
-            if len(vals) != 3 or vals[2] < 1 or vals[2] != int(vals[2]):
-                raise ConfigError("axis needs min,max,count with count >= 1",
-                                  lineno, key)
-            values[key] = (vals[0], vals[1], int(vals[2]))
-
+    for key, raw in (overrides or {}).items():
+        values[key] = _parse_value(key, raw, None)
+        lines.pop(key, None)
     if mode is not None:
         values["mode"] = mode
     values.setdefault("mode", "simulate")
-    if allow_unstable:
-        values["allow_unstable"] = True
 
-    missing = _REQUIRED - values.keys()
+    missing = [f.name for f in fields(RunSpec)
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
-
     spec = RunSpec(**values)
     _validate(spec, lines)
     if not spec.params().well_posed:
@@ -252,9 +274,7 @@ def parse_config(text: str, mode: str | None = None,
     return spec
 
 
-def _validate(spec: RunSpec, lines: dict | None = None):
-    lines = lines or {}
-
+def _validate(spec: RunSpec, lines: dict):
     def err(msg, key):
         raise ConfigError(msg, lines.get(key), key)
 
@@ -298,38 +318,13 @@ def _validate(spec: RunSpec, lines: dict | None = None):
         err("verify_samples must be >= 1", "verify_samples")
 
 
-# --------------------------------------------------------------------------
-# manifest rendering
-
 def render_manifest(spec: RunSpec) -> str:
     out = ["# manifest: every effective input, parse_config-compatible"]
-
-    def emit(key, raw):
-        out.append(f"{key} = {raw}")
-
-    emit("mode", spec.mode)
-    for key in ("chi", "mu", "nu", "b", "c", "L", "h", "tau", "T"):
-        emit(key, fmt(getattr(spec, key)))
-    emit("bc", spec.bc.value)
-    emit("profile", ", ".join(f"{fmt(x)}:{fmt(r)}" for x, r in spec.profile))
-    if spec.u0 is not None:
-        emit("u0", ", ".join(f"{fmt(x)}:{fmt(v)}" for x, v in spec.u0))
-    if spec.u0_bump is not None:
-        emit("u0_bump", ", ".join(fmt(v) for v in spec.u0_bump))
-    if spec.snapshot_times:
-        emit("snapshot_times", ", ".join(fmt(t) for t in spec.snapshot_times))
-    for key in ("conv_window", "conv_tol", "extinct_tol", "plateau_rel_tol"):
-        emit(key, fmt(getattr(spec, key)))
-    emit("allow_unstable", "true" if spec.allow_unstable else "false")
-    emit("eig_h", fmt(spec.eig_h))
-    emit("eig_tol", fmt(spec.eig_tol))
-    emit("verify_samples", str(spec.verify_samples))
-    emit("verify_epsilons", ", ".join(fmt(e) for e in spec.verify_epsilons))
-    for key in ("sweep_b", "sweep_c", "sweep_chi"):
-        axis = getattr(spec, key)
-        if axis is not None:
-            emit(key, f"{fmt(axis[0])}, {fmt(axis[1])}, {axis[2]}")
-    emit("horizon_scale", fmt(spec.horizon_scale))
+    for f in fields(RunSpec):
+        value = getattr(spec, f.name)
+        if value is None or (value == () and f.default == ()):
+            continue
+        out.append(f"{f.name} = {_SCHEMA[f.name].render(value)}")
     out.append("# deterministic: no seeds; reruns are bitwise identical")
     return "\n".join(out) + "\n"
 
@@ -501,7 +496,7 @@ def _axis_values(axis):
 def _sweep_block(args):
     """The rows of a contiguous run of sweep points.  Points with b <= chi mu
     are skipped, points whose config fails validation read ``error``, and
-    the rest march as one block."""
+    the rest march as one block; each ``error`` row is logged with why."""
     spec, horizon_scale, points = args
     rows, cfgs, marched = [], [], []
     for b, c, chi in points:
@@ -515,7 +510,8 @@ def _sweep_block(args):
                         T=spec.T * horizon_scale, snapshot_times=())
         try:
             cfgs.append(point.run_config())
-        except ValueError:
+        except ValueError as exc:
+            _log_error(row, exc)
             continue
         marched.append(row)
     if not cfgs:
@@ -523,10 +519,13 @@ def _sweep_block(args):
     try:
         u0 = sample(spec.initial_condition(), cfgs[0].grid)
         results = run_block(cfgs, u0)
-    except (ValueError, RuntimeError):
+    except (ValueError, RuntimeError) as exc:
+        for row in marched:
+            _log_error(row, exc)
         return rows
     for row, result in zip(marched, results):
-        if result is None:          # blew up
+        if result is None:
+            _log_error(row, "blew up")
             continue
         traj, outcome = result
         row["outcome"] = outcome.tag.value
@@ -534,6 +533,11 @@ def _sweep_block(args):
             row["plateau"] = outcome.plateau
         row["final_sup_u"] = float(traj.u_final.max())
     return rows
+
+
+def _log_error(row, why):
+    _log.warning("sweep point b = %s, c = %s, chi = %s reads error: %s",
+                 fmt(row["b"]), fmt(row["c"]), fmt(row["chi"]), why)
 
 
 def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 
 from kswave import BoundaryCase, OutcomeTag, harness
 from kswave.cli import main as cli_main
-from kswave.harness import (ConfigError, SweepSpec, parse_config,
+from kswave.harness import (ConfigError, RunSpec, SweepSpec, parse_config,
                             render_manifest, run_experiment, sweep)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,6 +110,40 @@ def test_parse_sweep_mode_requires_an_axis():
         parse_config(MINI_CFG, mode="sweep")
 
 
+def set_key(text, key, raw):
+    """The config text with key's line replaced by ``key = raw``, moved
+    to the end."""
+    lines = [line for line in text.splitlines()
+             if not line.startswith(f"{key} = ")]
+    return "\n".join(lines + [f"{key} = {raw}"]) + "\n"
+
+
+# a non-finite number in a plain number, an axis, a pair or a list: left
+# through, each would crash, run as a "numerical fault" or pass validation
+NON_FINITE = [("L", "inf"), ("sweep_c", "1, 2, inf"), ("sweep_c", "1, 2, nan"),
+              ("chi", "nan"), ("c", "nan"), ("b", "inf"), ("conv_tol", "nan"),
+              ("horizon_scale", "nan"), ("eig_h", "nan"), ("T", "nan"),
+              ("profile", "-2:-1, -1:inf"), ("u0_bump", "-1, nan"),
+              ("snapshot_times", "0, -inf")]
+
+
+@pytest.mark.parametrize("key, raw", NON_FINITE)
+def test_parse_rejects_non_finite_numbers(key, raw, tmp_path, capsys):
+    text = set_key(MINI_CFG, key, raw)
+    if key == "u0_bump":
+        text = text.replace("u0 = -1:0, 1:10\n", "")
+    where = f"line {len(text.splitlines())}: key {key!r}: "
+    with pytest.raises(ConfigError, match="expected a finite number") as exc:
+        parse_config(text)
+    assert str(exc.value).startswith(where)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # manifest round-trip
 
@@ -118,6 +152,26 @@ def test_parse_sweep_mode_requires_an_axis():
 def test_manifest_round_trip(name):
     spec = parse_config((EXPERIMENTS / name).read_text())
     assert parse_config(render_manifest(spec)) == spec
+
+
+def test_manifest_round_trips_every_key():
+    # every field off its default but u0 (u0_bump is set instead) and
+    # snapshot_times, whose empty default is left out of the manifest while
+    # an empty verify_epsilons, whose default is not empty, is written
+    spec = RunSpec(
+        mode="sweep", chi=0.2, mu=0.5, nu=0.07, b=1.5, c=-0.5, L=6.0,
+        h=0.05, tau=0.001, T=0.6, bc=BoundaryCase.CASE2,
+        profile=((-2.0, -1.0), (0.5, 3.0), (1.0, -1.5)), u0_bump=(-1.0, 1.0),
+        conv_window=0.5, conv_tol=1e-4, extinct_tol=2e-3,
+        plateau_rel_tol=0.05, allow_unstable=True, eig_h=0.02, eig_tol=1e-5,
+        verify_samples=7, verify_epsilons=(), sweep_b=(1.0, 2.0, 3),
+        sweep_c=(-1.0, 1.0, 5), sweep_chi=(0.0, 0.1, 2), horizon_scale=0.5)
+    assert [f.name for f in fields(RunSpec)
+            if getattr(spec, f.name) == f.default] == ["u0", "snapshot_times"]
+    text = render_manifest(spec)
+    assert parse_config(text) == spec
+    assert "\nverify_epsilons = \n" in text
+    assert "snapshot_times" not in text and "u0 =" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +313,21 @@ def test_sweep_skips_ill_posed_points(tmp_path):
     assert "skipped" in text
 
 
-def test_sweep_records_per_point_errors(tmp_path):
+def test_sweep_records_per_point_errors(tmp_path, caplog):
     # T not an integer multiple of tau trips the run-level validation;
     # the sweep must keep going and record the row as an error
     bad = SWEEP_CFG.replace("T = 0.5", "T = 0.5001")
     spec = parse_config(bad)
-    rows = sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)),
-                 tmp_path / "map.csv")
+    with caplog.at_level(logging.WARNING, logger="kswave"):
+        rows = sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)),
+                     tmp_path / "map.csv", workers=1)
     assert rows[0]["outcome"] == "error"
     assert "error" in (tmp_path / "map.csv").read_text()
+    # and the log says why, naming the point
+    [record] = [r for r in caplog.records if r.name == "kswave"]
+    assert record.levelno == logging.WARNING
+    assert "b = 1.0, c = 1.0, chi = 0.1" in record.getMessage()
+    assert "T must be an integer multiple of tau" in record.getMessage()
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -344,15 +404,24 @@ def per_point_row(spec, b, c, chi) -> str:
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4, 9])
-def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch):
+def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch,
+                                           caplog):
     # one block or several: chi = -0.6 fails validation, b <= chi mu is
     # skipped, and b = 1e-7 with chi = 0 blows up near t = 1.1; every other
-    # row must read what its own run gives
+    # row must read what its own run gives, and each error row is logged
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessExecutor)
     spec = replace(parse_config(SWEEP_CFG), T=2.0, snapshot_times=())
     axes = (("b", (1e-7, 1.0, 3)), ("chi", (-0.6, 0.6, 3)))
-    rows = sweep(SweepSpec(base=spec, axes=axes), tmp_path / "map.csv",
-                 workers=workers)
+    with caplog.at_level(logging.WARNING, logger="kswave"):
+        rows = sweep(SweepSpec(base=spec, axes=axes), tmp_path / "map.csv",
+                     workers=workers)
+    logged = sorted(r.getMessage() for r in caplog.records
+                    if r.name == "kswave")
+    assert logged == sorted(
+        f"sweep point b = {harness.fmt(r['b'])}, c = {harness.fmt(r['c'])}, "
+        f"chi = {harness.fmt(r['chi'])} reads error: "
+        + ("blew up" if r["chi"] == 0.0 else "chi must be nonnegative")
+        for r in rows if r["outcome"] == "error")
     assert [r["outcome"] for r in rows][:4] == [
         "error", "error", "skipped", "error"]
     expected = "b,c,chi,outcome,plateau,final_sup_u\n" + "".join(
@@ -481,18 +550,41 @@ def test_cli_snapshot_times_override(tmp_path):
     assert {row.split(",")[0] for row in snap[1:]} == {"0.1", "0.2"}
 
 
-@pytest.mark.parametrize("times", ("0.1,abc", "0.1,0.7"))
+@pytest.mark.parametrize("times", ("0.1,abc", "0.1,0.7", "0.1,inf"))
 def test_cli_snapshot_times_validated_before_any_write(times, tmp_path,
                                                        capsys):
-    # a non-number and a time past T = 0.5 are validation errors: exit 1
-    # with a message, and nothing is written
+    # a non-number, a time past T = 0.5 and a non-finite time are
+    # validation errors: exit 1 with a message naming the key, and nothing
+    # is written
     cfg = tmp_path / "mini.cfg"
     cfg.write_text(MINI_CFG)
     out = tmp_path / "o4"
     assert cli_main(["simulate", str(cfg), "--out", str(out),
                      "--snapshot-times", times]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'snapshot_times'" in err
     assert not out.exists()
+
+
+def test_cli_help_lists_every_key_with_its_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    rows = {line.split()[0]: line for line in
+            capsys.readouterr().out.splitlines() if line.startswith("  ")}
+    # a default reads as it would in a manifest
+    manifest = dict(line.split(" = ", 1) for line in
+                    render_manifest(parse_config(MINI_CFG)).splitlines()
+                    if " = " in line)
+    assert "mode" not in rows
+    for f in fields(RunSpec)[1:]:
+        if f.default is MISSING:
+            default = "required"
+        elif f.default in (None, ()):
+            default = "none"
+        else:
+            default = manifest[f.name]
+        assert rows[f.name].endswith(f"  {default}"), rows[f.name]
 
 
 @pytest.mark.parametrize("mode, edit", (
