@@ -59,9 +59,10 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    # the simulate flags are raw config values, parsed like file lines
+    # the simulate flags are raw config values, parsed like file lines; a
+    # given flag wins even when empty (--snapshot-times "" clears the key)
     overrides = {key: raw for key in ("snapshot_times", "allow_unstable")
-                 if (raw := getattr(args, key, None))}
+                 if (raw := getattr(args, key, None)) is not None}
     try:
         spec = parse_config(text, mode=args.mode, overrides=overrides)
     except ConfigError as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import datetime
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -566,8 +565,12 @@ def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     with ExitStack() as stack:
         fh = stack.enter_context(open(out_path, "w"))
         fh.write("b,c,chi,outcome,plateau,final_sup_u\n")
-        mapper = map if n_proc <= 1 else stack.enter_context(
-            ProcessPoolExecutor(max_workers=n_proc)).map
+        mapper = map
+        if n_proc > 1:
+            # imported here: it loads multiprocessing, which nothing else needs
+            from concurrent.futures import ProcessPoolExecutor
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=n_proc)).map
         for block in mapper(_sweep_block, jobs):
             for row in block:
                 rows.append(row)

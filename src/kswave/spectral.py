@@ -7,10 +7,11 @@ to the self-adjoint form
     psi'' + (r(x) - c^2/4) psi = lambda psi,   psi(-L) = psi(L) = 0,
 
 whose standard 3-point discretization is a symmetric tridiagonal matrix.  Its
-largest eigenvalue comes from one LAPACK ``dstebz`` call: Sturm-sequence
-bisection, which cannot miss or misorder eigenvalues, run to the absolute
-tolerance ``tol``, so the returned value is within ``tol`` of the discrete
-eigenvalue.
+largest eigenvalue comes from one LAPACK ``dstebz`` call, made by
+:func:`kswave.tridiagonal.largest_eigenvalue`: Sturm-sequence bisection, which
+cannot miss or misorder eigenvalues, run to the absolute tolerance ``tol``, so
+the returned value is within ``tol`` of the discrete eigenvalue.  A
+non-finite speed ``c`` or profile value is refused with ValueError.
 
 The large-L limit is approached by doubling L at fixed h.  With the node sets
 nested, the interior matrix at the smaller L is a principal submatrix of the
@@ -26,9 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .model import GrowthProfile
+from .tridiagonal import largest_eigenvalue
 
 __all__ = ["EigenResult", "LambdaInfinityResult", "principal_eigenvalue",
            "lambda_infinity"]
@@ -75,12 +76,9 @@ def principal_eigenvalue(profile: GrowthProfile, c: float, L: float, h: float,
     d = (-2.0 * inv_h2
          + np.asarray(profile(-L + h * np.arange(1, m)), dtype=float)
          - 0.25 * c * c)
-    n = d.size
-    # dstebz with select="i": the top eigenvalue by Sturm bisection to abstol
-    lam = eigvalsh_tridiagonal(d, np.full(n - 1, inv_h2), select="i",
-                               select_range=(n - 1, n - 1), tol=tol,
-                               lapack_driver="stebz")[0]
-    return EigenResult(lambda_L=float(lam), L=float(L), h=float(h))
+    # a non-finite c or profile value is refused before the LAPACK call
+    lam = largest_eigenvalue(d, np.full(d.size - 1, inv_h2), tol)
+    return EigenResult(lambda_L=lam, L=float(L), h=float(h))
 
 
 def lambda_infinity(profile: GrowthProfile, c: float, tol: float = 1e-4,

@@ -1,10 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import solve_banded
 
-from kswave import BoundaryCase, ChemicalSolver, Grid, greens_psi, greens_psi_x
+from kswave import (BoundaryCase, ChemicalSolver, Grid, greens_psi,
+                    greens_psi_x, tridiagonal)
 
 BOTH_CASES = (BoundaryCase.CASE1, BoundaryCase.CASE2)
 
@@ -18,6 +21,14 @@ def test_zero_input_gives_zero_field(bc):
     field = ChemicalSolver(g, 1.0, 1.0, bc).solve(np.zeros(g.M + 1))
     assert np.all(field.v == 0.0)
     assert np.all(field.vx == 0.0)
+
+
+def test_missing_lapack_extension_is_an_import_error(tmp_path, monkeypatch):
+    # no fallback to another LAPACK binding: the error names the module
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        tridiagonal._load_flapack()
 
 
 def test_three_node_elimination_oracle():

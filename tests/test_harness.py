@@ -341,7 +341,8 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 
 class InProcessExecutor:
-    """Stands in for ProcessPoolExecutor: maps in this process."""
+    """Stands in for ProcessPoolExecutor, which ``sweep`` imports from
+    concurrent.futures when it starts workers: maps in this process."""
 
     def __init__(self, max_workers):
         pass
@@ -369,7 +370,8 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
             jobs = list(jobs)
             blocks.append(len(jobs))
             return map(fn, jobs)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingExecutor)
     spec = parse_config(SWEEP_CFG.replace("sweep_c = 1, 1, 1",
                                           "sweep_c = 0.5, 1.5, 3"))
     sw = SweepSpec(base=spec, axes=(("c", spec.sweep_c),))
@@ -409,7 +411,8 @@ def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch,
     # one block or several: chi = -0.6 fails validation, b <= chi mu is
     # skipped, and b = 1e-7 with chi = 0 blows up near t = 1.1; every other
     # row must read what its own run gives, and each error row is logged
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        InProcessExecutor)
     spec = replace(parse_config(SWEEP_CFG), T=2.0, snapshot_times=())
     axes = (("b", (1e-7, 1.0, 3)), ("chi", (-0.6, 0.6, 3)))
     with caplog.at_level(logging.WARNING, logger="kswave"):
@@ -550,6 +553,19 @@ def test_cli_snapshot_times_override(tmp_path):
     assert {row.split(",")[0] for row in snap[1:]} == {"0.1", "0.2"}
 
 
+def test_cli_empty_snapshot_times_clears_the_key(tmp_path):
+    # a given flag wins even when empty: no snapshot, as if the config had
+    # no snapshot_times line
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(MINI_CFG)
+    assert cli_main(["simulate", str(cfg), "--out", str(tmp_path / "flag"),
+                     "--snapshot-times", ""]) == 0
+    cfg.write_text(MINI_CFG.replace("snapshot_times = 0, 0.5\n", ""))
+    assert cli_main(["simulate", str(cfg), "--out", str(tmp_path / "bare")]) == 0
+    assert (tmp_path / "flag" / "snapshots.csv").read_bytes() == \
+        (tmp_path / "bare" / "snapshots.csv").read_bytes()
+
+
 @pytest.mark.parametrize("times", ("0.1,abc", "0.1,0.7", "0.1,inf"))
 def test_cli_snapshot_times_validated_before_any_write(times, tmp_path,
                                                        capsys):
@@ -625,12 +641,34 @@ def test_cli_sweep_goes_through_run_experiment(tmp_path):
     assert "error" in (tmp_path / "o6" / "regime_map.csv").read_text()
 
 
+def _run_python(code: str) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout.strip()
+
+
 def test_import_loads_no_scipy_optimize_or_signal():
-    # both are heavy imports that kswave does not need: they would add to
-    # the start-up time and peak memory of every run
-    code = ("import sys, kswave; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.optimize', 'scipy.signal'))))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert out.stdout.strip() == "[]"
+    # heavy imports that kswave does not need: they would add to the
+    # start-up time and peak memory of every run.  LAPACK is bound from
+    # scipy's compiled module alone, without the scipy.linalg package
+    # (which loads numpy.f2py and numpy.testing), and the process pool
+    # (multiprocessing) is imported only by a sweep that starts workers.
+    prefixes = ("scipy.optimize", "scipy.signal", "scipy.linalg",
+                "numpy.f2py", "numpy.testing", "multiprocessing")
+    code = (f"import sys, kswave; print(sorted(m for m in sys.modules "
+            f"if m.startswith({prefixes!r})))")
+    assert _run_python(code) == "['scipy.linalg._flapack']"
+
+
+@pytest.mark.parametrize("scipy_linalg_first", [True, False],
+                         ids=["scipy.linalg-first", "kswave-first"])
+def test_lapack_module_shared_with_scipy_linalg(scipy_linalg_first):
+    # whichever is imported first, kswave and scipy.linalg bind one instance
+    # of the compiled LAPACK module
+    imports = ["import kswave", "import scipy.linalg"]
+    if scipy_linalg_first:
+        imports.reverse()
+    code = "; ".join(imports + [
+        "print(kswave.tridiagonal._flapack is scipy.linalg.lapack._flapack)"])
+    assert _run_python(code) == "True"

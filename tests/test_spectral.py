@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from kswave import GrowthProfile, lambda_infinity, principal_eigenvalue, spectral
+from kswave import (GrowthProfile, lambda_infinity, principal_eigenvalue,
+                    spectral, tridiagonal)
 
 CONST_TEN = GrowthProfile.from_breakpoints([(-7.0, 10.0), (7.0, 10.0)])
 
@@ -79,9 +81,27 @@ def test_rejects_tol_not_finite_positive(case2_profile, tol, monkeypatch):
     # refused before any solve: LAPACK would read tol <= 0 as its own default
     def no_solve(*args, **kwargs):
         raise AssertionError("solved with an invalid tol")
-    monkeypatch.setattr(spectral, "eigvalsh_tridiagonal", no_solve)
+    monkeypatch.setattr(spectral, "largest_eigenvalue", no_solve)
     with pytest.raises(ValueError, match="tol"):
         principal_eigenvalue(case2_profile, 1.0, 10.0, 0.02, tol=tol)
+
+
+@pytest.mark.parametrize("c, profile", [
+    (float("nan"), None), (float("inf"), None), (-float("inf"), None),
+    (1.0, lambda x: np.where(x > 0.0, np.nan, 1.0))])
+def test_rejects_non_finite_matrix(case2_profile, c, profile, monkeypatch):
+    # a non-finite speed or profile value is refused before LAPACK runs
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-finite matrix")
+    monkeypatch.setattr(tridiagonal, "dstebz", no_lapack)
+    with pytest.raises(ValueError, match="non-finite"):
+        principal_eigenvalue(profile or case2_profile, c, 10.0, 0.02)
+
+
+def test_one_interior_node_is_its_diagonal():
+    # 2L/h = 2 leaves a 1 x 1 matrix: its entry, r(0) - c^2/4 - 2/h^2
+    res = principal_eigenvalue(CONST_TEN, 1.0, 0.5, 0.5)
+    assert res.lambda_L == 10.0 - 0.25 - 8.0
 
 
 # ---------------------------------------------------------------------------
