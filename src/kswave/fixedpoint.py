@@ -15,9 +15,10 @@ coupled stepper uses: the zero-extended whole-line kernel would halve the
 chemical mass seen at the zero-flux boundary and inflate the plateau from
 r*/b to r*/(b - chi mu / 2), so the fixed point would not be stationary
 for the coupled scheme.  The inner flow is the coupled stepper's own
-explicit kernel: it loads the frozen v once (the v-stage) and then runs
-only the u-stage each step, and the stepper's lag monitor decides when it
-has settled.  Every inner evolution is checked for pointwise monotone
+march: the kernel loads the frozen v once (the v-stage), the stepper's
+step loop then runs only the u-stage, with its blow-up guard and no
+chemical solve, and the stepper's lag monitor decides when it has
+settled.  Every inner evolution is checked for pointwise monotone
 decay, and every outer iterate must stay inside the envelope sandwich
 U1- <= u <= U1+.
 """
@@ -34,7 +35,8 @@ from .envelopes import (Envelope, _residual, build_lower_envelope_case1,
                         build_upper_envelope_case1)
 from .ignition import ignition_wave
 from .model import BoundaryCase, Grid, GrowthProfile, SimParams
-from .stepper import RunConfig, _ExplicitStep, _LagMonitor, make_run_config
+from .stepper import (RunConfig, _ExplicitStep, _LagMonitor, _march,
+                      make_run_config)
 
 __all__ = ["SandwichError", "FixedPointResult", "frozen_flow_fixed_point",
            "stationary_residual"]
@@ -58,32 +60,30 @@ class FixedPointResult:
 
 def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray,
                    snapshot_dt: float):
-    """Explicit march of the frozen flow with the stepper's kernel, v loaded
-    once, until the sup change over the trailing cfg.conv_window drops
-    below cfg.conv_tol (or t reaches cfg.T).  Returns the terminal profile
-    and the worst pointwise increase between consecutive snapshots
-    (monotone decay means it stays at round-off)."""
-    advance = _ExplicitStep(cfg)
+    """March the frozen flow, v loaded once and no chemical solve, until the
+    sup change over the trailing cfg.conv_window drops below cfg.conv_tol
+    (or t reaches cfg.T).  Returns the terminal profile and the worst
+    pointwise increase between consecutive snapshots (monotone decay means
+    it stays at round-off)."""
+    advance = _ExplicitStep(cfg, [cfg.params])
     advance.load(v)
-    n_steps = round(cfg.T / cfg.tau)
     # tau = 0.4 h^2 rarely divides the window, so the lag is rounded
     monitor = _LagMonitor(max(1, round(cfg.conv_window / cfg.tau)))
     snap_every = max(1, round(snapshot_dt / cfg.tau))
-
-    u = u_init.copy()
-    u_next = np.empty_like(u)
-    monitor.push(0, u)
-    prev_snap = u.copy()
+    prev_snap = None
     worst_increase = -math.inf
 
-    for j in range(1, n_steps + 1):
-        advance(u, u_next)
-        u, u_next = u_next, u
+    def settle(j, u, chem, m):
+        nonlocal prev_snap, worst_increase
         if j % snap_every == 0:
-            worst_increase = max(worst_increase, float(np.max(u - prev_snap)))
+            if j:
+                worst_increase = max(worst_increase,
+                                     float(np.max(u - prev_snap)))
             prev_snap = u.copy()
-        if j % monitor.cadence == 0 and monitor.push(j, u) < cfg.conv_tol:
-            break
+        return j % monitor.cadence == 0 and monitor.push(j, u) < cfg.conv_tol
+
+    u, _, _ = _march(advance, u_init.copy(), round(cfg.T / cfg.tau),
+                     on_step=settle)
     return u, worst_increase
 
 

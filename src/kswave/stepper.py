@@ -22,15 +22,17 @@ buffers with the operations grouped exactly as in the formula above, so
 the results are bitwise those of the plain array expression.
 
 The update is one kernel with a v-stage (the three bracketed stencil
-factors from v) and a u-stage (the rest), for one run (u of shape (M+1,))
-or a block of runs (u of shape (B, M+1), one run per row).  ``run`` calls
-both stages every step on one run.  ``run_block`` marches runs that share
-their grid, tau, r, nu and mu, and so one factored chemical matrix, as one
-block: the kernel steps the runs laid end to end as one line of nodes,
-the chemical solve takes all rows in one LAPACK call, and every row gets
-the bits its own ``run`` would.  The frozen-chemotaxis flow of
-``kswave.fixedpoint`` loads its fixed v once and calls only the u-stage.
-``run`` and the frozen flow judge convergence with one lag monitor.
+factors from v) and a u-stage (the rest, returning the sup of each row),
+for one run (u of shape (M+1,)) or a block of runs (u of shape (B, M+1),
+one run per row).  ``_march`` is the one step loop and holds the blow-up
+guard.  ``run`` marches one run with a hook that records its series.
+``run_block`` marches runs that share their grid, tau, r, nu and mu, and
+so one factored chemical matrix, as one block: the kernel steps the runs
+laid end to end as one line of nodes, the chemical solve takes all rows
+in one LAPACK call, and every row gets the bits its own ``run`` would.
+The frozen-chemotaxis flow of ``kswave.fixedpoint`` loads its fixed v
+once and marches without a solve.  ``run`` and the frozen flow judge
+convergence with one lag monitor.
 """
 
 from __future__ import annotations
@@ -64,12 +66,7 @@ BLOWUP_LIMIT = 1e6
 
 class BlowUpError(RuntimeError):
     """Raised when the solution exceeds the blow-up guard, which signals a
-    violated stability condition or b <= chi*mu.  Carries the trajectory
-    computed so far in ``partial_trajectory`` when raised from ``run``."""
-
-    def __init__(self, message, partial_trajectory=None):
-        super().__init__(message)
-        self.partial_trajectory = partial_trajectory
+    violated stability condition or b <= chi*mu."""
 
 
 def cfl_check(h: float, tau: float) -> bool:
@@ -95,16 +92,25 @@ class RunConfig:
     allow_unstable: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.T < self.tau:
-            raise ValueError("need tau > 0 and T >= tau")
-        if min(self.conv_window, self.conv_tol, self.extinct_tol,
-               self.plateau_rel_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tau", "T", "conv_window", "conv_tol", "extinct_tol",
+                     "plateau_rel_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:    # refuses nan
+                raise ValueError(f"{name} must be finite and positive")
+        if self.T < self.tau:
+            raise ValueError("need T >= tau")
         if len(self.r_samples) != self.grid.M + 1:
             raise ValueError("r_samples must be sampled on the grid nodes")
+        steps = {}
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.T + 1e-9:
                 raise ValueError(f"snapshot time {t} outside [0, T]")
+            j = round(t / self.tau)
+            if abs(j * self.tau - t) > self.tau / 2:
+                raise ValueError(f"snapshot time {t} is not aligned with tau")
+            if j in steps:
+                raise ValueError(f"snapshot times {steps[j]} and {t} fall "
+                                 f"on the same step {j}")
+            steps[j] = t
 
 
 def make_run_config(params, profile, grid, bc, tau, T, **kwargs) -> RunConfig:
@@ -163,29 +169,29 @@ class _ExplicitStep:
     is the v-stage: it fills the west, centre and east factors of the
     three-point stencil from the chemical field v.  ``__call__`` is the
     u-stage: it applies the loaded factors to u, then the damping, the
-    boundary closure and the clamp.  The coefficients that stay fixed over
-    the run and the work buffers are set up once.
+    boundary closure and the clamp, and returns the sup of each row (one
+    value for one run); the blow-up guard is ``_march``'s.  The
+    coefficients that stay fixed over the run and the work buffers are set
+    up once.
 
     A block is stepped as one line of B (M+1) nodes, the runs end to end,
     so every array operation runs over contiguous memory.  An interior
     node's neighbours are in its own run; the stencil values at the end
     nodes, which mix two runs, are overwritten by the boundary closure.  So
     c, chi, tau chi nu, tau (b - chi mu) and the centre factor hold one
-    value per line node (0-d arrays for one run), and each run gets the
-    bits it would get alone."""
+    value per line node (0-d arrays when ``runs`` holds one run), and each
+    run gets the bits it would get alone."""
 
-    def __init__(self, cfg: RunConfig, block: Sequence[SimParams] | None = None):
+    def __init__(self, cfg: RunConfig, runs: Sequence[SimParams]):
         h, tau = cfg.grid.h, cfg.tau
-        runs = [cfg.params] if block is None else block
         nodes = cfg.grid.M + 1
 
         # scalars are 0-d arrays, which numpy dispatches faster than Python
         # floats, with the same float64 arithmetic
         def coefficient(values):
-            if block is None:
+            if len(runs) == 1:
                 return np.array(values[0])
             return np.repeat(values, nodes)[1:-1]
-        self.block = block is not None
         self.case1 = cfg.bc is BoundaryCase.CASE1
         self.c = coefficient([p.c for p in runs])
         self.chi = coefficient([p.chi for p in runs])
@@ -218,9 +224,7 @@ class _ExplicitStep:
 
     def __call__(self, u: np.ndarray, out: np.ndarray):
         """Write the step from u with the loaded factors into ``out`` and
-        return its sup.  One run raises BlowUpError past the blow-up guard;
-        a block returns the sup of each row and leaves the guard to the
-        caller."""
+        return the sup of each row."""
         work = self._work
         line = _line(u)
         ui = line[1:-1]
@@ -242,14 +246,7 @@ class _ExplicitStep:
         # round-off negatives are clamped so the quadratic term and the
         # chemical solve stay in the physical regime
         np.maximum(out, 0.0, out=out)
-        m = np.maximum.reduce(out, axis=-1)
-        if self.block:
-            return m
-        if not m <= BLOWUP_LIMIT:       # also catches nan
-            raise BlowUpError(
-                f"|u| exceeded {BLOWUP_LIMIT:g}: unstable step "
-                "(check CFL and b > chi*mu)")
-        return float(m)
+        return np.maximum.reduce(out, axis=-1)
 
 
 class _LagMonitor:
@@ -306,67 +303,79 @@ def _step_counts(cfg: RunConfig) -> tuple[int, int]:
     return n_steps, lag_steps
 
 
+def _march(advance: _ExplicitStep, u: np.ndarray, n_steps: int,
+           solver: ChemicalSolver | None = None, on_step=None):
+    """Step u, one run (M+1,) or a block (B, M+1) that the march then owns,
+    up to n_steps times with ``advance``: with a ``solver`` the v-stage is
+    reloaded from u every step (the coupled flow), without one the loaded v
+    stays (the frozen flow).  One run past the blow-up guard raises
+    BlowUpError; a block row past it is zeroed, which the scheme keeps at
+    zero, and flagged.  ``on_step(j, u, chem, m)``, m the sup of each row,
+    sees step 0 and every step; the march stops when it returns True.
+    Returns the last (u, chem) and the flags of blown rows."""
+    chem = None if solver is None else solver.solve(u)
+    blown = np.zeros(u.shape[:-1], dtype=bool)
+    if on_step is not None and on_step(0, u, chem,
+                                       np.maximum.reduce(u, axis=-1)):
+        return u, chem, blown
+    u_next = np.empty_like(u)
+    for j in range(1, n_steps + 1):
+        if solver is not None:
+            advance.load(chem.v)
+        m = advance(u, u_next)
+        u, u_next = u_next, u
+        # both tests catch nan (nan <= limit is False); one run's sup is a
+        # numpy scalar, for which ``not m <= limit`` is far cheaper
+        if u.ndim > 1:
+            bad = ~(m <= BLOWUP_LIMIT)
+            if bad.any():
+                u[bad] = 0.0
+                blown |= bad
+        elif not m <= BLOWUP_LIMIT:
+            raise BlowUpError(f"|u| exceeded {BLOWUP_LIMIT:g}: unstable step "
+                              "(check CFL and b > chi*mu)")
+        if solver is not None:
+            chem = solver.solve(u)
+        if on_step is not None and on_step(j, u, chem, m):
+            break
+    return u, chem, blown
+
+
 def run(cfg: RunConfig, u0: np.ndarray):
     """March to t = T, recording the convergence series and snapshots, then
     classify the outcome.  Returns (Trajectory, Outcome)."""
     n_steps, lag_steps = _step_counts(cfg)
     solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
-    u = initial_state(cfg, u0)
-    chem = solver.solve(u)
-    advance = _ExplicitStep(cfg)
-    u_next = np.empty_like(u)
-
-    snap_steps = {}
-    for t in cfg.snapshot_times:
-        j = round(t / cfg.tau)
-        if abs(j * cfg.tau - t) > cfg.tau / 2:
-            raise ValueError(f"snapshot time {t} is not aligned with tau")
-        snap_steps.setdefault(min(j, n_steps), t)
-
+    # RunConfig has checked that no two snapshot times share a step
+    snap_steps = {min(round(t / cfg.tau), n_steps): t
+                  for t in cfg.snapshot_times}
     times, sup_diffs, sup_us, u_rights = [], [], [], []
     snapshots = []
     monitor = _LagMonitor(lag_steps)
-    max_sup = float(u.max())
+    max_sup = 0.0
 
-    def record(j, u, chem):
-        times.append(j * cfg.tau)
-        sup_diffs.append(monitor.push(j, u))
-        sup_us.append(float(u.max()))
-        u_rights.append(float(u[-1]))
-        if j in snap_steps:
-            snapshots.append((snap_steps[j], u.copy(), chem.v.copy()))
-
-    def needed(j):
+    def record(j, u, chem, m):
+        nonlocal max_sup
+        if m > max_sup:
+            max_sup = float(m)
         # cadence points, the final step, its lag partner, and snapshot steps
-        return (j % monitor.cadence == 0 or j == n_steps
-                or j == n_steps - lag_steps or j in snap_steps)
+        if (j % monitor.cadence == 0 or j == n_steps
+                or j == n_steps - lag_steps or j in snap_steps):
+            times.append(j * cfg.tau)
+            sup_diffs.append(monitor.push(j, u))
+            sup_us.append(float(u.max()))
+            u_rights.append(float(u[-1]))
+            if j in snap_steps:
+                snapshots.append((snap_steps[j], u.copy(), chem.v.copy()))
 
-    if needed(0):
-        record(0, u, chem)
-    try:
-        for j in range(1, n_steps + 1):
-            advance.load(chem.v)
-            m = advance(u, u_next)
-            u, u_next = u_next, u
-            chem = solver.solve(u)
-            max_sup = max(max_sup, m)
-            if needed(j):
-                record(j, u, chem)
-    except BlowUpError as exc:
-        exc.partial_trajectory = Trajectory(
-            times=np.array(times), sup_diff=np.array(sup_diffs),
-            sup_u=np.array(sup_us), u_at_right=np.array(u_rights),
-            snapshots=snapshots, t_final=times[-1] if times else 0.0,
-            max_sup_u=max_sup)
-        raise
-
-    u_lag = monitor.kept.get(n_steps - lag_steps)
+    u, chem, _ = _march(_ExplicitStep(cfg, [cfg.params]),
+                        initial_state(cfg, u0), n_steps, solver, record)
     traj = Trajectory(
         times=np.array(times), sup_diff=np.array(sup_diffs),
         sup_u=np.array(sup_us), u_at_right=np.array(u_rights),
         snapshots=snapshots, t_final=n_steps * cfg.tau,
-        u_final=u.copy(), v_final=chem.v.copy(), u_lag=u_lag,
-        max_sup_u=max_sup)
+        u_final=u.copy(), v_final=chem.v.copy(),
+        u_lag=monitor.kept.get(n_steps - lag_steps), max_sup_u=max_sup)
     return traj, detect_outcome(traj, cfg)
 
 
@@ -390,26 +399,16 @@ def run_block(cfgs: Sequence[RunConfig], u0: np.ndarray):
                          "r, nu and mu")
     n_steps, lag_steps = _step_counts(cfg)
     solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
-    u = np.tile(initial_state(cfg, u0), (len(cfgs), 1))
-    chem = solver.solve(u)
-    advance = _ExplicitStep(cfg, [k.params for k in cfgs])
-    u_next = np.empty_like(u)
-    blown = np.zeros(len(cfgs), dtype=bool)
-    lag_at = n_steps - lag_steps
-    u_lag = u.copy() if lag_at == 0 else None
+    u_lag = None
 
-    for j in range(1, n_steps + 1):
-        advance.load(chem.v)
-        m = advance(u, u_next)
-        u, u_next = u_next, u
-        bad = ~(m <= BLOWUP_LIMIT)      # also catches nan
-        if bad.any():
-            u[bad] = 0.0
-            blown |= bad
-        chem = solver.solve(u)
-        if j == lag_at:
+    def keep_lag(j, u, chem, m):
+        nonlocal u_lag
+        if j == n_steps - lag_steps:
             u_lag = u.copy()
 
+    u, chem, blown = _march(_ExplicitStep(cfg, [k.params for k in cfgs]),
+                            np.tile(initial_state(cfg, u0), (len(cfgs), 1)),
+                            n_steps, solver, keep_lag)
     results = []
     for k, cfg_k in enumerate(cfgs):
         if blown[k]:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,16 @@ def test_outer_iteration_converges(fp):
     assert res.outer_diffs[-1] < 1e-4
     # contraction: the outer differences decrease
     assert all(b < a for a, b in zip(res.outer_diffs, res.outer_diffs[1:]))
+
+
+def test_fixed_point_bits_are_pinned(fp):
+    # the frozen flow bit for bit: the kernel, the march, the snapshot
+    # comparison and the early stop all feed these values
+    _, res = fp
+    assert hashlib.sha256(res.u_star.tobytes()).hexdigest() == (
+        "8886f0b1fcfd83815007e5345fa2d13989e3f270118e04046ec23892090e79a6")
+    assert res.n_outer == 6
+    assert res.monotone_slack == 3.552713678800501e-15
 
 
 def test_inner_flows_pointwise_nonincreasing(fp):

@@ -9,6 +9,7 @@ from kswave import (BlowUpError, BoundaryCase, Grid, GrowthProfile,
                     InitialCondition, Outcome, OutcomeTag, SimParams,
                     Trajectory, cfl_check, detect_outcome, initial_state,
                     make_run_config, run, run_block)
+from kswave.fixedpoint import _evolve_frozen
 
 
 def tiny_cfg(**over):
@@ -97,7 +98,9 @@ def test_initial_state_validation():
     assert np.array_equal(u, [0.0, 0.0, 0.0])
 
 
-def test_blowup_guard_carries_partial_trajectory():
+def test_blowup_guard_raises():
+    # the guard in every flow: one run and the frozen flow raise, a block
+    # row reads None
     params = SimParams(chi=0.0, mu=1.0, nu=1.0, b=1.0, c=0.0)
     profile = GrowthProfile.from_breakpoints([(-5.0, 30.0), (5.0, 30.0)])
     grid = Grid(L=5.0, h=0.1)
@@ -105,9 +108,11 @@ def test_blowup_guard_carries_partial_trajectory():
                           tau=0.02, T=10.0, allow_unstable=True)
     u0 = np.zeros(grid.M + 1)
     u0[grid.M // 2] = 1.0
-    with pytest.raises(BlowUpError) as exc_info:
+    with pytest.raises(BlowUpError):
         run(cfg, u0)
-    assert exc_info.value.partial_trajectory is not None
+    with pytest.raises(BlowUpError):
+        _evolve_frozen(cfg, u0, np.zeros(grid.M + 1), snapshot_dt=0.5)
+    assert run_block([cfg], u0) == [None]
 
 
 def test_nonnegativity_and_apriori_bound(case1_profile, exp1_params,
@@ -138,6 +143,22 @@ def test_constant_habitat_attractor():
     traj, _ = run(cfg, u0)
     mid = np.abs(grid.nodes) <= 25.0
     assert np.abs(traj.u_final[mid] - 10.0).max() <= 1e-2
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf))
+@pytest.mark.parametrize("name", ("tau", "T", "conv_window", "conv_tol",
+                                  "extinct_tol", "plateau_rel_tol"))
+def test_config_refuses_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        tiny_cfg(**{name: value})
+
+
+@pytest.mark.parametrize("times", ((1.0, 1.0), (1.0, 1.0004)))
+def test_snapshot_times_on_one_step_are_refused(times):
+    # at tau = 0.002 both times of each pair round to step 500
+    with pytest.raises(ValueError, match=(f"snapshot times {times[0]} and "
+                                          f"{times[1]} fall on the same")):
+        tiny_cfg(tau=0.002, T=2.0, snapshot_times=times)
 
 
 def test_run_alignment_validation():
