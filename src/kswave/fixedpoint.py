@@ -18,9 +18,11 @@ for the coupled scheme.  The inner flow is the coupled stepper's own
 march: the kernel loads the frozen v once (the v-stage), the stepper's
 step loop then runs only the u-stage, with its blow-up guard and no
 chemical solve, and the stepper's lag monitor decides when it has
-settled.  Every inner evolution is checked for pointwise monotone
-decay, and every outer iterate must stay inside the envelope sandwich
-U1- <= u <= U1+.
+settled.  Its config, with tau = 0.4 h^2, is built on the tau grid:
+inner_T and the unit convergence window are rounded to whole steps, and
+the flow marches by the config's own step counts.  Every inner evolution
+is checked for pointwise monotone decay, and every outer iterate must
+stay inside the envelope sandwich U1- <= u <= U1+.
 """
 
 from __future__ import annotations
@@ -61,14 +63,14 @@ class FixedPointResult:
 def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray,
                    snapshot_dt: float):
     """March the frozen flow, v loaded once and no chemical solve, until the
-    sup change over the trailing cfg.conv_window drops below cfg.conv_tol
-    (or t reaches cfg.T).  Returns the terminal profile and the worst
-    pointwise increase between consecutive snapshots (monotone decay means
-    it stays at round-off)."""
+    sup change over the trailing cfg.lag_steps steps drops below
+    cfg.conv_tol (or cfg.n_steps steps are taken); both counts are the
+    config's own.  Returns the terminal profile and the worst pointwise
+    increase between consecutive snapshots (monotone decay means it stays
+    at round-off)."""
     advance = _ExplicitStep(cfg, [cfg.params])
     advance.load(v)
-    # tau = 0.4 h^2 rarely divides the window, so the lag is rounded
-    monitor = _LagMonitor(max(1, round(cfg.conv_window / cfg.tau)))
+    monitor = _LagMonitor(cfg.lag_steps)
     snap_every = max(1, round(snapshot_dt / cfg.tau))
     prev_snap = None
     worst_increase = -math.inf
@@ -82,8 +84,7 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray,
             prev_snap = u.copy()
         return j % monitor.cadence == 0 and monitor.push(j, u) < cfg.conv_tol
 
-    u, _, _ = _march(advance, u_init.copy(), round(cfg.T / cfg.tau),
-                     on_step=settle)
+    u, _, _ = _march(advance, u_init.copy(), cfg.n_steps, on_step=settle)
     return u, worst_increase
 
 
@@ -105,8 +106,10 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
         lower = build_lower_envelope_case1(params, profile, grid, wave,
                                            upper=upper)
     tau = 0.4 * grid.h * grid.h
-    cfg = make_run_config(params, profile, grid, bc, tau, inner_T,
-                          conv_window=1.0, conv_tol=inner_tol)
+    cfg = make_run_config(params, profile, grid, bc, tau,
+                          round(inner_T / tau) * tau,
+                          conv_window=max(1, round(1.0 / tau)) * tau,
+                          conv_tol=inner_tol)
     solver = ChemicalSolver(grid, params.nu, params.mu, bc)
 
     u = upper.values.copy()

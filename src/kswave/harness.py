@@ -26,11 +26,11 @@ import numpy as np
 from .envelopes import (build_lower_envelope_case2, build_upper_envelope_case1,
                         build_upper_envelope_case2, certify_supersolution)
 from .ignition import BracketError, ignition_wave
-from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
-                    InitialCondition, SimParams, check_regime,
+from .model import (BoundaryCase, ConfigError, Grid, GrowthProfile,
+                    HabitatClass, InitialCondition, SimParams, check_regime,
                     classify_profile, sample, speed_limit)
 from .spectral import lambda_infinity
-from .stepper import cfl_check, make_run_config, run, run_block
+from .stepper import make_run_config, run, run_block
 
 __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
            "render_manifest", "config_help", "run_experiment", "sweep", "fmt"]
@@ -38,15 +38,6 @@ __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
 MODES = ("simulate", "eig", "regime", "verify", "sweep")
 
 _log = logging.getLogger("kswave")
-
-
-class ConfigError(ValueError):
-    def __init__(self, message, line: int | None = None, key: str | None = None):
-        loc = f"line {line}: " if line is not None else ""
-        which = f"key {key!r}: " if key else ""
-        super().__init__(f"{loc}{which}{message}")
-        self.line = line
-        self.key = key
 
 
 @dataclass(frozen=True)
@@ -291,14 +282,14 @@ def _validate(spec: RunSpec, lines: dict):
         spec.params()
     except ValueError as exc:
         err(str(exc), "b")
-    if spec.tau <= 0.0 or spec.T < spec.tau:
-        err("need tau > 0 and T >= tau", "tau")
-    if not spec.allow_unstable and not cfl_check(spec.h, spec.tau):
-        err(f"CFL violated: tau/h^2 = {spec.tau / spec.h ** 2:g} > 0.5 "
-            "(set allow_unstable = true to override)", "tau")
-    for t in spec.snapshot_times:
-        if not 0.0 <= t <= spec.T + 1e-9:
-            err(f"snapshot time {t} outside [0, T]", "snapshot_times")
+    for key in ("eig_tol", "eig_h", "horizon_scale"):
+        if not getattr(spec, key) > 0.0:
+            err("must be positive", key)
+    # RunConfig decides whether the run is well-formed, in every mode
+    try:
+        spec.run_config()
+    except ConfigError as exc:
+        err(exc.reason, exc.key)
     if spec.mode in ("simulate", "sweep"):
         if (spec.u0 is None) == (spec.u0_bump is None):
             err("give exactly one of u0 or u0_bump", "u0")
@@ -309,10 +300,12 @@ def _validate(spec: RunSpec, lines: dict):
     if spec.mode == "sweep":
         if not any((spec.sweep_b, spec.sweep_c, spec.sweep_chi)):
             err("sweep mode needs at least one sweep axis", "sweep_c")
-    if min(spec.conv_window, spec.conv_tol, spec.extinct_tol,
-           spec.plateau_rel_tol, spec.eig_tol, spec.eig_h,
-           spec.horizon_scale) <= 0.0:
-        err("tolerances must be positive", "conv_tol")
+        # the points differ from the run above only in T and snapshot_times
+        try:
+            _sweep_point(spec, spec.horizon_scale).run_config()
+        except ConfigError as exc:
+            err(f"the sweep horizon T * horizon_scale: {exc.reason}",
+                "horizon_scale")
     if spec.verify_samples < 1:
         err("verify_samples must be >= 1", "verify_samples")
 
@@ -492,6 +485,13 @@ def _axis_values(axis):
     return list(np.linspace(lo, hi, count))
 
 
+def _sweep_point(spec: RunSpec, horizon_scale: float, **axes) -> RunSpec:
+    """The simulate run of one sweep point: the base spec marched to
+    T * horizon_scale with no snapshots, with the point's axis values."""
+    return replace(spec, mode="simulate", T=spec.T * horizon_scale,
+                   snapshot_times=(), **axes)
+
+
 def _sweep_block(args):
     """The rows of a contiguous run of sweep points.  Points with b <= chi mu
     are skipped, points whose config fails validation read ``error``, and
@@ -505,10 +505,9 @@ def _sweep_block(args):
         if b <= chi * spec.mu:
             row["outcome"] = "skipped"
             continue
-        point = replace(spec, mode="simulate", b=b, c=c, chi=chi,
-                        T=spec.T * horizon_scale, snapshot_times=())
         try:
-            cfgs.append(point.run_config())
+            cfgs.append(_sweep_point(spec, horizon_scale, b=b, c=c,
+                                     chi=chi).run_config())
         except ValueError as exc:
             _log_error(row, exc)
             continue

@@ -87,35 +87,42 @@ def _lam_minus(ct: float, alpha: float) -> float:
 
 def _shoot(ct: float, alpha: float, beta: float, step: float):
     """Integrate dp/dpsi = ct - f/p from psi = Q - delta down to psi = 0.
-    Returns p(0), or -inf when p collapses before reaching 0 (undershoot)."""
+    Returns p(0), or -inf when p collapses before reaching 0 (undershoot).
+    The RK4 stages are written out: a stage whose p is at or below the
+    floor has slope -inf, stages 2 and 3 share f at psi + ds/2, and stage
+    4's f at psi + ds is the next step's stage-1 f."""
     Q = alpha / beta
     delta = SADDLE_OFFSET
     lamm = _lam_minus(ct, alpha)
     psi = Q - delta
     p = -lamm * delta
     floor = 1e-12
-
-    def rhs(ps, pv):
-        if pv <= floor:
-            return -math.inf
-        f = ps * (alpha - beta * ps) if ps >= 0.0 else 0.0
-        return ct - f / pv
+    inf = math.inf
+    isfinite = math.isfinite
 
     n_full = int(psi / step)
     ds = -step
+    f = psi * (alpha - beta * psi) if psi >= 0.0 else 0.0
     for k in range(n_full + 1):
         if k == n_full:
             ds = -(psi - 0.0) if psi > 0.0 else 0.0
             if ds == 0.0:
                 break
-        k1 = rhs(psi, p)
-        k2 = rhs(psi + 0.5 * ds, p + 0.5 * ds * k1)
-        k3 = rhs(psi + 0.5 * ds, p + 0.5 * ds * k2)
-        k4 = rhs(psi + ds, p + ds * k3)
-        p = p + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        half = 0.5 * ds
+        k1 = -inf if p <= floor else ct - f / p
+        mid = psi + half
+        f_mid = mid * (alpha - beta * mid) if mid >= 0.0 else 0.0
+        q = p + half * k1
+        k2 = -inf if q <= floor else ct - f_mid / q
+        q = p + half * k2
+        k3 = -inf if q <= floor else ct - f_mid / q
         psi = psi + ds
-        if not math.isfinite(p) or p < floor:
-            return -math.inf
+        f = psi * (alpha - beta * psi) if psi >= 0.0 else 0.0
+        q = p + ds * k3
+        k4 = -inf if q <= floor else ct - f / q
+        p = p + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not isfinite(p) or p < floor:
+            return -inf
     return p
 
 
@@ -204,16 +211,21 @@ def ignition_wave(params: SimParams, r_star: float, epsilon: float,
     psis = [psi_v]
     ps = [p_v]
 
-    def rhs2(psi_v, p_v):
-        f = psi_v * (alpha - beta * psi_v) if psi_v >= 0.0 else 0.0
-        return -p_v, -(ct * p_v - f)
-
+    # RK4 with the stages of (-p, -(ct p - f(psi))) written out
     crossed = False
     for _ in range(max_steps):
-        a1, b1 = rhs2(psi_v, p_v)
-        a2, b2 = rhs2(psi_v + half * a1, p_v + half * b1)
-        a3, b3 = rhs2(psi_v + half * a2, p_v + half * b2)
-        a4, b4 = rhs2(psi_v + ds * a3, p_v + ds * b3)
+        a1 = -p_v
+        b1 = -(ct * p_v - (psi_v * (alpha - beta * psi_v)
+                           if psi_v >= 0.0 else 0.0))
+        x, y = psi_v + half * a1, p_v + half * b1
+        a2 = -y
+        b2 = -(ct * y - (x * (alpha - beta * x) if x >= 0.0 else 0.0))
+        x, y = psi_v + half * a2, p_v + half * b2
+        a3 = -y
+        b3 = -(ct * y - (x * (alpha - beta * x) if x >= 0.0 else 0.0))
+        x, y = psi_v + ds * a3, p_v + ds * b3
+        a4 = -y
+        b4 = -(ct * y - (x * (alpha - beta * x) if x >= 0.0 else 0.0))
         psi_v = psi_v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         p_v = p_v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         psis.append(psi_v)

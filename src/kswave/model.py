@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "SimParams",
     "GrowthProfile",
     "InitialCondition",
@@ -35,6 +36,19 @@ __all__ = [
     "check_regime",
     "sample",
 ]
+
+
+class ConfigError(ValueError):
+    """A refused input, named by its config key and, when it came from a
+    config file, the key's line.  ``reason`` is the message without them."""
+
+    def __init__(self, message, line: int | None = None, key: str | None = None):
+        loc = f"line {line}: " if line is not None else ""
+        which = f"key {key!r}: " if key else ""
+        super().__init__(f"{loc}{which}{message}")
+        self.reason = message
+        self.line = line
+        self.key = key
 
 
 @dataclass(frozen=True)

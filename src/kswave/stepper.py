@@ -12,8 +12,13 @@ tridiagonal solve, then the interior update reads (1-based i = 2..M)
     a_i = c - chi (v_{i+1} - v_{i-1}) / (2h),
 
 followed by the boundary closure (u_1 = 0 always; u_{M+1} = u_M in CASE1,
-u_{M+1} = 0 in CASE2).  Stability requires the usual tau/h^2 <= 1/2, which
-``cfl_check`` enforces before a run starts.
+u_{M+1} = 0 in CASE2).  Stability requires the usual tau/h^2 <= 1/2.
+
+``RunConfig`` is the one gate that decides whether a run is well-formed
+(its docstring lists what it refuses, each by its config key; the config
+parser builds one, so those mistakes are refused at parse time), and it
+carries the step counts that ``run``, ``run_block`` and the frozen flow
+march by.
 
 Everything in the update that does not depend on u or v (tau/h^2, the
 array 1 - 2 tau/h^2 + tau r_i, tau chi nu, tau (b - chi mu), tau/(2h) and
@@ -39,13 +44,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .chemical import ChemicalSolver
-from .model import BoundaryCase, Grid, SimParams
+from .model import BoundaryCase, ConfigError, Grid, SimParams
 
 __all__ = [
     "BlowUpError",
@@ -78,6 +83,17 @@ def cfl_check(h: float, tau: float) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's inputs, and the one gate that decides whether a run is
+    well-formed.  It refuses, with a ConfigError naming the config key:
+    a tau, T, conv_window or tolerance that is not finite and positive;
+    T < tau; a step that breaks the CFL condition tau/h^2 <= 1/2 (unless
+    allow_unstable); a T or conv_window that is not an integer multiple of
+    tau; and a snapshot time outside [0, T], on the step of another or off
+    the tau grid.  A time is on the grid when it is within 1e-9 (relative
+    past 1) of a multiple of tau.  ``n_steps`` and ``lag_steps`` are the
+    steps to T and over the convergence window; like ``Grid.M`` they are
+    derived and cannot be set."""
+
     params: SimParams
     grid: Grid
     bc: BoundaryCase
@@ -90,27 +106,49 @@ class RunConfig:
     extinct_tol: float = 1e-3
     plateau_rel_tol: float = 0.02
     allow_unstable: bool = False
+    n_steps: int = field(init=False)
+    lag_steps: int = field(init=False)
 
     def __post_init__(self):
         for name in ("tau", "T", "conv_window", "conv_tol", "extinct_tol",
                      "plateau_rel_tol"):
             if not 0.0 < getattr(self, name) < math.inf:    # refuses nan
-                raise ValueError(f"{name} must be finite and positive")
+                raise ConfigError(f"{name} must be finite and positive",
+                                  key=name)
         if self.T < self.tau:
-            raise ValueError("need T >= tau")
+            raise ConfigError("need T >= tau", key="T")
         if len(self.r_samples) != self.grid.M + 1:
-            raise ValueError("r_samples must be sampled on the grid nodes")
+            raise ConfigError("r_samples must be sampled on the grid nodes")
+        if not (self.allow_unstable or cfl_check(self.grid.h, self.tau)):
+            raise ConfigError(
+                f"CFL violated: tau/h^2 = {self.tau / self.grid.h ** 2:g} "
+                "> 0.5 (set allow_unstable = true to override)", key="tau")
+        for name in ("T", "conv_window"):
+            t = getattr(self, name)
+            if not self._on_grid(t):
+                raise ConfigError(f"{name} must be an integer multiple of "
+                                  f"tau ({name} = {t!r}, tau = {self.tau!r})",
+                                  key=name)
+        object.__setattr__(self, "n_steps", round(self.T / self.tau))
+        object.__setattr__(self, "lag_steps",
+                           round(self.conv_window / self.tau))
         steps = {}
         for t in self.snapshot_times:
-            if not 0.0 <= t <= self.T + 1e-9:
-                raise ValueError(f"snapshot time {t} outside [0, T]")
-            j = round(t / self.tau)
-            if abs(j * self.tau - t) > self.tau / 2:
-                raise ValueError(f"snapshot time {t} is not aligned with tau")
+            j = round(t / self.tau) if 0.0 <= t < math.inf else -1  # nan, inf
+            if not 0 <= j <= self.n_steps:
+                raise ConfigError(f"snapshot time {t} outside [0, T]",
+                                  key="snapshot_times")
             if j in steps:
-                raise ValueError(f"snapshot times {steps[j]} and {t} fall "
-                                 f"on the same step {j}")
+                raise ConfigError(f"snapshot times {steps[j]} and {t} fall "
+                                  f"on the same step {j}",
+                                  key="snapshot_times")
+            if not self._on_grid(t):
+                raise ConfigError(f"snapshot time {t} is not a multiple of "
+                                  f"tau = {self.tau!r}", key="snapshot_times")
             steps[j] = t
+
+    def _on_grid(self, t: float) -> bool:
+        return abs(round(t / self.tau) * self.tau - t) <= 1e-9 * max(1.0, t)
 
 
 def make_run_config(params, profile, grid, bc, tau, T, **kwargs) -> RunConfig:
@@ -289,20 +327,6 @@ def initial_state(cfg: RunConfig, u0: np.ndarray) -> np.ndarray:
     return u
 
 
-def _step_counts(cfg: RunConfig) -> tuple[int, int]:
-    """The steps to T and over the convergence window, after checking the
-    CFL condition and that tau divides both."""
-    if not (cfg.allow_unstable or cfl_check(cfg.grid.h, cfg.tau)):
-        raise ValueError("CFL condition tau/h^2 <= 1/2 violated")
-    n_steps = round(cfg.T / cfg.tau)
-    if abs(n_steps * cfg.tau - cfg.T) > 1e-9 * max(1.0, cfg.T):
-        raise ValueError("T must be an integer multiple of tau")
-    lag_steps = round(cfg.conv_window / cfg.tau)
-    if abs(lag_steps * cfg.tau - cfg.conv_window) > 1e-9:
-        raise ValueError("conv_window must be an integer multiple of tau")
-    return n_steps, lag_steps
-
-
 def _march(advance: _ExplicitStep, u: np.ndarray, n_steps: int,
            solver: ChemicalSolver | None = None, on_step=None):
     """Step u, one run (M+1,) or a block (B, M+1) that the march then owns,
@@ -344,11 +368,10 @@ def _march(advance: _ExplicitStep, u: np.ndarray, n_steps: int,
 def run(cfg: RunConfig, u0: np.ndarray):
     """March to t = T, recording the convergence series and snapshots, then
     classify the outcome.  Returns (Trajectory, Outcome)."""
-    n_steps, lag_steps = _step_counts(cfg)
+    n_steps, lag_steps = cfg.n_steps, cfg.lag_steps
     solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
-    # RunConfig has checked that no two snapshot times share a step
-    snap_steps = {min(round(t / cfg.tau), n_steps): t
-                  for t in cfg.snapshot_times}
+    # RunConfig has checked that each snapshot time is on its own step
+    snap_steps = {round(t / cfg.tau): t for t in cfg.snapshot_times}
     times, sup_diffs, sup_us, u_rights = [], [], [], []
     snapshots = []
     monitor = _LagMonitor(lag_steps)
@@ -387,7 +410,7 @@ def _block_key(cfg: RunConfig):
 
 def run_block(cfgs: Sequence[RunConfig], u0: np.ndarray):
     """March one or more runs that differ only in (b, c, chi) from one u0
-    as one (B, M+1) block, with ``run``'s kernel, chemical solve and checks, and
+    as one (B, M+1) block, with ``run``'s kernel and chemical solve, and
     classify each row.  Row k's final (u, v), lag profile and outcome are
     bitwise those of ``run(cfgs[k], u0)``.  Only those are kept: each
     Trajectory has empty series, no snapshots and a nan max_sup_u.  A row
@@ -397,7 +420,7 @@ def run_block(cfgs: Sequence[RunConfig], u0: np.ndarray):
     if any(_block_key(k) != _block_key(cfg) for k in cfgs[1:]):
         raise ValueError("a block shares its grid, bc, tau, T, conv_window, "
                          "r, nu and mu")
-    n_steps, lag_steps = _step_counts(cfg)
+    n_steps, lag_steps = cfg.n_steps, cfg.lag_steps
     solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
     u_lag = None
 

@@ -144,6 +144,44 @@ def test_parse_rejects_non_finite_numbers(key, raw, tmp_path, capsys):
     assert not out.exists()
 
 
+# numbers that parse but make no well-formed run, each refused at parse time
+# with its key and line; the first four once passed parsing and failed the
+# run with no line or key, or (1.0009 at tau = 0.002) ran and labelled the
+# snapshot taken at t = 1 as 1.0009; the last three named key 'conv_tol'
+REFUSED = [
+    ("simulate", "T", "2.0007", "T must be an integer multiple of tau"),
+    ("simulate", "conv_window", "0.3333",
+     "conv_window must be an integer multiple of tau"),
+    ("simulate", "snapshot_times", "0, 1, 1.0004",
+     "snapshot times 1.0 and 1.0004 fall on the same step 500"),
+    ("simulate", "snapshot_times", "0, 1.0009",
+     "snapshot time 1.0009 is not a multiple of tau"),
+    ("sweep", "horizon_scale", "0.5001",       # T * horizon_scale = 1.0002
+     "the sweep horizon T * horizon_scale: T must be an integer multiple"),
+    ("sweep", "horizon_scale", "-1", "must be positive"),
+    ("simulate", "eig_h", "0", "must be positive"),
+    ("simulate", "extinct_tol", "-1", "extinct_tol must be finite and positive"),
+]
+
+
+@pytest.mark.parametrize("mode, key, raw, why", REFUSED)
+def test_parse_refuses_ill_formed_runs(mode, key, raw, why, tmp_path, capsys):
+    base = MINI_CFG.replace("T = 0.5", "T = 2")
+    if mode == "sweep":
+        base += "sweep_c = 1, 1, 1\n"
+    text = set_key(base, key, raw)
+    where = f"line {len(text.splitlines())}: key {key!r}: "
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, mode=mode)
+    assert str(exc.value).startswith(where + why)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli_main([mode, str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}{why}")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # manifest round-trip
 
@@ -314,20 +352,19 @@ def test_sweep_skips_ill_posed_points(tmp_path):
 
 
 def test_sweep_records_per_point_errors(tmp_path, caplog):
-    # T not an integer multiple of tau trips the run-level validation;
-    # the sweep must keep going and record the row as an error
-    bad = SWEEP_CFG.replace("T = 0.5", "T = 0.5001")
-    spec = parse_config(bad)
+    # a chi axis that reaches below 0 gives a point SimParams refuses; the
+    # sweep must keep going and record that row as an error
+    spec = parse_config(SWEEP_CFG + "sweep_chi = -0.1, 0.1, 2\n")
     with caplog.at_level(logging.WARNING, logger="kswave"):
-        rows = sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)),
-                     tmp_path / "map.csv", workers=1)
-    assert rows[0]["outcome"] == "error"
+        rows = sweep(SweepSpec.from_spec(spec), tmp_path / "map.csv",
+                     workers=1)
+    assert [r["outcome"] == "error" for r in rows] == [True, False]
     assert "error" in (tmp_path / "map.csv").read_text()
     # and the log says why, naming the point
     [record] = [r for r in caplog.records if r.name == "kswave"]
     assert record.levelno == logging.WARNING
-    assert "b = 1.0, c = 1.0, chi = 0.1" in record.getMessage()
-    assert "T must be an integer multiple of tau" in record.getMessage()
+    assert "b = 1.0, c = 1.0, chi = -0.1" in record.getMessage()
+    assert "chi must be nonnegative" in record.getMessage()
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -609,8 +646,9 @@ def test_cli_help_lists_every_key_with_its_default(capsys):
     ("eig", ("h = 0.1\n", "h = 0.1\neig_h = 0.07\n")),
 ))
 def test_cli_failing_run_writes_no_files(mode, edit, tmp_path, capsys):
-    # T and the convergence window must be multiples of tau, and eig_h must
-    # divide 2L: each run fails after parsing, and leaves no bundle behind
+    # T and the convergence window must be multiples of tau (refused at
+    # parse time), and eig_h must divide 2L (refused when the run starts):
+    # each leaves no bundle behind
     text = (EXPERIMENTS / "case1_exp1.cfg").read_text()
     assert edit[0] in text
     cfg = tmp_path / "bad.cfg"
@@ -621,7 +659,7 @@ def test_cli_failing_run_writes_no_files(mode, edit, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_sweep_goes_through_run_experiment(tmp_path):
+def test_cli_sweep_goes_through_run_experiment(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG.replace("sweep_c = 1, 1, 1",
                                      "sweep_c = 0.5, 1, 2"))
@@ -635,10 +673,18 @@ def test_cli_sweep_goes_through_run_experiment(tmp_path):
     assert (out / "regime_map.csv").read_bytes() == \
         (tmp_path / "direct.csv").read_bytes()
 
-    # a row that errors (T not a multiple of tau) makes the exit code 2
-    cfg.write_text(cfg.read_text().replace("T = 0.5", "T = 0.5001"))
+    # a row that errors (a chi below 0) makes the exit code 2
+    text = cfg.read_text()
+    cfg.write_text(text + "sweep_chi = -0.1, 0.1, 2\n")
     assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "o6")]) == 2
     assert "error" in (tmp_path / "o6" / "regime_map.csv").read_text()
+
+    # T off the tau grid is refused at parse time, before any write
+    cfg.write_text(text.replace("T = 0.5", "T = 0.5001"))
+    capsys.readouterr()
+    assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "o7")]) == 1
+    assert capsys.readouterr().err.startswith("error: line 10: key 'T': ")
+    assert not (tmp_path / "o7").exists()
 
 
 def _run_python(code: str) -> str:

@@ -143,3 +143,95 @@ def test_brent_speed_matches_bisection_in_few_shots(eps, monkeypatch):
     wave = ignition_wave(PARAMS, 10.0, eps, step=step, speed_tol=speed_tol)
     assert abs(wave.speed - 0.5 * (lo + hi)) <= speed_tol
     assert len(shots) <= 16
+
+
+# ---------------------------------------------------------------------------
+# the written-out RK4 stages against the closure form they replace
+
+def closure_shot(ct, alpha, beta, step):
+    """The shot with the slope as a nested function called four times a
+    step: the reference for ``ignition._shoot``."""
+    Q = alpha / beta
+    delta = ignition.SADDLE_OFFSET
+    lamm = ignition._lam_minus(ct, alpha)
+    psi = Q - delta
+    p = -lamm * delta
+    floor = 1e-12
+
+    def rhs(ps, pv):
+        if pv <= floor:
+            return -math.inf
+        f = ps * (alpha - beta * ps) if ps >= 0.0 else 0.0
+        return ct - f / pv
+
+    n_full = int(psi / step)
+    ds = -step
+    for k in range(n_full + 1):
+        if k == n_full:
+            ds = -(psi - 0.0) if psi > 0.0 else 0.0
+            if ds == 0.0:
+                break
+        k1 = rhs(psi, p)
+        k2 = rhs(psi + 0.5 * ds, p + 0.5 * ds * k1)
+        k3 = rhs(psi + 0.5 * ds, p + 0.5 * ds * k2)
+        k4 = rhs(psi + ds, p + ds * k3)
+        p = p + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi = psi + ds
+        if not math.isfinite(p) or p < floor:
+            return -math.inf
+    return p
+
+
+def closure_orbit(wave, ds=1e-3):
+    """The profile rebuild off the saddle with the slope as a nested
+    function: (psi, p) at each step until psi <= 0."""
+    ct, alpha, beta = wave.speed, wave.alpha, wave.beta
+    half, sixth = 0.5 * ds, ds / 6.0
+    psi_v = alpha / beta - ignition.SADDLE_OFFSET
+    p_v = -wave.lam_minus * ignition.SADDLE_OFFSET
+    psis, ps = [psi_v], [p_v]
+
+    def rhs2(psi_v, p_v):
+        f = psi_v * (alpha - beta * psi_v) if psi_v >= 0.0 else 0.0
+        return -p_v, -(ct * p_v - f)
+
+    while psi_v > 0.0:
+        a1, b1 = rhs2(psi_v, p_v)
+        a2, b2 = rhs2(psi_v + half * a1, p_v + half * b1)
+        a3, b3 = rhs2(psi_v + half * a2, p_v + half * b2)
+        a4, b4 = rhs2(psi_v + ds * a3, p_v + ds * b3)
+        psi_v = psi_v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        p_v = p_v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        psis.append(psi_v)
+        ps.append(p_v)
+    return np.array(psis), np.array(ps)
+
+
+@pytest.mark.parametrize("step", (0.01, 0.05))
+@pytest.mark.parametrize("r_star", (10.0, 1.0))
+@pytest.mark.parametrize("chi, b", ((0.1, 1.0), (0.0, 1.0), (0.2, 0.5)))
+def test_shot_matches_closure_form_bitwise(chi, b, r_star, step):
+    # 61 speeds from 0 to 1.5 times the bound: about 40% of the shots
+    # collapse to -inf
+    params = SimParams(chi=chi, mu=1.0, nu=0.05, b=b, c=1.0)
+    beta = params.damping_gap
+    bound = speed_limit(params, r_star)
+    collapsed = 0
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        alpha = r_star - eps - chi * r_star / beta
+        for i in range(61):
+            ct = bound * i / 40
+            want = closure_shot(ct, alpha, beta, step)
+            assert ignition._shoot(ct, alpha, beta, step).hex() == \
+                want.hex(), (eps, ct)
+            collapsed += want == -math.inf
+    assert 0 < collapsed < 4 * 61
+
+
+def test_profile_rebuild_matches_closure_form_bitwise(wave):
+    psis, ps = closure_orbit(wave)
+    # the wave keeps the orbit up to the crossing of 0, reversed, after
+    # the normalization point x = 0
+    n = wave.psi.size - 1
+    assert np.array_equal(wave.psi[1:][::-1], psis[:n])
+    assert np.array_equal(wave.p[1:][::-1], ps[:n])

@@ -40,9 +40,9 @@ def test_cfl_matches_definition(h, tau):
 
 
 def test_run_refuses_unstable():
-    cfg = tiny_cfg(tau=0.9)
-    with pytest.raises(ValueError):
-        run(cfg, np.zeros(cfg.grid.M + 1))
+    # the config refuses the step before any run can start
+    with pytest.raises(ValueError, match="CFL"):
+        tiny_cfg(tau=0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +162,9 @@ def test_snapshot_times_on_one_step_are_refused(times):
 
 
 def test_run_alignment_validation():
-    cfg = tiny_cfg(T=1.05)
-    with pytest.raises(ValueError):
-        run(cfg, np.zeros(cfg.grid.M + 1))
+    # refused when the config is built, before any run can start
+    with pytest.raises(ValueError, match="T must be"):
+        tiny_cfg(T=1.05)
     with pytest.raises(ValueError):
         tiny_cfg(snapshot_times=(2.0,))   # beyond T
 
