@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .envelopes import EnvelopeError
 from .fixedpoint import SandwichError
-from .harness import (ConfigError, config_help, fmt, parse_config,
+from .harness import (MODES, ConfigError, config_help, fmt, parse_config,
                       run_experiment)
 from .ignition import BracketError
 from .stepper import BlowUpError
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
                "Dirichlet at both ends; simulate and sweep\nneed exactly "
                "one of u0 and u0_bump):\n" + config_help())
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("simulate", "eig", "regime", "verify", "sweep"):
+    for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("config", type=Path)
         p.add_argument("--out", type=Path, default=None,
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
     except (BlowUpError, BracketError, EnvelopeError, SandwichError) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

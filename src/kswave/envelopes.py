@@ -91,7 +91,6 @@ class BranchWorst:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    envelope_kind: EnvelopeKind
     hypothesis_satisfied: bool
     n_samples: int
     tol: float
@@ -363,7 +362,6 @@ def certify_supersolution(envelope: Envelope, params: SimParams,
                 worst[name] = (float(vals[k]), i, float(x[k]))
 
     report = CertificationReport(
-        envelope_kind=envelope.kind,
         hypothesis_satisfied=params.b >= 1.5 * params.chi * params.mu,
         n_samples=n_samples, tol=tol,
         branches=tuple(

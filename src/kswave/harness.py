@@ -4,8 +4,10 @@ Configs are flat ``key = value`` text: ``#`` starts a comment, breakpoint
 lists are comma-separated ``x:r`` pairs, plain lists are comma-separated.
 One table, ``_SCHEMA``, says how each ``RunSpec`` field is parsed, written
 back and shown in the CLI help.  Unknown keys and malformed or non-finite
-numbers are rejected with their line number.  ``render_manifest`` writes
-back every effective value (defaults included), so
+numbers are rejected with their line number.  A value the run cannot use
+is refused by the type that owns its rule, naming its key, when
+``parse_config`` builds what the mode runs; the parser adds the key's line.
+``render_manifest`` writes back every effective value (defaults included), so
 ``parse_config(render_manifest(spec)) == spec`` and a manifest alone
 reproduces a run bitwise.  All CSV numbers use the shortest representation
 that round-trips a double exactly.
@@ -30,7 +32,7 @@ from .model import (BoundaryCase, ConfigError, Grid, GrowthProfile,
                     HabitatClass, InitialCondition, SimParams, check_regime,
                     classify_profile, sample, speed_limit)
 from .spectral import lambda_infinity
-from .stepper import make_run_config, run, run_block
+from .stepper import initial_state, make_run_config, run, run_block
 
 __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
            "render_manifest", "config_help", "run_experiment", "sweep", "fmt"]
@@ -86,9 +88,7 @@ class RunSpec:
         return Grid(L=self.L, h=self.h)
 
     def initial_condition(self) -> InitialCondition:
-        if self.u0_bump is not None:
-            return InitialCondition(bump=self.u0_bump)
-        return InitialCondition(breakpoints=self.u0)
+        return InitialCondition(breakpoints=self.u0, bump=self.u0_bump)
 
     def run_config(self):
         return make_run_config(
@@ -265,49 +265,41 @@ def parse_config(text: str, mode: str | None = None,
 
 
 def _validate(spec: RunSpec, lines: dict):
-    def err(msg, key):
-        raise ConfigError(msg, lines.get(key), key)
-
-    if len(spec.profile) < 2:
-        err("at least two breakpoints required", "profile")
+    """Build what the spec's mode runs and check the keys that no built
+    object holds; a refusal is re-raised with its key's line."""
     try:
-        spec.growth_profile()
-    except ValueError as exc:
-        err(str(exc), "profile")
-    try:
-        spec.grid()
-    except ValueError as exc:
-        err(str(exc), "h")
-    try:
-        spec.params()
-    except ValueError as exc:
-        err(str(exc), "b")
-    for key in ("eig_tol", "eig_h", "horizon_scale"):
-        if not getattr(spec, key) > 0.0:
-            err("must be positive", key)
-    # RunConfig decides whether the run is well-formed, in every mode
-    try:
-        spec.run_config()
+        for key in ("eig_tol", "eig_h", "horizon_scale"):
+            if not getattr(spec, key) > 0.0:
+                raise ConfigError("must be positive", key=key)
+        if spec.verify_samples < 1:
+            raise ConfigError("verify_samples must be >= 1",
+                              key="verify_samples")
+        for eps in spec.verify_epsilons:
+            if not eps > 0.0:
+                raise ConfigError(f"epsilon must be positive, got {fmt(eps)}",
+                                  key="verify_epsilons")
+        # the run's config holds the params, profile, grid and step grid
+        cfg = spec.run_config()
+        if spec.mode in ("simulate", "sweep"):
+            u0 = sample(spec.initial_condition(), cfg.grid)
+            try:
+                initial_state(cfg, u0)
+            except ValueError as exc:
+                raise ConfigError(str(exc), key="u0" if spec.u0 is not None
+                                  else "u0_bump") from None
+        if spec.mode == "sweep":
+            if not any((spec.sweep_b, spec.sweep_c, spec.sweep_chi)):
+                raise ConfigError("sweep mode needs at least one sweep axis",
+                                  key="sweep_c")
+            # the points differ from the run above only in T and
+            # snapshot_times
+            try:
+                _sweep_point(spec, spec.horizon_scale).run_config()
+            except ConfigError as exc:
+                raise ConfigError("the sweep horizon T * horizon_scale: "
+                                  + exc.reason, key="horizon_scale") from None
     except ConfigError as exc:
-        err(exc.reason, exc.key)
-    if spec.mode in ("simulate", "sweep"):
-        if (spec.u0 is None) == (spec.u0_bump is None):
-            err("give exactly one of u0 or u0_bump", "u0")
-        try:
-            spec.initial_condition()
-        except ValueError as exc:
-            err(str(exc), "u0" if spec.u0 is not None else "u0_bump")
-    if spec.mode == "sweep":
-        if not any((spec.sweep_b, spec.sweep_c, spec.sweep_chi)):
-            err("sweep mode needs at least one sweep axis", "sweep_c")
-        # the points differ from the run above only in T and snapshot_times
-        try:
-            _sweep_point(spec, spec.horizon_scale).run_config()
-        except ConfigError as exc:
-            err(f"the sweep horizon T * horizon_scale: {exc.reason}",
-                "horizon_scale")
-    if spec.verify_samples < 1:
-        err("verify_samples must be >= 1", "verify_samples")
+        raise ConfigError(exc.reason, lines.get(exc.key), exc.key) from None
 
 
 def render_manifest(spec: RunSpec) -> str:

@@ -10,6 +10,9 @@ problem: physical constants, the piecewise-linear growth rate r(x) with its
 constant tails, the uniform grid, and the closed-form regime quantities
 (c* = 2 sqrt(r*), the speed and damping conditions) that decide which
 analytic constructions apply.
+
+Each type refuses a bad value with a ``ConfigError`` (a ``ValueError``)
+naming the config key that holds it; the config parser adds the key's line.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """Physical constants of the chemotaxis system.
+    """Physical constants of the chemotaxis system; a refusal names the
+    constant's own key.
 
     chi  chemotaxis sensitivity, >= 0
     mu   chemical production rate, > 0
@@ -69,10 +73,11 @@ class SimParams:
     c: float
 
     def __post_init__(self):
-        if not (self.mu > 0.0 and self.nu > 0.0 and self.b > 0.0):
-            raise ValueError("mu, nu and b must all be positive")
+        for name in ("mu", "nu", "b"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive", key=name)
         if self.chi < 0.0:
-            raise ValueError("chi must be nonnegative")
+            raise ConfigError("chi must be nonnegative", key="chi")
 
     @property
     def well_posed(self) -> bool:
@@ -92,7 +97,7 @@ class GrowthProfile:
     Left of the first breakpoint the profile equals ``left_limit``; right of
     the last it equals ``right_limit``.  The first and last breakpoint values
     must therefore coincide with the limits, which keeps sup/inf exactly
-    computable from the breakpoint values alone.
+    computable from the breakpoint values alone.  Refusals name ``profile``.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -101,20 +106,27 @@ class GrowthProfile:
 
     def __post_init__(self):
         if len(self.breakpoints) < 2:
-            raise ValueError("a profile needs at least two breakpoints")
+            raise ConfigError("a profile needs at least two breakpoints",
+                              key="profile")
         xs = [p[0] for p in self.breakpoints]
         if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("breakpoint abscissae must be strictly increasing")
+            raise ConfigError("breakpoint abscissae must be strictly increasing",
+                              key="profile")
         if self.breakpoints[0][1] != self.left_limit:
-            raise ValueError("first breakpoint value must equal left_limit")
+            raise ConfigError("first breakpoint value must equal left_limit",
+                              key="profile")
         if self.breakpoints[-1][1] != self.right_limit:
-            raise ValueError("last breakpoint value must equal right_limit")
+            raise ConfigError("last breakpoint value must equal right_limit",
+                              key="profile")
         if not (math.isfinite(self.left_limit) and math.isfinite(self.right_limit)):
-            raise ValueError("limits must be finite")
+            raise ConfigError("limits must be finite", key="profile")
 
     @classmethod
     def from_breakpoints(cls, points) -> "GrowthProfile":
         pts = tuple((float(x), float(r)) for x, r in points)
+        if not pts:
+            raise ConfigError("a profile needs at least two breakpoints",
+                              key="profile")
         return cls(pts, pts[0][1], pts[-1][1])
 
     def __call__(self, x):
@@ -127,11 +139,6 @@ class GrowthProfile:
         """sup r, attained at a breakpoint (tails equal the end values)."""
         return max(p[1] for p in self.breakpoints)
 
-    @property
-    def r_lower(self) -> float:
-        """inf r."""
-        return min(p[1] for p in self.breakpoints)
-
     def is_monotone_case1(self) -> bool:
         """Whether r(-inf) <= r(x) <= r(+inf) pointwise (the classical
         separated-habitat shape)."""
@@ -142,20 +149,22 @@ class GrowthProfile:
 @dataclass(frozen=True)
 class InitialCondition:
     """Initial species density: piecewise-linear breakpoints, or a quadratic
-    bump (x - xl)(xr - x) clipped at zero.  Exactly one form is given."""
+    bump (x - xl)(xr - x) clipped at zero.  Exactly one form is given.
+    Refusals name ``u0``, or ``u0_bump`` for a bad bump."""
 
     breakpoints: tuple[tuple[float, float], ...] | None = None
     bump: tuple[float, float] | None = None
 
     def __post_init__(self):
         if (self.breakpoints is None) == (self.bump is None):
-            raise ValueError("give exactly one of breakpoints or bump")
+            raise ConfigError("give exactly one of u0 or u0_bump", key="u0")
         if self.breakpoints is not None:
             xs = [p[0] for p in self.breakpoints]
             if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
-                raise ValueError("need >= 2 strictly increasing breakpoints")
+                raise ConfigError("need >= 2 strictly increasing breakpoints",
+                                  key="u0")
         if self.bump is not None and not self.bump[0] < self.bump[1]:
-            raise ValueError("bump requires xl < xr")
+            raise ConfigError("bump requires xl < xr", key="u0_bump")
 
     def __call__(self, x):
         if self.breakpoints is not None:
@@ -173,6 +182,7 @@ class Grid:
 
     2L/h must be an integer to relative tolerance 1e-12; anything else is
     rejected rather than silently adjusted, so node counts reproduce exactly.
+    Refusals name ``L`` or ``h``, and a bad ratio 2L/h names ``h``.
     """
 
     L: float
@@ -180,17 +190,15 @@ class Grid:
     M: int = field(init=False)
 
     def __post_init__(self):
-        if not (self.L > 0.0 and self.h > 0.0):
-            raise ValueError("L and h must be positive")
+        for name in ("L", "h"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive", key=name)
         ratio = 2.0 * self.L / self.h
         m = round(ratio)
         if m < 2 or abs(ratio - m) > 1e-12 * max(1.0, ratio):
-            raise ValueError(f"2L/h = {ratio!r} is not an integer >= 2")
+            raise ConfigError(f"2L/h = {ratio!r} is not an integer >= 2",
+                              key="h")
         object.__setattr__(self, "M", int(m))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.M + 1
 
     @property
     def nodes(self) -> np.ndarray:

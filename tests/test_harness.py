@@ -182,6 +182,49 @@ def test_parse_refuses_ill_formed_runs(mode, key, raw, why, tmp_path, capsys):
     assert not out.exists()
 
 
+# values of shipped configs that parse but that the type owning their rule
+# refuses: each must name the key that holds the bad value (u0, when u0_bump
+# is given beside it) and that key's line, at parse time and in every mode
+BAD_VALUES = [
+    ("simulate", "case1_exp1.cfg", "chi", "-1", "chi",
+     "chi must be nonnegative"),
+    ("simulate", "case1_exp1.cfg", "mu", "0", "mu", "mu must be positive"),
+    ("simulate", "case1_exp1.cfg", "nu", "-2", "nu", "nu must be positive"),
+    ("simulate", "case1_exp1.cfg", "b", "0", "b", "b must be positive"),
+    ("simulate", "case1_exp1.cfg", "L", "-3", "L", "L must be positive"),
+    ("simulate", "case1_exp1.cfg", "profile", "", "profile",
+     "a profile needs at least two breakpoints"),
+    ("simulate", "case1_exp1.cfg", "u0", "-1:0, 1:-10", "u0",
+     "u0 must be nonnegative"),
+    ("simulate", "case2_exp1.cfg", "u0_bump", "-30, 30", "u0_bump",
+     "u0 must vanish at x = -L"),
+    ("simulate", "case1_exp1.cfg", "u0_bump", "-1, 1", "u0",
+     "give exactly one of u0 or u0_bump"),
+    ("sweep", "sweep_case1_c.cfg", "u0", "-1:0, 1:-10", "u0",
+     "u0 must be nonnegative"),
+    ("verify", "case1_exp1.cfg", "verify_epsilons", "0.1, -0.05",
+     "verify_epsilons", "epsilon must be positive, got -0.05"),
+]
+
+
+@pytest.mark.parametrize("mode, name, key, raw, named, why", BAD_VALUES)
+def test_parse_refuses_bad_values_by_their_key(mode, name, key, raw, named,
+                                               why, tmp_path, capsys):
+    text = set_key((EXPERIMENTS / name).read_text(), key, raw)
+    line = 1 + next(i for i, row in enumerate(text.splitlines())
+                    if row.startswith(f"{named} = "))
+    where = f"line {line}: key {named!r}: "
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, mode=mode)
+    assert str(exc.value).startswith(where + why)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli_main([mode, str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}{why}")
+    assert not out.exists()         # in sweep mode, not even manifest.cfg
+
+
 # ---------------------------------------------------------------------------
 # manifest round-trip
 
@@ -460,7 +503,8 @@ def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch,
     assert logged == sorted(
         f"sweep point b = {harness.fmt(r['b'])}, c = {harness.fmt(r['c'])}, "
         f"chi = {harness.fmt(r['chi'])} reads error: "
-        + ("blew up" if r["chi"] == 0.0 else "chi must be nonnegative")
+        + ("blew up" if r["chi"] == 0.0
+           else "key 'chi': chi must be nonnegative")
         for r in rows if r["outcome"] == "error")
     assert [r["outcome"] for r in rows][:4] == [
         "error", "error", "skipped", "error"]

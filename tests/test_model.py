@@ -105,7 +105,6 @@ def test_classify_invariant_under_midpoint_subdivision(data):
 
 def test_profile_limits_and_extrema(case2_profile):
     assert case2_profile.r_star == 10.0
-    assert case2_profile.r_lower == -1.0
     assert case2_profile.left_limit == -1.0
     assert case2_profile.right_limit == -1.0
     assert case2_profile(-100.0) == -1.0
@@ -179,7 +178,6 @@ def test_h1_threshold_increasing_in_chi(case1_profile):
 def test_grid_nodes_and_count():
     g = Grid(L=20.0, h=0.1)
     assert g.M == 400
-    assert g.n_nodes == 401
     assert g.nodes[0] == -20.0
     assert g.nodes[-1] == 20.0
     assert np.allclose(np.diff(g.nodes), 0.1)
