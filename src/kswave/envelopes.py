@@ -42,8 +42,9 @@ import numpy as np
 
 from .chemical import greens_psi, greens_psi_x
 from .ignition import IgnitionWave
-from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass, SimParams,
-                    classify_profile, theta_root)
+from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
+                    InitialCondition, SimParams, classify_profile, theta_root)
+from .stepper import make_run_config, run
 
 __all__ = [
     "EnvelopeError",
@@ -56,6 +57,10 @@ __all__ = [
     "build_lower_envelope_case2",
     "certify_supersolution",
 ]
+
+LOWER_DAMPING_SCALE = 4.0   # the CASE2 lower run's damping, in units of b
+LOWER_T = 30.0              # the CASE2 lower run's horizon, on tau = 0.4 h^2
+CERTIFY_TOL = 1e-8          # the largest A_u(branch) a certificate passes
 
 
 class EnvelopeError(RuntimeError):
@@ -112,9 +117,7 @@ def _first_up_crossing(profile: GrowthProfile, level: float) -> float | None:
         return None
     pts = profile.breakpoints
     for k, (xk, rk) in enumerate(pts):
-        if rk > level:
-            if k == 0:
-                return None  # unreachable given the left-limit guard
+        if rk > level:      # k > 0, as pts[0] is the left limit
             x_prev, r_prev = pts[k - 1]
             return x_prev + (level - r_prev) * (xk - x_prev) / (rk - r_prev)
     return None
@@ -134,22 +137,17 @@ def _last_down_crossing(profile: GrowthProfile, level: float) -> float | None:
 
 
 def _last_below_crossing(profile: GrowthProfile, level: float) -> float | None:
-    """Smallest x0 such that r >= level on (x0, inf): the last up-crossing
-    of the level.  None when the right tail sits below the level."""
+    """Smallest x0 such that r >= level on (x0, inf), the last up-crossing
+    of the level; None when r(+inf) < level or when r never drops below."""
     if profile.right_limit < level:
         return None
     pts = profile.breakpoints
-    last = None
     for k in range(len(pts) - 1, -1, -1):
         xk, rk = pts[k]
-        if rk < level:
+        if rk < level:      # k < len(pts) - 1, as pts[-1] is the right limit
             x_next, r_next = pts[k + 1]
-            last = xk + (level - rk) * (x_next - xk) / (r_next - rk)
-            break
-    if last is None:
-        # r >= level everywhere on the breakpoints; left tail decides
-        return pts[0][0] if profile.left_limit < level else None
-    return last
+            return xk + (level - rk) * (x_next - xk) / (r_next - rk)
+    return None
 
 
 def _branches(kind: EnvelopeKind, constants: dict):
@@ -192,18 +190,14 @@ def _upper_envelope(kind: EnvelopeKind, constants: dict,
 
 
 def build_upper_envelope_case1(params: SimParams, profile: GrowthProfile,
-                               grid: Grid, r1: float | None = None) -> Envelope:
+                               grid: Grid) -> Envelope:
     if classify_profile(profile) is not HabitatClass.CASE1:
         raise ValueError("upper CASE1 envelope requires a CASE1 profile")
     if params.damping_gap <= 0.0:
         raise ValueError("requires b > chi*mu")
-    if r1 is None:
-        r1 = 0.5 * profile.left_limit
-    if not profile.left_limit < r1 < 0.0:
-        raise ValueError("need r(-inf) < r1 < 0")
+    # r(-inf) < r1 < 0 < r(+inf) for CASE1, so r crosses r1
+    r1 = 0.5 * profile.left_limit
     x1 = _first_up_crossing(profile, r1)
-    if x1 is None:
-        raise ValueError("profile never exceeds r1")
     theta1 = theta_root(params.c, r1, "forward")
     constants = {"r1": r1, "x1": x1, "theta1": theta1,
                  "level": profile.r_star / params.damping_gap}
@@ -211,20 +205,16 @@ def build_upper_envelope_case1(params: SimParams, profile: GrowthProfile,
 
 
 def build_upper_envelope_case2(params: SimParams, profile: GrowthProfile,
-                               grid: Grid, rbar: float | None = None) -> Envelope:
+                               grid: Grid) -> Envelope:
     if classify_profile(profile) is not HabitatClass.CASE2:
         raise ValueError("upper CASE2 envelope requires a CASE2 profile")
     if params.damping_gap <= 0.0:
         raise ValueError("requires b > chi*mu")
-    worst_limit = max(profile.left_limit, profile.right_limit)
-    if rbar is None:
-        rbar = 0.5 * worst_limit
-    if not worst_limit < rbar < 0.0:
-        raise ValueError("need max limit < rbar < 0")
+    # max(r(-inf), r(+inf)) < rbar < 0 < r* for CASE2, so r crosses rbar
+    # on both sides
+    rbar = 0.5 * max(profile.left_limit, profile.right_limit)
     xbar = _first_up_crossing(profile, rbar)
     xtilde = _last_down_crossing(profile, rbar)
-    if xbar is None or xtilde is None:
-        raise ValueError("profile never crosses rbar")
     theta_bar = theta_root(params.c, rbar, "forward")
     theta_tilde = theta_root(params.c, rbar, "backward")
     constants = {"rbar": rbar, "xbar": xbar, "xtilde": xtilde,
@@ -258,27 +248,21 @@ def build_lower_envelope_case1(params: SimParams, profile: GrowthProfile,
 
 
 def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
-                               grid: Grid, damping_scale: float = 4.0,
-                               T: float = 30.0, tau: float | None = None,
+                               grid: Grid,
                                upper: Envelope | None = None) -> Envelope:
-    """Numeric CASE2 lower envelope: terminal profile of a cut-off run with
-    the damping enlarged to damping_scale * b, checked positive inside and
-    strictly below the CASE2 upper envelope."""
-    from .model import InitialCondition
-    from .stepper import make_run_config, run
-
+    """Numeric CASE2 lower envelope: terminal profile of a cut-off run to
+    LOWER_T with the damping enlarged to LOWER_DAMPING_SCALE * b, checked
+    positive inside and strictly below the CASE2 upper envelope."""
     if upper is None:
         upper = build_upper_envelope_case2(params, profile, grid)
     heavy = SimParams(chi=params.chi, mu=params.mu, nu=params.nu,
-                      b=damping_scale * params.b, c=params.c)
-    if tau is None:
-        tau = 0.4 * grid.h * grid.h
-    n = max(1, round(T / tau))
-    tau = T / n
+                      b=LOWER_DAMPING_SCALE * params.b, c=params.c)
+    n = max(1, round(LOWER_T / (0.4 * grid.h * grid.h)))
+    tau = LOWER_T / n
     # only u_final is read, so the convergence window is the whole run: a
     # fixed window of 1.0 need not divide the adjusted tau = T/n
-    cfg = make_run_config(heavy, profile, grid, BoundaryCase.CASE2, tau, T,
-                          conv_window=T)
+    cfg = make_run_config(heavy, profile, grid, BoundaryCase.CASE2, tau,
+                          LOWER_T, conv_window=LOWER_T)
     u0 = InitialCondition(bump=(-1.0, 1.0))(grid.nodes)
     traj, _ = run(cfg, u0)
     values = traj.u_final.copy()
@@ -290,8 +274,8 @@ def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
     if not np.all(values < upper.values):
         raise EnvelopeError("numeric lower envelope exceeds the upper envelope")
     return Envelope(kind=EnvelopeKind.LOWER_CASE2_NUMERIC, values=values,
-                    grid=grid, constants={"damping_scale": damping_scale,
-                                          "T": T})
+                    grid=grid, constants={
+                        "damping_scale": LOWER_DAMPING_SCALE, "T": LOWER_T})
 
 
 def _residual(U, Ux, Uxx, w, w_x, r, params):
@@ -324,21 +308,19 @@ def _sample_in_eplus(rng, envelope: Envelope, i: int) -> np.ndarray:
 
 def certify_supersolution(envelope: Envelope, params: SimParams,
                           profile: GrowthProfile, n_samples: int = 100,
-                          tol: float = 1e-8, seed: int = 20230917) -> CertificationReport:
-    """Check A_u(branch) <= tol on each claimed region for n_samples random
-    u in E+.  Never raises on a sign failure: the report records the worst
-    residual with its sample and node, and flags whether the damping
+                          seed: int = 20230917) -> CertificationReport:
+    """Check A_u(branch) <= CERTIFY_TOL on each claimed region for n_samples
+    random u in E+.  Never raises on a sign failure: the report records the
+    worst residual with its sample and node, and flags whether the damping
     hypothesis b >= 1.5 chi mu held.
 
     Each branch's value and analytic derivatives do not depend on u, so
     they are evaluated on the grid once, before the sample loop; only the
     kernel fields are recomputed per sample.  Raises ValueError, before any
-    kernel call, unless n_samples >= 1 and tol is finite: a certificate
-    over no samples would pass vacuously."""
+    kernel call, unless n_samples >= 1: a certificate over no samples would
+    pass vacuously."""
     if not n_samples >= 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
     grid = envelope.grid
     x = grid.nodes
     r = np.asarray(profile(x), dtype=float)
@@ -361,12 +343,11 @@ def certify_supersolution(envelope: Envelope, params: SimParams,
             if vals[k] > worst[name][0]:
                 worst[name] = (float(vals[k]), i, float(x[k]))
 
-    report = CertificationReport(
+    return CertificationReport(
         hypothesis_satisfied=params.b >= 1.5 * params.chi * params.mu,
-        n_samples=n_samples, tol=tol,
+        n_samples=n_samples, tol=CERTIFY_TOL,
         branches=tuple(
             BranchWorst(branch=name, worst_residual=worst[name][0],
                         worst_sample=worst[name][1], worst_x=worst[name][2],
                         n_nodes=n_nodes[name])
             for name, *_ in branches))
-    return report

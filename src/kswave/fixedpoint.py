@@ -19,7 +19,7 @@ march: the kernel loads the frozen v once (the v-stage), the stepper's
 step loop then runs only the u-stage, with its blow-up guard and no
 chemical solve, and the stepper's lag monitor decides when it has
 settled.  Its config, with tau = 0.4 h^2, is built on the tau grid:
-inner_T and the unit convergence window are rounded to whole steps, and
+INNER_T and the unit convergence window are rounded to whole steps, and
 the flow marches by the config's own step counts.  Every inner evolution
 is checked for pointwise monotone decay, and every outer iterate must
 stay inside the envelope sandwich U1- <= u <= U1+.
@@ -43,6 +43,13 @@ from .stepper import (RunConfig, _ExplicitStep, _LagMonitor, _march,
 __all__ = ["SandwichError", "FixedPointResult", "frozen_flow_fixed_point",
            "stationary_residual"]
 
+MAX_OUTER = 30          # outer iterations before giving up
+INNER_T = 50.0          # horizon of one frozen flow
+OUTER_TOL = 1e-4        # sup change between outer iterates that converges
+INNER_TOL = 1e-4        # lag over the unit window that settles a flow
+WAVE_EPSILON = 0.05     # cutoff of the ignition wave under the lower envelope
+SNAPSHOT_DT = 0.5       # spacing of the monotone-decay comparisons
+
 
 class SandwichError(RuntimeError):
     """An outer iterate escaped the envelope sandwich, which signals an
@@ -60,18 +67,17 @@ class FixedPointResult:
     lower: Envelope
 
 
-def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray,
-                   snapshot_dt: float):
+def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray):
     """March the frozen flow, v loaded once and no chemical solve, until the
     sup change over the trailing cfg.lag_steps steps drops below
     cfg.conv_tol (or cfg.n_steps steps are taken); both counts are the
     config's own.  Returns the terminal profile and the worst pointwise
-    increase between consecutive snapshots (monotone decay means it stays
-    at round-off)."""
+    increase between consecutive snapshots, SNAPSHOT_DT apart (monotone
+    decay means it stays at round-off)."""
     advance = _ExplicitStep(cfg, [cfg.params])
     advance.load(v)
     monitor = _LagMonitor(cfg.lag_steps)
-    snap_every = max(1, round(snapshot_dt / cfg.tau))
+    snap_every = max(1, round(SNAPSHOT_DT / cfg.tau))
     prev_snap = None
     worst_increase = -math.inf
 
@@ -89,37 +95,26 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray,
 
 
 def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
-                            grid: Grid, bc: BoundaryCase = BoundaryCase.CASE1,
-                            max_outer: int = 30, inner_T: float = 50.0,
-                            outer_tol: float = 1e-4, inner_tol: float = 1e-4,
-                            upper: Envelope | None = None,
-                            lower: Envelope | None = None,
-                            wave_epsilon: float = 0.05,
-                            snapshot_dt: float = 0.5) -> FixedPointResult:
+                            grid: Grid) -> FixedPointResult:
     """Iterate u_{n+1} = U*(.;u_n) from u_0 = U1+ until the outer sup change
-    falls below outer_tol.  Aborts with SandwichError if an iterate leaves
-    [U1- - 1e-8, U1+ + 1e-8]."""
-    if upper is None:
-        upper = build_upper_envelope_case1(params, profile, grid)
-    if lower is None:
-        wave = ignition_wave(params, profile.r_star, wave_epsilon)
-        lower = build_lower_envelope_case1(params, profile, grid, wave,
-                                           upper=upper)
+    falls below OUTER_TOL, for at most MAX_OUTER iterations.  Aborts with
+    SandwichError if an iterate leaves [U1- - 1e-8, U1+ + 1e-8]."""
+    upper = build_upper_envelope_case1(params, profile, grid)
+    wave = ignition_wave(params, profile.r_star, WAVE_EPSILON)
+    lower = build_lower_envelope_case1(params, profile, grid, wave,
+                                       upper=upper)
     tau = 0.4 * grid.h * grid.h
-    cfg = make_run_config(params, profile, grid, bc, tau,
-                          round(inner_T / tau) * tau,
+    cfg = make_run_config(params, profile, grid, BoundaryCase.CASE1, tau,
+                          round(INNER_T / tau) * tau,
                           conv_window=max(1, round(1.0 / tau)) * tau,
-                          conv_tol=inner_tol)
-    solver = ChemicalSolver(grid, params.nu, params.mu, bc)
+                          conv_tol=INNER_TOL)
+    solver = ChemicalSolver(grid, params.nu, params.mu, BoundaryCase.CASE1)
 
     u = upper.values.copy()
     diffs = []
     worst_slack = -math.inf
-    converged = False
-    n_outer = 0
-    for n_outer in range(1, max_outer + 1):
-        u_next, slack = _evolve_frozen(cfg, upper.values, solver.solve(u).v,
-                                       snapshot_dt)
+    for n_outer in range(1, MAX_OUTER + 1):
+        u_next, slack = _evolve_frozen(cfg, upper.values, solver.solve(u).v)
         worst_slack = max(worst_slack, slack)
         low_viol = float(np.max(lower.values - u_next))
         high_viol = float(np.max(u_next - upper.values))
@@ -133,10 +128,10 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
         diff = float(np.max(np.abs(u_next - u)))
         diffs.append(diff)
         u = u_next
-        if diff < outer_tol:
-            converged = True
+        if diff < OUTER_TOL:
             break
-    return FixedPointResult(u_star=u, n_outer=n_outer, converged=converged,
+    return FixedPointResult(u_star=u, n_outer=n_outer,
+                            converged=diff < OUTER_TOL,
                             outer_diffs=tuple(diffs),
                             monotone_slack=worst_slack,
                             upper=upper, lower=lower)

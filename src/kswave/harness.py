@@ -31,7 +31,7 @@ from .ignition import BracketError, ignition_wave
 from .model import (BoundaryCase, ConfigError, Grid, GrowthProfile,
                     HabitatClass, InitialCondition, SimParams, check_regime,
                     classify_profile, sample, speed_limit)
-from .spectral import lambda_infinity
+from .spectral import _first_L, lambda_infinity
 from .stepper import initial_state, make_run_config, run, run_block
 
 __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
@@ -280,6 +280,13 @@ def _validate(spec: RunSpec, lines: dict):
                                   key="verify_epsilons")
         # the run's config holds the params, profile, grid and step grid
         cfg = spec.run_config()
+        profile = spec.growth_profile()
+        if spec.mode in ("regime", "verify"):
+            check_regime(cfg.params, profile)
+        if spec.mode == "verify":
+            _verify_habitat(profile)
+        if spec.mode in ("eig", "regime"):
+            _first_L(profile, spec.eig_h)
         if spec.mode in ("simulate", "sweep"):
             u0 = sample(spec.initial_condition(), cfg.grid)
             try:
@@ -427,13 +434,10 @@ def _run_verify(spec: RunSpec):
     params = spec.params()
     profile = spec.growth_profile()
     grid = spec.grid()
-    habitat = classify_profile(profile)
-    if habitat is HabitatClass.CASE1:
-        envelope = build_upper_envelope_case1(params, profile, grid)
-    elif habitat is HabitatClass.CASE2:
-        envelope = build_upper_envelope_case2(params, profile, grid)
-    else:
-        raise ConfigError("verify mode needs a CASE1 or CASE2 profile")
+    habitat = _verify_habitat(profile)
+    build = (build_upper_envelope_case1 if habitat is HabitatClass.CASE1
+             else build_upper_envelope_case2)
+    envelope = build(params, profile, grid)
     report = certify_supersolution(envelope, params, profile,
                                    n_samples=spec.verify_samples)
     rows = ["branch,region_nodes,worst_residual,worst_x,worst_sample,pass"]
@@ -461,6 +465,15 @@ def _run_verify(spec: RunSpec):
         build_lower_envelope_case2(params, profile, grid, upper=envelope)
     return (report, waves), {"certification.csv": _text(rows),
                              "ignition.csv": _text(ign_rows)}
+
+
+def _verify_habitat(profile: GrowthProfile) -> HabitatClass:
+    """The habitat of a verify run: CASE1 or CASE2, which have envelopes."""
+    habitat = classify_profile(profile)
+    if habitat is HabitatClass.UNCLASSIFIED:
+        raise ConfigError("verify mode needs a CASE1 or CASE2 profile",
+                          key="profile")
+    return habitat
 
 
 _RUNNERS = {"simulate": _run_simulate, "eig": _run_eig,

@@ -39,6 +39,9 @@ __all__ = ["BracketError", "IgnitionWave", "ignition_wave",
            "profile_residual", "richardson_speed"]
 
 SADDLE_OFFSET = 1e-6
+STEP = 1e-3                 # RK4 step of the shots and of the rebuilt front
+SPEED_TOL = 1e-8            # Brent's tolerance on the speed
+TRUNCATION_RADIUS = 60.0    # the front must cross zero within 2x this
 _EPS = np.finfo(float).eps
 
 
@@ -92,10 +95,9 @@ def _shoot(ct: float, alpha: float, beta: float, step: float):
     floor has slope -inf, stages 2 and 3 share f at psi + ds/2, and stage
     4's f at psi + ds is the next step's stage-1 f."""
     Q = alpha / beta
-    delta = SADDLE_OFFSET
     lamm = _lam_minus(ct, alpha)
-    psi = Q - delta
-    p = -lamm * delta
+    psi = Q - SADDLE_OFFSET
+    p = -lamm * SADDLE_OFFSET
     floor = 1e-12
     inf = math.inf
     isfinite = math.isfinite
@@ -167,27 +169,23 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
         fb = f(b)
 
 
-def ignition_wave(params: SimParams, r_star: float, epsilon: float,
-                  truncation_radius: float = 60.0, step: float = 1e-3,
-                  speed_tol: float = 1e-8) -> IgnitionWave:
-    """Compute the front and its speed for one cutoff value."""
+def ignition_wave(params: SimParams, r_star: float,
+                  epsilon: float) -> IgnitionWave:
+    """The front and its speed for one cutoff value: RK4 steps of STEP, the
+    speed rooted to SPEED_TOL, the front built within 2 TRUNCATION_RADIUS."""
     chimu = params.chi * params.mu
     beta = params.damping_gap
     if params.b <= 2.0 * chimu:
         raise ValueError("ignition construction requires b > 2 chi mu")
-    for name, value in (("epsilon", epsilon), ("step", step),
-                        ("speed_tol", speed_tol),
-                        ("truncation_radius", truncation_radius)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(
-                f"{name} must be finite and positive, got {value!r}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     alpha = r_star - epsilon - chimu * r_star / beta
     if alpha <= 0.0:
         raise BracketError(f"epsilon = {epsilon!r} too large: no positive zero gap")
     bound = speed_limit(params, r_star)
 
     def overshoot(ct):
-        return _shoot(ct, alpha, beta, step) - ct * epsilon
+        return _shoot(ct, alpha, beta, STEP) - ct * epsilon
 
     s_lo = overshoot(0.0)
     s_hi = overshoot(bound)
@@ -196,23 +194,20 @@ def ignition_wave(params: SimParams, r_star: float, epsilon: float,
             f"speed bracket (0, {bound:.6g}) has no sign change "
             f"(s(0)={s_lo:.3g}, s(bound)={s_hi:.3g}): epsilon too large "
             "or hypothesis violated")
-    ct = _zeroin(overshoot, 0.0, bound, s_lo, s_hi, speed_tol)
+    ct = _zeroin(overshoot, 0.0, bound, s_lo, s_hi, SPEED_TOL)
 
     # rebuild psi(x): backward-in-x integration from the saddle is stable,
     # so integrate d(psi,p)/ds = -(p, ct p - f) with s = -x from the offset
     # start until psi crosses 0, then shift so the crossing sits at x = 0
     Q = alpha / beta
     lamm = _lam_minus(ct, alpha)
-    delta = SADDLE_OFFSET
-    ds = step
+    ds = STEP
     half, sixth = 0.5 * ds, ds / 6.0
-    max_steps = int(2.0 * truncation_radius / ds)
-    psi_v, p_v = Q - delta, -lamm * delta
-    psis = [psi_v]
-    ps = [p_v]
+    max_steps = int(2.0 * TRUNCATION_RADIUS / ds)
+    psi_v, p_v = Q - SADDLE_OFFSET, -lamm * SADDLE_OFFSET
+    psis, ps = [psi_v], [p_v]
 
     # RK4 with the stages of (-p, -(ct p - f(psi))) written out
-    crossed = False
     for _ in range(max_steps):
         a1 = -p_v
         b1 = -(ct * p_v - (psi_v * (alpha - beta * psi_v)
@@ -231,13 +226,11 @@ def ignition_wave(params: SimParams, r_star: float, epsilon: float,
         psis.append(psi_v)
         ps.append(p_v)
         if psi_v <= 0.0:
-            crossed = True
             break
-    if not crossed:
+    else:
         raise RuntimeError("front did not reach its zero within the truncation")
 
-    psis = np.array(psis)
-    ps = np.array(ps)
+    psis, ps = np.array(psis), np.array(ps)
     s = ds * np.arange(psis.size)
     # linear interpolation of the crossing abscissa
     f0, f1 = psis[-2], psis[-1]
@@ -248,14 +241,12 @@ def ignition_wave(params: SimParams, r_star: float, epsilon: float,
     psi_nodes = np.concatenate(([0.0], psis[keep][::-1]))
     p_nodes = np.concatenate(([ct * epsilon], ps[keep][::-1]))
 
-    right_level = Q
-    wave = IgnitionWave(
-        epsilon=epsilon, speed=ct, left_level=-epsilon,
-        right_level=right_level, speed_bound=bound, alpha=alpha, beta=beta,
-        lam_minus=lamm, x=x_nodes, psi=psi_nodes, p=p_nodes)
     if not np.all(np.diff(psi_nodes) > 0.0):
         raise RuntimeError("computed front is not strictly increasing")
-    return wave
+    return IgnitionWave(
+        epsilon=epsilon, speed=ct, left_level=-epsilon, right_level=Q,
+        speed_bound=bound, alpha=alpha, beta=beta, lam_minus=lamm,
+        x=x_nodes, psi=psi_nodes, p=p_nodes)
 
 
 def profile_residual(wave: IgnitionWave) -> float:
@@ -273,7 +264,7 @@ def profile_residual(wave: IgnitionWave) -> float:
 
 
 def richardson_speed(params: SimParams, r_star: float,
-                     epsilons=(0.1, 0.05, 0.025), **kwargs):
+                     epsilons=(0.1, 0.05, 0.025)):
     """Speeds over the eps grid plus the order-estimating Richardson limit.
     Assumes a single-power model c(eps) = c_inf - A eps^q over a halving
     eps grid; returns (speeds, extrapolated_limit, estimated_order)."""
@@ -283,7 +274,7 @@ def richardson_speed(params: SimParams, r_star: float,
     if not (math.isclose(eps[0] / eps[1], 2.0, rel_tol=1e-9)
             and math.isclose(eps[1] / eps[2], 2.0, rel_tol=1e-9)):
         raise ValueError("epsilon grid must halve")
-    speeds = tuple(ignition_wave(params, r_star, e, **kwargs).speed for e in eps)
+    speeds = tuple(ignition_wave(params, r_star, e).speed for e in eps)
     d1 = speeds[1] - speeds[0]
     d2 = speeds[2] - speeds[1]
     if d1 <= 0.0 or d2 <= 0.0:

@@ -76,7 +76,7 @@ class SimParams:
         for name in ("mu", "nu", "b"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive", key=name)
-        if self.chi < 0.0:
+        if not self.chi >= 0.0:     # refuses nan
             raise ConfigError("chi must be nonnegative", key="chi")
 
     @property
@@ -281,12 +281,15 @@ def speed_limit(params: SimParams, r_star: float) -> float:
 
 
 def check_regime(params: SimParams, profile: GrowthProfile) -> RegimeReport:
-    """Evaluate the speed and damping predicates for this parameter set."""
+    """Evaluate the speed and damping predicates for this parameter set;
+    b <= chi*mu is refused under b, sup r <= 0 under profile."""
     if not params.well_posed:
-        raise ValueError("check_regime requires b > chi*mu")
+        raise ConfigError(f"b must exceed chi*mu = "
+                          f"{params.chi * params.mu!r}", key="b")
     r_star = profile.r_star
     if r_star <= 0.0:
-        raise ValueError("profile has no favorable region (sup r <= 0)")
+        raise ConfigError("profile has no favorable region (sup r <= 0)",
+                          key="profile")
     c_star = 2.0 * math.sqrt(r_star)
     chimu = params.chi * params.mu
     h2 = params.b >= 1.5 * chimu

@@ -28,11 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GrowthProfile
+from .model import ConfigError, GrowthProfile
 from .tridiagonal import largest_eigenvalue
 
 __all__ = ["EigenResult", "LambdaInfinityResult", "principal_eigenvalue",
            "lambda_infinity"]
+
+MAX_DOUBLINGS = 8       # doublings of L before the sweep gives up
 
 
 @dataclass(frozen=True)
@@ -59,18 +61,33 @@ class LambdaInfinityResult:
         return self.estimate > 0.0
 
 
+def _cells(L: float, h: float) -> int:
+    """The 2L/h cells of (-L, L), refused under eig_h unless whole and >= 2."""
+    if L <= 0.0 or h <= 0.0:
+        raise ValueError("L and h must be positive")
+    ratio = 2.0 * L / h
+    m = round(ratio)
+    if m < 2 or abs(ratio - m) > 1e-9 * max(1.0, ratio):
+        raise ConfigError(f"2L/h = {ratio!r} is not an integer >= 2 "
+                          f"(L = {L!r}, h = {h!r})", key="eig_h")
+    return m
+
+
+def _first_L(profile: GrowthProfile, h: float) -> float:
+    """The doubling's first L, 10 past the outermost breakpoint, with h
+    checked: doubling is exact in floats, so h then divides every later 2L."""
+    L = float(math.ceil(max(abs(p[0]) for p in profile.breakpoints) + 10.0))
+    _cells(L, h)
+    return L
+
+
 def principal_eigenvalue(profile: GrowthProfile, c: float, L: float, h: float,
                          tol: float = 1e-10) -> EigenResult:
     """Largest eigenvalue of the Dirichlet problem on (-L, L), within the
     absolute tolerance ``tol`` of the discrete eigenvalue."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if L <= 0.0 or h <= 0.0:
-        raise ValueError("L and h must be positive")
-    ratio = 2.0 * L / h
-    m = round(ratio)
-    if m < 2 or abs(ratio - m) > 1e-9 * max(1.0, ratio):
-        raise ValueError("h must divide 2L")
+    m = _cells(L, h)
     inv_h2 = 1.0 / (h * h)
     # diagonal at the interior nodes -L + i h, i = 1 .. m-1
     d = (-2.0 * inv_h2
@@ -82,19 +99,19 @@ def principal_eigenvalue(profile: GrowthProfile, c: float, L: float, h: float,
 
 
 def lambda_infinity(profile: GrowthProfile, c: float, tol: float = 1e-4,
-                    h: float = 0.01, max_doublings: int = 8) -> LambdaInfinityResult:
+                    h: float = 0.01) -> LambdaInfinityResult:
     """Estimate lim_{L -> inf} lambda_L by doubling L at fixed h until
-    successive values differ by less than tol.  Each lambda_L is one LAPACK
-    ``dstebz`` bisection with absolute tolerance 1e-10, so a doubling step
-    may drop by round-off of that size; a drop beyond 1e-9 is refused."""
-    radius = max(abs(p[0]) for p in profile.breakpoints)
-    L = float(math.ceil(radius + 10.0))
+    successive values differ by less than tol, at most MAX_DOUBLINGS
+    times.  Each lambda_L is one LAPACK ``dstebz`` bisection with absolute
+    tolerance 1e-10, so a doubling step may drop by round-off of that size;
+    a drop beyond 1e-9 is refused."""
+    L = _first_L(profile, h)
     upper = profile.r_star - 0.25 * c * c
 
     table = []
     prev = None
     converged = False
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         lam = principal_eigenvalue(profile, c, L, h).lambda_L
         table.append((L, h, lam))
         if prev is not None:

@@ -59,8 +59,6 @@ def test_case1_envelope_shape(exp1_params, case1_profile):
 def test_case1_envelope_rejections(exp1_params, case1_profile, case2_profile):
     with pytest.raises(ValueError):
         build_upper_envelope_case1(exp1_params, case2_profile, GRID)
-    with pytest.raises(ValueError):
-        build_upper_envelope_case1(exp1_params, case1_profile, GRID, r1=0.5)
     heavy_chi = SimParams(chi=2.0, mu=1.0, nu=0.05, b=1.0, c=1.0)
     with pytest.raises(ValueError):
         build_upper_envelope_case1(heavy_chi, case1_profile, GRID)
@@ -185,12 +183,11 @@ def test_certify_violated_hypothesis_reports_without_raising(case1_profile):
     assert math.isfinite(report.worst.worst_residual)
 
 
-@pytest.mark.parametrize("kwargs", ({"n_samples": 0}, {"n_samples": -3},
-                                    {"tol": math.nan}, {"tol": math.inf}))
+@pytest.mark.parametrize("kwargs", ({"n_samples": 0}, {"n_samples": -3}))
 def test_certify_refuses_a_vacuous_certificate(kwargs, exp1_params,
                                                case1_profile, monkeypatch):
-    # no samples passes every branch at -inf, and a non-finite tol decides
-    # nothing: both are refused before the kernel is ever evaluated
+    # no samples passes every branch at -inf: refused before the kernel is
+    # ever evaluated
     env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
 
     def unreachable(*args, **kw):

@@ -70,8 +70,7 @@ def test_decoupled_limit_chi_zero(case1_profile):
 def test_rejects_case2_profiles(exp1_params, case2_profile):
     grid = Grid(L=20.0, h=0.1)
     with pytest.raises(ValueError):
-        frozen_flow_fixed_point(exp1_params, case2_profile, grid,
-                                bc=BoundaryCase.CASE2)
+        frozen_flow_fixed_point(exp1_params, case2_profile, grid)
 
 
 def test_frozen_step_is_the_coupled_step(exp1_params, case1_profile,
@@ -85,7 +84,7 @@ def test_frozen_step_is_the_coupled_step(exp1_params, case1_profile,
     u0 = initial_state(cfg, sample(case1_u0, grid))
     v = ChemicalSolver(grid, exp1_params.nu, exp1_params.mu,
                        BoundaryCase.CASE1).solve(u0).v
-    frozen, _ = _evolve_frozen(cfg, u0, v, snapshot_dt=0.5)
+    frozen, _ = _evolve_frozen(cfg, u0, v)
     traj, _ = run(cfg, u0)
     assert not np.array_equal(frozen, u0)
     assert np.array_equal(frozen, traj.u_final)

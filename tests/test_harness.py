@@ -204,6 +204,19 @@ BAD_VALUES = [
      "u0 must be nonnegative"),
     ("verify", "case1_exp1.cfg", "verify_epsilons", "0.1, -0.05",
      "verify_epsilons", "epsilon must be positive, got -0.05"),
+    # properties of the parsed values that a mode's analysis needs
+    ("regime", "case1_exp1.cfg", "b", "0.05", "b",
+     "b must exceed chi*mu = 0.1"),
+    ("verify", "case1_exp1.cfg", "b", "0.05", "b",
+     "b must exceed chi*mu = 0.1"),
+    ("regime", "case1_exp1.cfg", "profile", "-8:-1, -7:-0.5", "profile",
+     "profile has no favorable region (sup r <= 0)"),
+    ("verify", "case1_exp1.cfg", "profile", "-8:1, -7:10", "profile",
+     "verify mode needs a CASE1 or CASE2 profile"),
+    ("eig", "case1_exp1.cfg", "eig_h", "0.07", "eig_h",
+     "2L/h = 514.2857142857142 is not an integer >= 2 (L = 18.0, h = 0.07)"),
+    ("regime", "case1_exp1.cfg", "eig_h", "0.07", "eig_h",
+     "2L/h = 514.2857142857142 is not an integer >= 2"),
 ]
 
 
@@ -690,9 +703,9 @@ def test_cli_help_lists_every_key_with_its_default(capsys):
     ("eig", ("h = 0.1\n", "h = 0.1\neig_h = 0.07\n")),
 ))
 def test_cli_failing_run_writes_no_files(mode, edit, tmp_path, capsys):
-    # T and the convergence window must be multiples of tau (refused at
-    # parse time), and eig_h must divide 2L (refused when the run starts):
-    # each leaves no bundle behind
+    # T and the convergence window must be multiples of tau, and eig_h
+    # must divide the doubling's 2L (all refused at parse time): each leaves
+    # no bundle behind
     text = (EXPERIMENTS / "case1_exp1.cfg").read_text()
     assert edit[0] in text
     cfg = tmp_path / "bad.cfg"

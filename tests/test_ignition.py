@@ -104,11 +104,7 @@ def test_speed_against_pde_front_tracking():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("speed_tol", math.nan),      # used to return bound/2 as the speed
-    ("speed_tol", 0.0),           # used to bisect forever
     ("epsilon", math.nan),        # used to die converting nan to an integer
-    ("step", -1e-3),              # used to shoot 32 times, then give up
-    ("truncation_radius", math.inf),
 ])
 def test_rejects_argument_not_finite_positive(name, value, monkeypatch):
     def no_shot(*args):
@@ -122,8 +118,8 @@ def test_rejects_argument_not_finite_positive(name, value, monkeypatch):
 @pytest.mark.parametrize("eps", (0.1, 0.05, 0.025))
 def test_brent_speed_matches_bisection_in_few_shots(eps, monkeypatch):
     # reference: bisection of the same overshoot on the same (0, bound)
-    # bracket down to a width of speed_tol, as the speed was found before
-    speed_tol, step = 1e-8, 1e-3
+    # bracket down to a width of SPEED_TOL, as the speed was found before
+    speed_tol, step = ignition.SPEED_TOL, ignition.STEP
     beta = PARAMS.damping_gap
     alpha = 10.0 - eps - PARAMS.chi * PARAMS.mu * 10.0 / beta
     lo, hi = 0.0, speed_limit(PARAMS, 10.0)
@@ -140,7 +136,7 @@ def test_brent_speed_matches_bisection_in_few_shots(eps, monkeypatch):
         shots.append(args[0])
         return shoot(*args)
     monkeypatch.setattr(ignition, "_shoot", counted)
-    wave = ignition_wave(PARAMS, 10.0, eps, step=step, speed_tol=speed_tol)
+    wave = ignition_wave(PARAMS, 10.0, eps)
     assert abs(wave.speed - 0.5 * (lo + hi)) <= speed_tol
     assert len(shots) <= 16
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kswave import (Grid, GrowthProfile, HabitatClass, InitialCondition,
-                    SimParams, check_regime, classify_profile, sample,
-                    theta_root)
+from kswave import (ConfigError, Grid, GrowthProfile, HabitatClass,
+                    InitialCondition, SimParams, check_regime,
+                    classify_profile, sample, theta_root)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +237,14 @@ def test_params_validation():
     p = SimParams(chi=0.5, mu=1.0, nu=1.0, b=1.0, c=0.0)
     assert p.well_posed
     assert not SimParams(chi=2.0, mu=1.0, nu=1.0, b=1.0, c=0.0).well_posed
+
+
+def test_params_refuse_nan_chi_under_its_key():
+    # the config parser refuses nan first; built directly, a nan chi used to
+    # pass the `chi < 0` test
+    with pytest.raises(ConfigError, match="chi must be nonnegative") as exc:
+        SimParams(chi=math.nan, mu=1.0, nu=1.0, b=1.0, c=0.0)
+    assert exc.value.key == "chi"
 
 
 def test_types_are_immutable(exp1_params, case1_profile):

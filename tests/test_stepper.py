@@ -111,7 +111,7 @@ def test_blowup_guard_raises():
     with pytest.raises(BlowUpError):
         run(cfg, u0)
     with pytest.raises(BlowUpError):
-        _evolve_frozen(cfg, u0, np.zeros(grid.M + 1), snapshot_dt=0.5)
+        _evolve_frozen(cfg, u0, np.zeros(grid.M + 1))
     assert run_block([cfg], u0) == [None]
 
 
