@@ -4,7 +4,7 @@ analytic verification toolkit (Green's-kernel chemical fields, principal
 eigenvalues, super/sub-solution envelopes, and the frozen-chemotaxis
 fixed-point iteration)."""
 
-from .chemical import ChemicalField, ChemicalSolver, greens_psi, greens_psi_x
+from .chemical import ChemicalSolver, greens_psi, greens_psi_x
 from .envelopes import (CertificationReport, Envelope, EnvelopeError,
                         EnvelopeKind, build_lower_envelope_case1,
                         build_lower_envelope_case2,

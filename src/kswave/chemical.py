@@ -8,8 +8,7 @@ Two independent routes to v from u:
   Neumann closure v_{M+1} = v_M (CASE1) or v(L) = 0 (CASE2).  The matrix
   does not depend on u, so the solver factors it once with LAPACK
   ``dgttrf`` and each solve is one ``dgttrs`` call on the scaled right-hand
-  side; cost is linear in M.  The gradient vx of the returned field is
-  computed on first access only, since the stepper never reads it.
+  side; cost is linear in M.
 
 * ``greens_psi`` / ``greens_psi_x``: the whole-line representation
   Psi(x; u) = mu/(2 sqrt(nu)) * integral exp(-sqrt(nu) |x-y|) u(y) dy and its
@@ -26,47 +25,13 @@ Two independent routes to v from u:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .model import BoundaryCase, Grid
 from .tridiagonal import TridiagonalLU
 
-__all__ = [
-    "ChemicalField",
-    "ChemicalSolver",
-    "greens_psi",
-    "greens_psi_x",
-]
-
-
-@dataclass(frozen=True)
-class ChemicalField:
-    """Concentration v on the grid nodes (spacing h, closure bc), one row
-    per profile when solved for a block.  Its first derivative vx (central
-    differences inside, one-sided at the ends) is computed on first
-    access."""
-
-    v: np.ndarray
-    h: float
-    bc: BoundaryCase
-
-    @cached_property
-    def vx(self) -> np.ndarray:
-        v, h = self.v, self.h
-        vx = np.empty_like(v)
-        vx[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
-        # second-order one-sided at the Dirichlet end(s)
-        vx[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
-        if self.bc is BoundaryCase.CASE1:
-            # the backward difference used by the scheme; zero by closure
-            vx[..., -1] = (v[..., -1] - v[..., -2]) / h
-        else:
-            vx[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2]
-                           + v[..., -3]) / (2.0 * h)
-        return vx
+__all__ = ["ChemicalSolver", "greens_psi", "greens_psi_x"]
 
 
 class ChemicalSolver:
@@ -98,7 +63,7 @@ class ChemicalSolver:
         # a 0-d array: numpy dispatches it faster than a Python float
         self._rhs_scale = np.array(-self.mu * h2)
 
-    def solve(self, u: np.ndarray) -> ChemicalField:
+    def solve(self, u: np.ndarray) -> np.ndarray:
         """The field v of u, for u of shape (M+1,) or a block (B, M+1) of
         B profiles, one per row; v has the shape of u.  A block is one
         ``dgttrs`` call, and each of its rows is bitwise the solve of that
@@ -128,7 +93,7 @@ class ChemicalSolver:
         ends = v.T
         ends[0] = 0.0
         ends[-1] = ends[-2] if self.bc is BoundaryCase.CASE1 else 0.0
-        return ChemicalField(v=v, h=grid.h, bc=self.bc)
+        return v
 
 
 def _one_sided_sums(u, grid: Grid, nu: float):

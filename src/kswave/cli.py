@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 from .envelopes import EnvelopeError
-from .fixedpoint import SandwichError
 from .harness import (MODES, ConfigError, config_help, fmt, parse_config,
                       run_experiment)
 from .ignition import BracketError
@@ -73,7 +72,7 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(spec, out_dir,
                                 workers=getattr(args, "workers", 1))
-    except (BlowUpError, BracketError, EnvelopeError, SandwichError) as exc:
+    except (BlowUpError, BracketError, EnvelopeError) as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -81,7 +81,7 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray):
     prev_snap = None
     worst_increase = -math.inf
 
-    def settle(j, u, chem, m):
+    def settle(j, u, v, m):
         nonlocal prev_snap, worst_increase
         if j % snap_every == 0:
             if j:
@@ -114,7 +114,7 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
     diffs = []
     worst_slack = -math.inf
     for n_outer in range(1, MAX_OUTER + 1):
-        u_next, slack = _evolve_frozen(cfg, upper.values, solver.solve(u).v)
+        u_next, slack = _evolve_frozen(cfg, upper.values, solver.solve(u))
         worst_slack = max(worst_slack, slack)
         low_viol = float(np.max(lower.values - u_next))
         high_viol = float(np.max(u_next - upper.values))
@@ -142,14 +142,14 @@ def stationary_residual(u_star: np.ndarray, params: SimParams,
                         bc: BoundaryCase = BoundaryCase.CASE1) -> float:
     """Sup norm over the interior nodes of the stationary operator A_u(u)
     (``envelopes._residual``) at u = u_star, with central differences for
-    u' and u'' and the chemical field recomputed from u_star itself through
-    the same boundary-closed solve the flow used."""
-    chem = ChemicalSolver(grid, params.nu, params.mu, bc).solve(u_star)
+    u', u'' and v' and the chemical field recomputed from u_star itself
+    through the same boundary-closed solve the flow used."""
+    v = ChemicalSolver(grid, params.nu, params.mu, bc).solve(u_star)
     r = np.asarray(profile(grid.nodes), dtype=float)
     h = grid.h
     u = np.asarray(u_star, dtype=float)
     ux = (u[2:] - u[:-2]) / (2.0 * h)
     uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    res = _residual(u[1:-1], ux, uxx, chem.v[1:-1], chem.vx[1:-1], r[1:-1],
-                    params)
+    vx = (v[2:] - v[:-2]) / (2.0 * h)
+    res = _residual(u[1:-1], ux, uxx, v[1:-1], vx, r[1:-1], params)
     return float(np.max(np.abs(res)))

@@ -530,11 +530,11 @@ def _sweep_block(args):
         if result is None:
             _log_error(row, "blew up")
             continue
-        traj, outcome = result
+        u_final, _, _, outcome = result
         row["outcome"] = outcome.tag.value
         if outcome.plateau is not None:
             row["plateau"] = outcome.plateau
-        row["final_sup_u"] = float(traj.u_final.max())
+        row["final_sup_u"] = float(u_final.max())
     return rows
 
 

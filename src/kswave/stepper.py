@@ -30,11 +30,12 @@ The update is one kernel with a v-stage (the three bracketed stencil
 factors from v) and a u-stage (the rest, returning the sup of each row),
 for one run (u of shape (M+1,)) or a block of runs (u of shape (B, M+1),
 one run per row).  ``_march`` is the one step loop and holds the blow-up
-guard.  ``run`` marches one run with a hook that records its series.
-``run_block`` marches runs that share their grid, tau, r, nu and mu, and
-so one factored chemical matrix, as one block: the kernel steps the runs
-laid end to end as one line of nodes, the chemical solve takes all rows
-in one LAPACK call, and every row gets the bits its own ``run`` would.
+guard; it carries u and the field v as plain arrays.  ``run`` marches one
+run with a hook that records its series.  ``run_block`` marches runs that
+share their grid, tau, r, nu and mu, and so one factored chemical matrix,
+as one block: the kernel steps the runs laid end to end as one line of
+nodes, the chemical solve takes all rows in one LAPACK call, and every
+row gets the bits its own ``run`` would.
 The frozen-chemotaxis flow of ``kswave.fixedpoint`` loads its fixed v
 once and marches without a solve.  ``run`` and the frozen flow judge
 convergence with one lag monitor.
@@ -180,18 +181,18 @@ class Outcome:
 class Trajectory:
     """Recorded series of a run.  ``times`` etc. are sampled on a coarse
     cadence (a tenth of the convergence window); snapshots hold full (u, v)
-    profiles at the requested times; ``u_lag`` is u(T - conv_window)."""
+    profiles at the requested times; ``u_lag`` is u(T - conv_window), None
+    when T is shorter than the window."""
 
     times: np.ndarray
     sup_diff: np.ndarray
     sup_u: np.ndarray
     u_at_right: np.ndarray
     snapshots: list
-    t_final: float = 0.0
-    u_final: np.ndarray | None = None
-    v_final: np.ndarray | None = None
-    u_lag: np.ndarray | None = None
-    max_sup_u: float = 0.0
+    u_final: np.ndarray
+    v_final: np.ndarray
+    u_lag: np.ndarray | None
+    max_sup_u: float
 
 
 def _line(a: np.ndarray) -> np.ndarray:
@@ -334,18 +335,19 @@ def _march(advance: _ExplicitStep, u: np.ndarray, n_steps: int,
     reloaded from u every step (the coupled flow), without one the loaded v
     stays (the frozen flow).  One run past the blow-up guard raises
     BlowUpError; a block row past it is zeroed, which the scheme keeps at
-    zero, and flagged.  ``on_step(j, u, chem, m)``, m the sup of each row,
-    sees step 0 and every step; the march stops when it returns True.
-    Returns the last (u, chem) and the flags of blown rows."""
-    chem = None if solver is None else solver.solve(u)
+    zero, and flagged.  ``on_step(j, u, v, m)``, v the field of u (None in
+    the frozen flow) and m the sup of each row, sees step 0 and every step;
+    the march stops when it returns True.  Returns the last (u, v) and the
+    flags of blown rows."""
+    v = None if solver is None else solver.solve(u)
     blown = np.zeros(u.shape[:-1], dtype=bool)
-    if on_step is not None and on_step(0, u, chem,
+    if on_step is not None and on_step(0, u, v,
                                        np.maximum.reduce(u, axis=-1)):
-        return u, chem, blown
+        return u, v, blown
     u_next = np.empty_like(u)
     for j in range(1, n_steps + 1):
         if solver is not None:
-            advance.load(chem.v)
+            advance.load(v)
         m = advance(u, u_next)
         u, u_next = u_next, u
         # both tests catch nan (nan <= limit is False); one run's sup is a
@@ -359,10 +361,10 @@ def _march(advance: _ExplicitStep, u: np.ndarray, n_steps: int,
             raise BlowUpError(f"|u| exceeded {BLOWUP_LIMIT:g}: unstable step "
                               "(check CFL and b > chi*mu)")
         if solver is not None:
-            chem = solver.solve(u)
-        if on_step is not None and on_step(j, u, chem, m):
+            v = solver.solve(u)
+        if on_step is not None and on_step(j, u, v, m):
             break
-    return u, chem, blown
+    return u, v, blown
 
 
 def run(cfg: RunConfig, u0: np.ndarray):
@@ -377,7 +379,7 @@ def run(cfg: RunConfig, u0: np.ndarray):
     monitor = _LagMonitor(lag_steps)
     max_sup = 0.0
 
-    def record(j, u, chem, m):
+    def record(j, u, v, m):
         nonlocal max_sup
         if m > max_sup:
             max_sup = float(m)
@@ -389,17 +391,16 @@ def run(cfg: RunConfig, u0: np.ndarray):
             sup_us.append(float(u.max()))
             u_rights.append(float(u[-1]))
             if j in snap_steps:
-                snapshots.append((snap_steps[j], u.copy(), chem.v.copy()))
+                snapshots.append((snap_steps[j], u.copy(), v.copy()))
 
-    u, chem, _ = _march(_ExplicitStep(cfg, [cfg.params]),
-                        initial_state(cfg, u0), n_steps, solver, record)
+    u, v, _ = _march(_ExplicitStep(cfg, [cfg.params]),
+                     initial_state(cfg, u0), n_steps, solver, record)
     traj = Trajectory(
         times=np.array(times), sup_diff=np.array(sup_diffs),
         sup_u=np.array(sup_us), u_at_right=np.array(u_rights),
-        snapshots=snapshots, t_final=n_steps * cfg.tau,
-        u_final=u.copy(), v_final=chem.v.copy(),
+        snapshots=snapshots, u_final=u.copy(), v_final=v.copy(),
         u_lag=monitor.kept.get(n_steps - lag_steps), max_sup_u=max_sup)
-    return traj, detect_outcome(traj, cfg)
+    return traj, detect_outcome(traj.u_final, traj.u_lag, cfg)
 
 
 def _block_key(cfg: RunConfig):
@@ -411,11 +412,12 @@ def _block_key(cfg: RunConfig):
 def run_block(cfgs: Sequence[RunConfig], u0: np.ndarray):
     """March one or more runs that differ only in (b, c, chi) from one u0
     as one (B, M+1) block, with ``run``'s kernel and chemical solve, and
-    classify each row.  Row k's final (u, v), lag profile and outcome are
-    bitwise those of ``run(cfgs[k], u0)``.  Only those are kept: each
-    Trajectory has empty series, no snapshots and a nan max_sup_u.  A row
-    whose sup passes the blow-up guard is zeroed, which the scheme keeps
-    at zero, and gives None in place of its (Trajectory, Outcome)."""
+    classify each row.  Row k reads (u_final, v_final, u_lag, outcome),
+    bitwise the final (u, v), lag profile and outcome of
+    ``run(cfgs[k], u0)`` (u_lag None when T is shorter than the convergence
+    window); no series or snapshots are kept.  A row whose sup passes the
+    blow-up guard is zeroed, which the scheme keeps at zero, and reads
+    None."""
     cfg = cfgs[0]
     if any(_block_key(k) != _block_key(cfg) for k in cfgs[1:]):
         raise ValueError("a block shares its grid, bc, tau, T, conv_window, "
@@ -424,40 +426,37 @@ def run_block(cfgs: Sequence[RunConfig], u0: np.ndarray):
     solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
     u_lag = None
 
-    def keep_lag(j, u, chem, m):
+    def keep_lag(j, u, v, m):
         nonlocal u_lag
         if j == n_steps - lag_steps:
             u_lag = u.copy()
 
-    u, chem, blown = _march(_ExplicitStep(cfg, [k.params for k in cfgs]),
-                            np.tile(initial_state(cfg, u0), (len(cfgs), 1)),
-                            n_steps, solver, keep_lag)
+    u, v, blown = _march(_ExplicitStep(cfg, [k.params for k in cfgs]),
+                         np.tile(initial_state(cfg, u0), (len(cfgs), 1)),
+                         n_steps, solver, keep_lag)
     results = []
     for k, cfg_k in enumerate(cfgs):
         if blown[k]:
             results.append(None)
             continue
-        empty = np.empty(0)
-        traj = Trajectory(
-            times=empty, sup_diff=empty, sup_u=empty, u_at_right=empty,
-            snapshots=[], t_final=n_steps * cfg.tau, u_final=u[k].copy(),
-            v_final=chem.v[k].copy(),
-            u_lag=None if u_lag is None else u_lag[k].copy(),
-            max_sup_u=math.nan)
-        results.append((traj, detect_outcome(traj, cfg_k)))
+        lag = None if u_lag is None else u_lag[k]
+        results.append((u[k], v[k], lag, detect_outcome(u[k], lag, cfg_k)))
     return results
 
 
-def detect_outcome(traj: Trajectory, cfg: RunConfig) -> Outcome:
-    """Classify the terminal window: extinction when the terminal sup norm
+def detect_outcome(u: np.ndarray, u_lag: np.ndarray | None,
+                   cfg: RunConfig) -> Outcome:
+    """Classify the terminal window from the final profile u and the
+    profile u_lag one convergence window earlier (None when the run is
+    shorter than the window, which leaves final_sup_diff nan and a
+    non-extinct run undetermined): extinction when the terminal sup norm
     falls below extinct_tol; a settled run (sup change over the trailing
     window below conv_tol) is a forced wave when it matches the expected
     shape for its boundary case; anything else is undetermined."""
-    u = traj.u_final
     sup_u = float(u.max())
     sup_diff = math.nan
-    if traj.u_lag is not None:
-        sup_diff = float(np.max(np.abs(u - traj.u_lag)))
+    if u_lag is not None:
+        sup_diff = float(np.max(np.abs(u - u_lag)))
     if sup_u < cfg.extinct_tol:
         return Outcome(tag=OutcomeTag.EXTINCTION, final_sup_diff=sup_diff)
     r_star = float(np.max(cfg.r_samples))

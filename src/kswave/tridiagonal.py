@@ -18,12 +18,13 @@ to an absolute tolerance) that ``scipy.linalg.eigvalsh_tridiagonal`` makes for
 the top eigenvalue with ``lapack_driver="stebz"``, with the same refusals.
 
 The routines come from scipy's compiled f2py module ``scipy.linalg._flapack``,
-loaded from its file without running ``scipy/linalg/__init__.py``.  That
-package import pulls in scipy's array-API layer and, through it,
-``numpy.f2py`` and ``numpy.testing``: over 300 modules, about 0.23 s of
-processor time and 18 MB of memory on a 2-core Xeon with Python 3.11, numpy
-2.4 and scipy 1.17, which was half the start-up cost of every kswave
-process.  The module is registered under its own name, so an
+loaded from its file without running ``scipy/linalg/__init__.py`` or
+``scipy/__init__.py``: scipy's folder is found from its import spec.  The
+``scipy.linalg`` package import pulls in scipy's array-API layer and,
+through it, ``numpy.f2py`` and ``numpy.testing``: over 300 modules, about
+0.23 s of processor time and 18 MB of memory on a 2-core Xeon with Python
+3.11, numpy 2.4 and scipy 1.17, which was half the start-up cost of every
+kswave process.  The module is registered under its own name, so an
 ``import scipy.linalg`` before or after this one shares the one instance.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,10 @@ def _load_flapack():
     module = sys.modules.get(_FLAPACK)
     if module is not None:
         return module
-    import scipy
-    folder = Path(scipy.__path__[0]) / "linalg"
+    spec = find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    folder = Path(spec.submodule_search_locations[0]) / "linalg"
     paths = [folder / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
     path = next((p for p in paths if p.is_file()), None)
     if path is None:

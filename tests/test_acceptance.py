@@ -155,7 +155,7 @@ def test_criterion_7_greens_oracle_equivalence():
         amp = rng.uniform(0.2, 2.0)
         u = np.where(np.abs(x - x0) < w,
                      amp * (1 + np.cos(np.pi * (x - x0) / w)) / 2, 0.0)
-        v = ChemicalSolver(grid, nu, mu, BoundaryCase.CASE2).solve(u).v
+        v = ChemicalSolver(grid, nu, mu, BoundaryCase.CASE2).solve(u)
         psi = greens_psi(u, grid, nu, mu)
         worst = max(worst, float(np.abs(v - psi)[mid].max()))
     ok = worst < 1e-3

@@ -83,7 +83,7 @@ def test_frozen_step_is_the_coupled_step(exp1_params, case1_profile,
                           BoundaryCase.CASE1, tau, tau)
     u0 = initial_state(cfg, sample(case1_u0, grid))
     v = ChemicalSolver(grid, exp1_params.nu, exp1_params.mu,
-                       BoundaryCase.CASE1).solve(u0).v
+                       BoundaryCase.CASE1).solve(u0)
     frozen, _ = _evolve_frozen(cfg, u0, v)
     traj, _ = run(cfg, u0)
     assert not np.array_equal(frozen, u0)

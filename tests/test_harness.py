@@ -755,10 +755,10 @@ def test_import_loads_no_scipy_optimize_or_signal():
     # heavy imports that kswave does not need: they would add to the
     # start-up time and peak memory of every run.  LAPACK is bound from
     # scipy's compiled module alone, without the scipy.linalg package
-    # (which loads numpy.f2py and numpy.testing), and the process pool
-    # (multiprocessing) is imported only by a sweep that starts workers.
-    prefixes = ("scipy.optimize", "scipy.signal", "scipy.linalg",
-                "numpy.f2py", "numpy.testing", "multiprocessing")
+    # (which loads numpy.f2py and numpy.testing) or the scipy package
+    # itself, and the process pool (multiprocessing) is imported only by a
+    # sweep that starts workers.
+    prefixes = ("scipy", "numpy.f2py", "numpy.testing", "multiprocessing")
     code = (f"import sys, kswave; print(sorted(m for m in sys.modules "
             f"if m.startswith({prefixes!r})))")
     assert _run_python(code) == "['scipy.linalg._flapack']"

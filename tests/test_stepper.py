@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kswave import (BlowUpError, BoundaryCase, Grid, GrowthProfile,
                     InitialCondition, Outcome, OutcomeTag, SimParams,
-                    Trajectory, cfl_check, detect_outcome, initial_state,
+                    cfl_check, detect_outcome, initial_state,
                     make_run_config, run, run_block)
 from kswave.fixedpoint import _evolve_frozen
 
@@ -52,7 +52,6 @@ def test_zero_is_fixed_point():
     cfg = tiny_cfg(T=0.3)
     traj, _ = run(cfg, np.zeros(cfg.grid.M + 1))
     assert np.all(traj.u_final == 0.0)
-    assert traj.t_final == pytest.approx(0.3)
 
 
 def test_single_interior_node_update_oracle():
@@ -218,10 +217,10 @@ def test_block_rows_equal_serial_runs_bitwise(axis, values, bc):
             assert row is None
             blown += 1
             continue
-        block_traj, block_outcome = row
-        assert block_traj.u_final.tobytes() == traj.u_final.tobytes()
-        assert block_traj.v_final.tobytes() == traj.v_final.tobytes()
-        assert block_traj.u_lag.tobytes() == traj.u_lag.tobytes()
+        u_final, v_final, u_lag, block_outcome = row
+        assert u_final.tobytes() == traj.u_final.tobytes()
+        assert v_final.tobytes() == traj.v_final.tobytes()
+        assert u_lag.tobytes() == traj.u_lag.tobytes()
         assert block_outcome == outcome
     assert blown == (axis == "b")
 
@@ -241,13 +240,7 @@ def test_block_keeps_the_run_checks():
 
 
 # ---------------------------------------------------------------------------
-# outcome classification on synthetic trajectories
-
-def synth_traj(u_final, u_lag, grid):
-    return Trajectory(times=np.array([0.0]), sup_diff=np.array([math.nan]),
-                      sup_u=np.array([0.0]), u_at_right=np.array([0.0]),
-                      snapshots=[], t_final=1.0, u_final=u_final,
-                      v_final=np.zeros_like(u_final), u_lag=u_lag)
+# outcome classification on synthetic profiles
 
 
 def test_detect_outcome_synthetic_cases(case1_profile, exp1_params):
@@ -255,21 +248,33 @@ def test_detect_outcome_synthetic_cases(case1_profile, exp1_params):
     cfg = make_run_config(exp1_params, case1_profile, grid,
                           BoundaryCase.CASE1, 0.002, 10.0)
     settled = np.where(grid.nodes > -7.0, 10.0, 0.0)
-    out = detect_outcome(synth_traj(settled, settled.copy(), grid), cfg)
+    out = detect_outcome(settled, settled.copy(), cfg)
     assert out.tag is OutcomeTag.FORCED_WAVE_CASE1
     assert out.plateau == pytest.approx(10.0)
 
     zero = np.zeros(grid.M + 1)
-    out = detect_outcome(synth_traj(zero, zero.copy(), grid), cfg)
+    out = detect_outcome(zero, zero.copy(), cfg)
     assert out.tag is OutcomeTag.EXTINCTION
 
-    moving = detect_outcome(synth_traj(settled, 0.5 * settled, grid), cfg)
+    moving = detect_outcome(settled, 0.5 * settled, cfg)
     assert moving.tag is OutcomeTag.UNDETERMINED
 
     # settled but plateau far from r*/b: not a recognized wave shape
-    bad = detect_outcome(synth_traj(0.5 * settled, 0.5 * settled.copy(), grid),
-                         cfg)
+    bad = detect_outcome(0.5 * settled, 0.5 * settled.copy(), cfg)
     assert bad.tag is OutcomeTag.UNDETERMINED
+
+
+def test_detect_outcome_without_lag_is_undetermined(case1_profile,
+                                                    exp1_params):
+    # a run shorter than its convergence window has no lag partner: the
+    # settled shape is not judged, and the sup change reads nan
+    grid = Grid(L=20.0, h=0.1)
+    cfg = make_run_config(exp1_params, case1_profile, grid,
+                          BoundaryCase.CASE1, 0.002, 10.0)
+    settled = np.where(grid.nodes > -7.0, 10.0, 0.0)
+    out = detect_outcome(settled, None, cfg)
+    assert out.tag is OutcomeTag.UNDETERMINED
+    assert math.isnan(out.final_sup_diff)
 
 
 def test_detect_outcome_case2_peak(case2_profile, case2_exp1_params):
@@ -278,7 +283,7 @@ def test_detect_outcome_case2_peak(case2_profile, case2_exp1_params):
                           BoundaryCase.CASE2, 0.002, 10.0)
     hump = 8.0 * np.exp(-0.5 * (grid.nodes + 6.0) ** 2)
     hump[0] = hump[-1] = 0.0
-    out = detect_outcome(synth_traj(hump, hump.copy(), grid), cfg)
+    out = detect_outcome(hump, hump.copy(), cfg)
     assert out.tag is OutcomeTag.FORCED_WAVE_CASE2
     peak_val, peak_x = out.peak
     assert peak_val == pytest.approx(8.0, rel=1e-6)
