@@ -89,11 +89,7 @@ class ChemicalSolver:
             # (n, B) columns LAPACK solves in place
             rhs = np.multiply(self._rhs_scale, u[:, 1:1 + n])
             v[:, 1:1 + n] = self._lu.solve(rhs.T).T
-        # node axis first: rows 0, -2 and -1 are the end nodes of each profile
-        ends = v.T
-        ends[0] = 0.0
-        ends[-1] = ends[-2] if self.bc is BoundaryCase.CASE1 else 0.0
-        return v
+        return self.bc.close(v)
 
 
 def _one_sided_sums(u, grid: Grid, nu: float):

@@ -6,7 +6,15 @@
     kswave verify   <cfg> [--out DIR]
     kswave sweep    <cfg> [--out DIR] [--workers N]
 
-Exit codes: 0 success, 1 validation error, 2 numerical fault.
+Each mode writes its artifact bundle into DIR, by default out/<config stem>
+for simulate and sweep and out/<config stem>_<mode> for eig, regime and
+verify.  It then prints the bundle's summary artifacts (``harness.SUMMARIES``:
+outcome.txt; eigenvalues.csv and lambda_infinity.txt; regime.txt;
+certification.csv and ignition.csv; regime_map.csv) byte for byte, and a last
+line ``artifacts in DIR``.
+
+Exit codes: 0 success, 1 validation error, 2 numerical fault (also a sweep
+with an ``error`` row).
 """
 
 from __future__ import annotations
@@ -17,10 +25,17 @@ import sys
 from pathlib import Path
 
 from .envelopes import EnvelopeError
-from .harness import (MODES, ConfigError, config_help, fmt, parse_config,
-                      run_experiment)
+from .harness import (MODES, SUMMARIES, ConfigError, config_help,
+                      parse_config, run_experiment)
 from .ignition import BracketError
 from .stepper import BlowUpError
+
+
+def _default_out(stem: str, mode: str) -> Path:
+    """out/<stem> for simulate and sweep, out/<stem>_<mode> for the analysis
+    modes, so a verify run never overwrites its config's simulate bundle."""
+    return Path("out") / (stem if mode in ("simulate", "sweep")
+                          else f"{stem}_{mode}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(mode)
         p.add_argument("config", type=Path)
         p.add_argument("--out", type=Path, default=None,
-                       help="output directory (default: out/<config stem>)")
+                       help="output directory (default: "
+                            f"{_default_out('<config stem>', mode)})")
         if mode == "simulate":
             p.add_argument("--snapshot-times", default=None,
                            help="comma-separated times overriding the config")
@@ -68,7 +84,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = args.out if args.out is not None else Path("out") / args.config.stem
+    out_dir = args.out if args.out is not None \
+        else _default_out(args.config.stem, args.mode)
     try:
         result = run_experiment(spec, out_dir,
                                 workers=getattr(args, "workers", 1))
@@ -79,42 +96,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.mode == "simulate":
-        line = f"outcome: {result.tag.value}"
-        if result.plateau is not None:
-            line += f", plateau u(T, L) = {fmt(result.plateau)}"
-        if result.peak is not None:
-            line += (f", peak max u(T) = {fmt(result.peak[0])} "
-                     f"at x = {fmt(result.peak[1])}")
-        print(line)
-        print(f"artifacts in {out_dir}")
-    elif args.mode == "eig":
-        print(f"lambda_inf estimate: {fmt(result.estimate)} "
-              f"(upper bound {fmt(result.upper_bound)}, "
-              f"{'converged' if result.converged else 'not converged'})")
-        for L, h, lam in result.table:
-            print(f"  L = {fmt(L)}, h = {fmt(h)}: lambda = {fmt(lam)}")
-    elif args.mode == "regime":
-        thr = "undefined" if result.h1_threshold is None else fmt(result.h1_threshold)
-        print(f"h1_holds: {result.h1_holds} (speed threshold {thr})")
-        print(f"h2_damping_holds: {result.h2_damping_holds}")
-        print(f"c_star: {fmt(result.c_star)}")
-        print(f"lambda_inf: {fmt(result.lambda_inf)}")
-    elif args.mode == "verify":
-        report, waves = result
-        status = "pass" if report.ok else "FAIL"
-        hyp = "" if report.hypothesis_satisfied else " (damping hypothesis violated)"
-        print(f"certification {status}{hyp}: worst residual "
-              f"{fmt(report.worst.worst_residual)} on branch "
-              f"{report.worst.branch}")
-        for w in waves:
-            print(f"  ignition eps = {fmt(w.epsilon)}: speed {fmt(w.speed)} "
-                  f"< bound {fmt(w.speed_bound)}")
-    elif args.mode == "sweep":
-        n_err = sum(r["outcome"] == "error" for r in result)
-        print(f"sweep: {len(result)} points, {n_err} errors "
-              f"-> {out_dir / 'regime_map.csv'}")
-        return 2 if n_err else 0
+    # each summary artifact is the result's one text form: print it as written
+    for name in SUMMARIES[args.mode]:
+        sys.stdout.write((out_dir / name).read_text())
+    print(f"artifacts in {out_dir}")
+    if args.mode == "sweep" and any(r["outcome"] == "error" for r in result):
+        return 2
     return 0
 
 

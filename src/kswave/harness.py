@@ -440,6 +440,9 @@ def _run_verify(spec: RunSpec):
     envelope = build(params, profile, grid)
     report = certify_supersolution(envelope, params, profile,
                                    n_samples=spec.verify_samples)
+    if not report.hypothesis_satisfied:
+        _log.warning("damping hypothesis b >= 1.5 chi mu violated: b = %g, "
+                     "chi*mu = %g", params.b, params.chi * params.mu)
     rows = ["branch,region_nodes,worst_residual,worst_x,worst_sample,pass"]
     for b in report.branches:
         rows.append(
@@ -478,6 +481,14 @@ def _verify_habitat(profile: GrowthProfile) -> HabitatClass:
 
 _RUNNERS = {"simulate": _run_simulate, "eig": _run_eig,
             "regime": _run_regime, "verify": _run_verify}
+
+# the artifacts of each mode that summarize its result, in the order the CLI
+# prints them
+SUMMARIES = {"simulate": ("outcome.txt",),
+             "eig": ("eigenvalues.csv", "lambda_infinity.txt"),
+             "regime": ("regime.txt",),
+             "verify": ("certification.csv", "ignition.csv"),
+             "sweep": ("regime_map.csv",)}
 
 
 # --------------------------------------------------------------------------

@@ -212,6 +212,16 @@ class BoundaryCase(Enum):
     CASE1 = "case1"
     CASE2 = "case2"
 
+    def close(self, a: np.ndarray) -> np.ndarray:
+        """Impose the closure in place on a profile (M+1,) or on each row of
+        a block (B, M+1): 0 at -L, and at L the last interior value (CASE1)
+        or 0 (CASE2).  Returns ``a``."""
+        # node axis first: rows 0, -2 and -1 are the end nodes of each row
+        ends = a.T
+        ends[0] = 0.0
+        ends[-1] = ends[-2] if self is BoundaryCase.CASE1 else 0.0
+        return a
+
 
 class HabitatClass(Enum):
     CASE1 = "case1"

@@ -231,7 +231,7 @@ class _ExplicitStep:
             if len(runs) == 1:
                 return np.array(values[0])
             return np.repeat(values, nodes)[1:-1]
-        self.case1 = cfg.bc is BoundaryCase.CASE1
+        self.bc = cfg.bc
         self.c = coefficient([p.c for p in runs])
         self.chi = coefficient([p.chi for p in runs])
         lam = tau / (h * h)
@@ -277,11 +277,7 @@ class _ExplicitStep:
         inner -= work
         np.multiply(self._east, line[2:], out=work)
         inner += work
-        # the transpose puts the node axis first, so its rows 0, -2 and -1
-        # are the end nodes of one run or of every run in a block
-        ends = out.T
-        ends[0] = 0.0
-        ends[-1] = ends[-2] if self.case1 else 0.0
+        self.bc.close(out)
         # round-off negatives are clamped so the quadratic term and the
         # chemical solve stay in the physical regime
         np.maximum(out, 0.0, out=out)
@@ -319,13 +315,7 @@ def initial_state(cfg: RunConfig, u0: np.ndarray) -> np.ndarray:
         raise ValueError("u0 must vanish at x = -L")
     if cfg.bc is BoundaryCase.CASE2 and abs(u0[-1]) > 1e-12:
         raise ValueError("u0 must vanish at x = L under CASE2")
-    u = np.maximum(u0, 0.0)
-    u[0] = 0.0
-    if cfg.bc is BoundaryCase.CASE1:
-        u[-1] = u[-2]
-    else:
-        u[-1] = 0.0
-    return u
+    return cfg.bc.close(np.maximum(u0, 0.0))
 
 
 def _march(advance: _ExplicitStep, u: np.ndarray, n_steps: int,

@@ -23,7 +23,7 @@ from kswave import (BoundaryCase, ChemicalSolver, Grid, GrowthProfile,
                     build_upper_envelope_case2, certify_supersolution,
                     frozen_flow_fixed_point, greens_psi, greens_psi_x,
                     make_run_config, principal_eigenvalue, richardson_speed,
-                    run, speed_limit)
+                    run, speed_limit, stationary_residual)
 from kswave.harness import SweepSpec, parse_config, sweep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -265,8 +265,10 @@ def test_criterion_11_frozen_flow_fixed_point(exp1_setup):
                 for _, u, _ in traj.snapshots)
     ok = (res.converged and res.n_outer <= 30
           and res.monotone_slack <= 1e-10 and drift < 1e-3)
+    resid = stationary_residual(res.u_star, params, profile, grid)
     report(11, ok, f"{res.n_outer} outer iterations, monotone slack "
-                   f"{res.monotone_slack:.1e}, coupled drift {drift:.2e}")
+                   f"{res.monotone_slack:.1e}, stationary residual "
+                   f"{resid:.2e}, coupled drift {drift:.2e}")
     assert res.converged and res.n_outer <= 30
     assert res.monotone_slack <= 1e-10
     assert drift < 1e-3

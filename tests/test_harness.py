@@ -369,6 +369,26 @@ def test_verify_mode(tmp_path):
     assert len(ign) == 2
 
 
+def test_verify_logs_a_violated_damping_hypothesis(tmp_path, caplog):
+    # b = 1.2 chi mu: the hypothesis b >= 1.5 chi mu fails, which no
+    # artifact records, so the run says so as a kswave warning
+    spec = parse_config(MINI_CFG.replace("chi = 0.1", "chi = 0.8"),
+                        mode="verify")
+    spec = replace(spec, verify_samples=5)
+    with caplog.at_level(logging.WARNING, logger="kswave"):
+        report, _ = run_experiment(spec, tmp_path)
+    assert not report.hypothesis_satisfied
+    assert any("damping hypothesis" in r.getMessage() for r in caplog.records
+               if r.name == "kswave" and r.levelno == logging.WARNING)
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="kswave"):
+        run_experiment(replace(parse_config(MINI_CFG, mode="verify"),
+                               verify_samples=5), tmp_path)
+    assert not any("damping hypothesis" in r.getMessage()
+                   for r in caplog.records)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -599,6 +619,27 @@ def test_case2_sweep_extinct_beyond_critical_speed(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI
 
+@pytest.mark.parametrize("mode, bundle", (
+    ("simulate", "run"), ("eig", "run_eig"), ("regime", "run_regime"),
+    ("verify", "run_verify"), ("sweep", "run")))
+def test_cli_prints_its_summary_artifacts(mode, bundle, tmp_path,
+                                          monkeypatch, capsys):
+    # with no --out, simulate and sweep write out/<stem> and the analysis
+    # modes out/<stem>_<mode> (so verify leaves a simulate bundle alone);
+    # stdout is the mode's summary artifacts byte for byte, then the
+    # bundle's path
+    monkeypatch.chdir(tmp_path)
+    text = SWEEP_CFG if mode == "sweep" else MINI_CFG
+    Path("run.cfg").write_text(text + "verify_samples = 5\n"
+                                      "verify_epsilons = 0.1\n")
+    assert cli_main([mode, "run.cfg"]) == 0
+    out = Path("out") / bundle
+    assert [p.name for p in Path("out").iterdir()] == [bundle]
+    assert capsys.readouterr().out == "".join(
+        (out / name).read_text() for name in harness.SUMMARIES[mode]) \
+        + f"artifacts in {out}\n"
+
+
 def test_cli_simulate_and_exit_codes(tmp_path):
     cfg = tmp_path / "mini.cfg"
     cfg.write_text(MINI_CFG)
@@ -730,11 +771,16 @@ def test_cli_sweep_goes_through_run_experiment(tmp_path, capsys):
     assert (out / "regime_map.csv").read_bytes() == \
         (tmp_path / "direct.csv").read_bytes()
 
-    # a row that errors (a chi below 0) makes the exit code 2
+    # a row that errors (a chi below 0) makes the exit code 2, and the map
+    # is still printed
     text = cfg.read_text()
     cfg.write_text(text + "sweep_chi = -0.1, 0.1, 2\n")
+    capsys.readouterr()
     assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "o6")]) == 2
-    assert "error" in (tmp_path / "o6" / "regime_map.csv").read_text()
+    written = (tmp_path / "o6" / "regime_map.csv").read_text()
+    assert "error" in written
+    assert capsys.readouterr().out == \
+        written + f"artifacts in {tmp_path / 'o6'}\n"
 
     # T off the tau grid is refused at parse time, before any write
     cfg.write_text(text.replace("T = 0.5", "T = 0.5001"))
