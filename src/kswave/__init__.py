@@ -18,11 +18,11 @@ from .ignition import (BracketError, IgnitionWave, ignition_wave,
                        profile_residual, richardson_speed)
 from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
                     InitialCondition, RegimeReport, SimParams, check_regime,
-                    classify_profile, sample, speed_limit, theta_root)
+                    classify_profile, speed_limit, theta_root)
 from .spectral import (EigenResult, LambdaInfinityResult, lambda_infinity,
                        principal_eigenvalue)
 from .stepper import (BlowUpError, Outcome, OutcomeTag, RunConfig,
-                      Trajectory, cfl_check, detect_outcome, initial_state,
+                      Trajectory, detect_outcome, initial_state,
                       make_run_config, run, run_block)
 
 __version__ = "0.1.0"

@@ -198,7 +198,7 @@ def build_upper_envelope_case1(params: SimParams, profile: GrowthProfile,
     # r(-inf) < r1 < 0 < r(+inf) for CASE1, so r crosses r1
     r1 = 0.5 * profile.left_limit
     x1 = _first_up_crossing(profile, r1)
-    theta1 = theta_root(params.c, r1, "forward")
+    theta1 = theta_root(params.c, r1)
     constants = {"r1": r1, "x1": x1, "theta1": theta1,
                  "level": profile.r_star / params.damping_gap}
     return _upper_envelope(EnvelopeKind.UPPER_CASE1, constants, grid)
@@ -215,21 +215,20 @@ def build_upper_envelope_case2(params: SimParams, profile: GrowthProfile,
     rbar = 0.5 * max(profile.left_limit, profile.right_limit)
     xbar = _first_up_crossing(profile, rbar)
     xtilde = _last_down_crossing(profile, rbar)
-    theta_bar = theta_root(params.c, rbar, "forward")
-    theta_tilde = theta_root(params.c, rbar, "backward")
+    theta_bar = theta_root(params.c, rbar)
+    theta_tilde = theta_root(-params.c, rbar)
     constants = {"rbar": rbar, "xbar": xbar, "xtilde": xtilde,
                  "theta_bar": theta_bar, "theta_tilde": theta_tilde,
                  "level": profile.r_star / params.damping_gap}
     return _upper_envelope(EnvelopeKind.UPPER_CASE2, constants, grid)
 
 
-def build_lower_envelope_case1(params: SimParams, profile: GrowthProfile,
-                               grid: Grid, wave: IgnitionWave,
-                               upper: Envelope | None = None) -> Envelope:
+def build_lower_envelope_case1(profile: GrowthProfile, grid: Grid,
+                               wave: IgnitionWave,
+                               upper: Envelope) -> Envelope:
     """Translate the ignition wave so its zero sits at the smallest x0 with
-    r >= r* - eps on (x0, inf), then clip at zero."""
-    if upper is None:
-        upper = build_upper_envelope_case1(params, profile, grid)
+    r >= r* - eps on (x0, inf), then clip at zero; checked beyond the CASE1
+    ``upper`` envelope's x1 and strictly below it."""
     eps = wave.epsilon
     level = profile.r_star - eps
     x0 = _last_below_crossing(profile, level)
@@ -248,13 +247,10 @@ def build_lower_envelope_case1(params: SimParams, profile: GrowthProfile,
 
 
 def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
-                               grid: Grid,
-                               upper: Envelope | None = None) -> Envelope:
+                               grid: Grid, upper: Envelope) -> Envelope:
     """Numeric CASE2 lower envelope: terminal profile of a cut-off run to
     LOWER_T with the damping enlarged to LOWER_DAMPING_SCALE * b, checked
-    positive inside and strictly below the CASE2 upper envelope."""
-    if upper is None:
-        upper = build_upper_envelope_case2(params, profile, grid)
+    positive inside and strictly below the CASE2 ``upper`` envelope."""
     heavy = SimParams(chi=params.chi, mu=params.mu, nu=params.nu,
                       b=LOWER_DAMPING_SCALE * params.b, c=params.c)
     n = max(1, round(LOWER_T / (0.4 * grid.h * grid.h)))

@@ -101,8 +101,7 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
     SandwichError if an iterate leaves [U1- - 1e-8, U1+ + 1e-8]."""
     upper = build_upper_envelope_case1(params, profile, grid)
     wave = ignition_wave(params, profile.r_star, WAVE_EPSILON)
-    lower = build_lower_envelope_case1(params, profile, grid, wave,
-                                       upper=upper)
+    lower = build_lower_envelope_case1(profile, grid, wave, upper)
     tau = 0.4 * grid.h * grid.h
     cfg = make_run_config(params, profile, grid, BoundaryCase.CASE1, tau,
                           round(INNER_T / tau) * tau,
@@ -138,13 +137,13 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
 
 
 def stationary_residual(u_star: np.ndarray, params: SimParams,
-                        profile: GrowthProfile, grid: Grid,
-                        bc: BoundaryCase = BoundaryCase.CASE1) -> float:
+                        profile: GrowthProfile, grid: Grid) -> float:
     """Sup norm over the interior nodes of the stationary operator A_u(u)
     (``envelopes._residual``) at u = u_star, with central differences for
     u', u'' and v' and the chemical field recomputed from u_star itself
-    through the same boundary-closed solve the flow used."""
-    v = ChemicalSolver(grid, params.nu, params.mu, bc).solve(u_star)
+    through the same CASE1-closed solve the flow used."""
+    v = ChemicalSolver(grid, params.nu, params.mu,
+                       BoundaryCase.CASE1).solve(u_star)
     r = np.asarray(profile(grid.nodes), dtype=float)
     h = grid.h
     u = np.asarray(u_star, dtype=float)

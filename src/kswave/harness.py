@@ -30,7 +30,7 @@ from .envelopes import (build_lower_envelope_case2, build_upper_envelope_case1,
 from .ignition import BracketError, ignition_wave
 from .model import (BoundaryCase, ConfigError, Grid, GrowthProfile,
                     HabitatClass, InitialCondition, SimParams, check_regime,
-                    classify_profile, sample, speed_limit)
+                    classify_profile, speed_limit)
 from .spectral import _first_L, lambda_infinity
 from .stepper import initial_state, make_run_config, run, run_block
 
@@ -261,6 +261,14 @@ def parse_config(text: str, mode: str | None = None,
     if not spec.params().well_posed:
         _log.warning("b = %g <= chi*mu = %g, solutions may blow up",
                      spec.b, spec.chi * spec.mu)
+    if spec.mode in ("simulate", "sweep"):
+        # steps counted as RunConfig counts them: a run (or sweep point)
+        # shorter than its window has no profile one window earlier
+        T = spec.T * spec.horizon_scale if spec.mode == "sweep" else spec.T
+        if round(T / spec.tau) < round(spec.conv_window / spec.tau):
+            _log.warning("horizon T = %g is shorter than conv_window = %g: "
+                         "the run cannot settle, so it reads undetermined "
+                         "unless extinct", T, spec.conv_window)
     return spec
 
 
@@ -288,7 +296,7 @@ def _validate(spec: RunSpec, lines: dict):
         if spec.mode in ("eig", "regime"):
             _first_L(profile, spec.eig_h)
         if spec.mode in ("simulate", "sweep"):
-            u0 = sample(spec.initial_condition(), cfg.grid)
+            u0 = spec.initial_condition()(cfg.grid.nodes)
             try:
                 initial_state(cfg, u0)
             except ValueError as exc:
@@ -387,7 +395,7 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
 
 def _run_simulate(spec: RunSpec):
     cfg = spec.run_config()
-    u0 = sample(spec.initial_condition(), cfg.grid)
+    u0 = spec.initial_condition()(cfg.grid.nodes)
     traj, outcome = run(cfg, u0)
     return outcome, {
         "snapshots.csv": _snapshot_csv(cfg.grid.nodes, traj.snapshots),
@@ -531,7 +539,7 @@ def _sweep_block(args):
     if not cfgs:
         return rows
     try:
-        u0 = sample(spec.initial_condition(), cfgs[0].grid)
+        u0 = spec.initial_condition()(cfgs[0].grid.nodes)
         results = run_block(cfgs, u0)
     except (ValueError, RuntimeError) as exc:
         for row in marched:

@@ -42,6 +42,7 @@ SADDLE_OFFSET = 1e-6
 STEP = 1e-3                 # RK4 step of the shots and of the rebuilt front
 SPEED_TOL = 1e-8            # Brent's tolerance on the speed
 TRUNCATION_RADIUS = 60.0    # the front must cross zero within 2x this
+RICHARDSON_EPSILONS = (0.1, 0.05, 0.025)    # the halving eps grid
 _EPS = np.finfo(float).eps
 
 
@@ -263,18 +264,13 @@ def profile_residual(wave: IgnitionWave) -> float:
     return float(np.max(np.abs(res)))
 
 
-def richardson_speed(params: SimParams, r_star: float,
-                     epsilons=(0.1, 0.05, 0.025)):
-    """Speeds over the eps grid plus the order-estimating Richardson limit.
-    Assumes a single-power model c(eps) = c_inf - A eps^q over a halving
-    eps grid; returns (speeds, extrapolated_limit, estimated_order)."""
-    eps = tuple(epsilons)
-    if len(eps) != 3 or not (eps[0] > eps[1] > eps[2] > 0.0):
-        raise ValueError("need three decreasing epsilon values")
-    if not (math.isclose(eps[0] / eps[1], 2.0, rel_tol=1e-9)
-            and math.isclose(eps[1] / eps[2], 2.0, rel_tol=1e-9)):
-        raise ValueError("epsilon grid must halve")
-    speeds = tuple(ignition_wave(params, r_star, e).speed for e in eps)
+def richardson_speed(params: SimParams, r_star: float):
+    """Speeds over the halving eps grid ``RICHARDSON_EPSILONS`` plus the
+    order-estimating Richardson limit.  Assumes a single-power model
+    c(eps) = c_inf - A eps^q; returns (speeds, extrapolated_limit,
+    estimated_order)."""
+    speeds = tuple(ignition_wave(params, r_star, e).speed
+                   for e in RICHARDSON_EPSILONS)
     d1 = speeds[1] - speeds[0]
     d2 = speeds[2] - speeds[1]
     if d1 <= 0.0 or d2 <= 0.0:

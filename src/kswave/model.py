@@ -37,7 +37,6 @@ __all__ = [
     "speed_limit",
     "classify_profile",
     "check_regime",
-    "sample",
 ]
 
 
@@ -94,15 +93,13 @@ class SimParams:
 class GrowthProfile:
     """Continuous piecewise-linear growth rate r(x) with constant tails.
 
-    Left of the first breakpoint the profile equals ``left_limit``; right of
-    the last it equals ``right_limit``.  The first and last breakpoint values
-    must therefore coincide with the limits, which keeps sup/inf exactly
-    computable from the breakpoint values alone.  Refusals name ``profile``.
+    Left of the first breakpoint the profile equals its first value
+    (``left_limit``); right of the last it equals its last value
+    (``right_limit``), so sup/inf are exactly computable from the breakpoint
+    values alone.  Refusals name ``profile``.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
-    left_limit: float
-    right_limit: float
 
     def __post_init__(self):
         if len(self.breakpoints) < 2:
@@ -112,22 +109,22 @@ class GrowthProfile:
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ConfigError("breakpoint abscissae must be strictly increasing",
                               key="profile")
-        if self.breakpoints[0][1] != self.left_limit:
-            raise ConfigError("first breakpoint value must equal left_limit",
-                              key="profile")
-        if self.breakpoints[-1][1] != self.right_limit:
-            raise ConfigError("last breakpoint value must equal right_limit",
-                              key="profile")
         if not (math.isfinite(self.left_limit) and math.isfinite(self.right_limit)):
             raise ConfigError("limits must be finite", key="profile")
 
     @classmethod
     def from_breakpoints(cls, points) -> "GrowthProfile":
-        pts = tuple((float(x), float(r)) for x, r in points)
-        if not pts:
-            raise ConfigError("a profile needs at least two breakpoints",
-                              key="profile")
-        return cls(pts, pts[0][1], pts[-1][1])
+        return cls(tuple((float(x), float(r)) for x, r in points))
+
+    @property
+    def left_limit(self) -> float:
+        """r(-inf), the first breakpoint value."""
+        return self.breakpoints[0][1]
+
+    @property
+    def right_limit(self) -> float:
+        """r(+inf), the last breakpoint value."""
+        return self.breakpoints[-1][1]
 
     def __call__(self, x):
         xs = np.array([p[0] for p in self.breakpoints])
@@ -245,23 +242,17 @@ class RegimeReport:
     lambda_inf: float | None = None
 
 
-def theta_root(c: float, r: float, orientation: str = "forward") -> float:
-    """Unique positive root of theta^2 + c theta + r = 0 (forward) or
-    theta^2 - c theta + r = 0 (backward), for r < 0.
+def theta_root(c: float, r: float) -> float:
+    """Unique positive root of theta^2 + c theta + r = 0, for r < 0;
+    ``theta_root(-c, r)`` is the positive root of theta^2 - c theta + r = 0.
 
     Uses the cancellation-free form of the quadratic formula, so the
     residual stays at round-off scale for either sign of c.
     """
     if r >= 0.0:
         raise ValueError("theta_root requires r < 0")
-    if orientation not in ("forward", "backward"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     sq = math.sqrt(c * c - 4.0 * r)
-    if orientation == "forward":
-        root = 0.5 * (-c + sq) if c <= 0.0 else -2.0 * r / (c + sq)
-    else:
-        root = 0.5 * (c + sq) if c >= 0.0 else -2.0 * r / (sq - c)
-    return root
+    return 0.5 * (-c + sq) if c <= 0.0 else -2.0 * r / (c + sq)
 
 
 def classify_profile(profile: GrowthProfile) -> HabitatClass:
@@ -317,10 +308,3 @@ def check_regime(params: SimParams, profile: GrowthProfile) -> RegimeReport:
         h2_damping_holds=h2,
         c_star=c_star,
     )
-
-
-def sample(obj, grid: Grid) -> np.ndarray:
-    """Evaluate a growth profile or initial condition at the grid nodes."""
-    if isinstance(obj, (GrowthProfile, InitialCondition)):
-        return np.asarray(obj(grid.nodes), dtype=float)
-    raise TypeError(f"cannot sample object of type {type(obj).__name__}")

@@ -9,16 +9,17 @@ to the self-adjoint form
 whose standard 3-point discretization is a symmetric tridiagonal matrix.  Its
 largest eigenvalue comes from one LAPACK ``dstebz`` call, made by
 :func:`kswave.tridiagonal.largest_eigenvalue`: Sturm-sequence bisection, which
-cannot miss or misorder eigenvalues, run to the absolute tolerance ``tol``, so
-the returned value is within ``tol`` of the discrete eigenvalue.  A
-non-finite speed ``c`` or profile value is refused with ValueError.
+cannot miss or misorder eigenvalues, run to the absolute tolerance
+``EIG_TOL``, so the returned value is within ``EIG_TOL`` of the discrete
+eigenvalue.  A non-finite speed ``c`` or profile value is refused with
+ValueError.
 
 The large-L limit is approached by doubling L at fixed h.  With the node sets
 nested, the interior matrix at the smaller L is a principal submatrix of the
 larger one, so Cauchy interlacing makes the exact discrete sequence
-nondecreasing.  Each computed value is within ``tol`` of its exact one, so the
-computed sequence is nondecreasing only to within that tolerance; a pair that
-drops by more than the 1e-9 guard signals a genuine fault.
+nondecreasing.  Each computed value is within ``EIG_TOL`` of its exact one, so
+the computed sequence is nondecreasing only to within that tolerance; a pair
+that drops by more than 10 ``EIG_TOL`` signals a genuine fault.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .tridiagonal import largest_eigenvalue
 __all__ = ["EigenResult", "LambdaInfinityResult", "principal_eigenvalue",
            "lambda_infinity"]
 
+EIG_TOL = 1e-10         # absolute tolerance of each dstebz bisection
 MAX_DOUBLINGS = 8       # doublings of L before the sweep gives up
 
 
@@ -81,12 +83,10 @@ def _first_L(profile: GrowthProfile, h: float) -> float:
     return L
 
 
-def principal_eigenvalue(profile: GrowthProfile, c: float, L: float, h: float,
-                         tol: float = 1e-10) -> EigenResult:
+def principal_eigenvalue(profile: GrowthProfile, c: float, L: float,
+                         h: float) -> EigenResult:
     """Largest eigenvalue of the Dirichlet problem on (-L, L), within the
-    absolute tolerance ``tol`` of the discrete eigenvalue."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    absolute tolerance ``EIG_TOL`` of the discrete eigenvalue."""
     m = _cells(L, h)
     inv_h2 = 1.0 / (h * h)
     # diagonal at the interior nodes -L + i h, i = 1 .. m-1
@@ -94,7 +94,7 @@ def principal_eigenvalue(profile: GrowthProfile, c: float, L: float, h: float,
          + np.asarray(profile(-L + h * np.arange(1, m)), dtype=float)
          - 0.25 * c * c)
     # a non-finite c or profile value is refused before the LAPACK call
-    lam = largest_eigenvalue(d, np.full(d.size - 1, inv_h2), tol)
+    lam = largest_eigenvalue(d, np.full(d.size - 1, inv_h2), EIG_TOL)
     return EigenResult(lambda_L=lam, L=float(L), h=float(h))
 
 
@@ -103,8 +103,8 @@ def lambda_infinity(profile: GrowthProfile, c: float, tol: float = 1e-4,
     """Estimate lim_{L -> inf} lambda_L by doubling L at fixed h until
     successive values differ by less than tol, at most MAX_DOUBLINGS
     times.  Each lambda_L is one LAPACK ``dstebz`` bisection with absolute
-    tolerance 1e-10, so a doubling step may drop by round-off of that size;
-    a drop beyond 1e-9 is refused."""
+    tolerance ``EIG_TOL``, so a doubling step may drop by round-off of that
+    size; a drop beyond 10 ``EIG_TOL`` is refused."""
     L = _first_L(profile, h)
     upper = profile.r_star - 0.25 * c * c
 
@@ -115,7 +115,7 @@ def lambda_infinity(profile: GrowthProfile, c: float, tol: float = 1e-4,
         lam = principal_eigenvalue(profile, c, L, h).lambda_L
         table.append((L, h, lam))
         if prev is not None:
-            if lam < prev - 1e-9:
+            if lam < prev - 10.0 * EIG_TOL:
                 raise RuntimeError(
                     f"lambda_L decreased from {prev!r} to {lam!r}: "
                     "discretization fault (h too coarse)")

@@ -59,7 +59,6 @@ __all__ = [
     "OutcomeTag",
     "Outcome",
     "Trajectory",
-    "cfl_check",
     "make_run_config",
     "initial_state",
     "run",
@@ -73,13 +72,6 @@ BLOWUP_LIMIT = 1e6
 class BlowUpError(RuntimeError):
     """Raised when the solution exceeds the blow-up guard, which signals a
     violated stability condition or b <= chi*mu."""
-
-
-def cfl_check(h: float, tau: float) -> bool:
-    """True iff tau/h^2 <= 1/2 (equality allowed)."""
-    if h <= 0.0 or tau <= 0.0:
-        raise ValueError("h and tau must be positive")
-    return tau / (h * h) <= 0.5
 
 
 @dataclass(frozen=True)
@@ -120,10 +112,11 @@ class RunConfig:
             raise ConfigError("need T >= tau", key="T")
         if len(self.r_samples) != self.grid.M + 1:
             raise ConfigError("r_samples must be sampled on the grid nodes")
-        if not (self.allow_unstable or cfl_check(self.grid.h, self.tau)):
+        ratio = self.tau / (self.grid.h * self.grid.h)
+        if not (self.allow_unstable or ratio <= 0.5):
             raise ConfigError(
-                f"CFL violated: tau/h^2 = {self.tau / self.grid.h ** 2:g} "
-                "> 0.5 (set allow_unstable = true to override)", key="tau")
+                f"CFL violated: tau/h^2 = {ratio:g} > 0.5 "
+                "(set allow_unstable = true to override)", key="tau")
         for name in ("T", "conv_window"):
             t = getattr(self, name)
             if not self._on_grid(t):
@@ -442,7 +435,8 @@ def detect_outcome(u: np.ndarray, u_lag: np.ndarray | None,
     non-extinct run undetermined): extinction when the terminal sup norm
     falls below extinct_tol; a settled run (sup change over the trailing
     window below conv_tol) is a forced wave when it matches the expected
-    shape for its boundary case; anything else is undetermined."""
+    shape for its boundary case (a CASE1 plateau at r*/b, which needs
+    r* > 0); anything else is undetermined."""
     sup_u = float(u.max())
     sup_diff = math.nan
     if u_lag is not None:
@@ -453,7 +447,8 @@ def detect_outcome(u: np.ndarray, u_lag: np.ndarray | None,
     if not math.isnan(sup_diff) and sup_diff < cfg.conv_tol:
         if cfg.bc is BoundaryCase.CASE1:
             plateau = float(u[-1])
-            if abs(plateau * cfg.params.b / r_star - 1.0) < cfg.plateau_rel_tol:
+            if r_star > 0.0 and (abs(plateau * cfg.params.b / r_star - 1.0)
+                                 < cfg.plateau_rel_tol):
                 return Outcome(tag=OutcomeTag.FORCED_WAVE_CASE1,
                                final_sup_diff=sup_diff, plateau=plateau)
         else:

@@ -130,10 +130,8 @@ def test_criterion_5_domain_robustness(exp1_run, exp1_L40_run):
 def test_criterion_6_eigenvalue_closed_form():
     prof = GrowthProfile.from_breakpoints([(-7.0, 10.0), (7.0, 10.0)])
     exact = 10.0 - 0.25 - math.pi ** 2 / 196.0
-    e1 = abs(principal_eigenvalue(prof, 1.0, 7.0, 0.005,
-                                  tol=1e-12).lambda_L - exact)
-    e2 = abs(principal_eigenvalue(prof, 1.0, 7.0, 0.0025,
-                                  tol=1e-12).lambda_L - exact)
+    e1 = abs(principal_eigenvalue(prof, 1.0, 7.0, 0.005).lambda_L - exact)
+    e2 = abs(principal_eigenvalue(prof, 1.0, 7.0, 0.0025).lambda_L - exact)
     ratio = e1 / e2
     ok = e1 < 1e-3 and 3.5 < ratio < 4.5
     report(6, ok, f"|lambda - {exact:.4f}| = {e1:.2e} at h=0.005, "

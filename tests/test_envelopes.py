@@ -76,7 +76,7 @@ def test_case2_envelope_constants(case2_exp1_params, case2_profile):
     assert con["level"] == pytest.approx(10.0 / 0.4, abs=1e-12)
     assert con["theta_bar"] == pytest.approx(theta_root(1.0, -0.5), abs=1e-15)
     assert con["theta_tilde"] == pytest.approx(
-        theta_root(1.0, -0.5, "backward"), abs=1e-15)
+        theta_root(-1.0, -0.5), abs=1e-15)
 
 
 def test_case2_envelope_even_for_zero_speed(case2_profile):
@@ -262,8 +262,8 @@ def exp1_wave():
 
 
 def test_lower_case1_translation(exp1_params, case1_profile, exp1_wave):
-    low = build_lower_envelope_case1(exp1_params, case1_profile, GRID,
-                                     exp1_wave)
+    up = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
+    low = build_lower_envelope_case1(case1_profile, GRID, exp1_wave, up)
     # smallest x0 with r >= r* - eps beyond it: 11 x + 87 = 9.95
     assert low.constants["x0"] == pytest.approx(-77.05 / 11.0, abs=1e-12)
     assert low.constants["x0"] > low.constants["x1"]
@@ -274,8 +274,7 @@ def test_lower_case1_translation(exp1_params, case1_profile, exp1_wave):
 
 def test_lower_case1_below_upper(exp1_params, case1_profile, exp1_wave):
     up = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
-    low = build_lower_envelope_case1(exp1_params, case1_profile, GRID,
-                                     exp1_wave, upper=up)
+    low = build_lower_envelope_case1(case1_profile, GRID, exp1_wave, up)
     assert np.all(low.values < up.values)
     # far right the wave plateaus at ((r*-eps)(b-chi mu) - chi mu r*)/(b-chi mu)^2
     plateau = ((10.0 - 0.05) * 0.9 - 1.0) / 0.81
@@ -291,8 +290,9 @@ def test_lower_case1_rejects_profiles_without_translation(exp1_params,
         warnings.simplefilter("ignore")
         bumpy = GrowthProfile.from_breakpoints(
             [(-8.0, -1.0), (-7.0, 10.0), (0.0, 10.0), (1.0, 8.0), (2.0, 8.0)])
+        up = build_upper_envelope_case1(exp1_params, bumpy, GRID)
         with pytest.raises(ValueError):
-            build_lower_envelope_case1(exp1_params, bumpy, GRID, exp1_wave)
+            build_lower_envelope_case1(bumpy, GRID, exp1_wave, up)
 
 
 def test_lower_case2_numeric(case2_exp1_params, case2_profile):

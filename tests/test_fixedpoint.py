@@ -5,7 +5,7 @@ import pytest
 
 from kswave import (BoundaryCase, ChemicalSolver, Grid, SimParams,
                     frozen_flow_fixed_point, initial_state, make_run_config,
-                    run, sample, stationary_residual)
+                    run, stationary_residual)
 from kswave.fixedpoint import _evolve_frozen
 
 
@@ -81,7 +81,7 @@ def test_frozen_step_is_the_coupled_step(exp1_params, case1_profile,
     tau = 0.4 * grid.h * grid.h
     cfg = make_run_config(exp1_params, case1_profile, grid,
                           BoundaryCase.CASE1, tau, tau)
-    u0 = initial_state(cfg, sample(case1_u0, grid))
+    u0 = initial_state(cfg, case1_u0(grid.nodes))
     v = ChemicalSolver(grid, exp1_params.nu, exp1_params.mu,
                        BoundaryCase.CASE1).solve(u0)
     frozen, _ = _evolve_frozen(cfg, u0, v)

@@ -99,10 +99,29 @@ def test_parse_rejects_bad_axis_and_bump():
 
 def test_ill_posed_damping_warns_through_logging(caplog):
     with caplog.at_level(logging.WARNING, logger="kswave"):
-        parse_config(MINI_CFG.replace("b = 1", "b = 0.05"))   # chi mu = 0.1
+        # chi mu = 0.1; a window within T, so no short-run warning
+        parse_config(MINI_CFG.replace("b = 1", "b = 0.05")
+                     + "conv_window = 0.5\n")
     [record] = [r for r in caplog.records if r.name == "kswave"]
     assert record.levelno == logging.WARNING
     assert "solutions may blow up" in record.getMessage()
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("simulate", ""),                                   # T = 0.5
+    ("sweep", "horizon_scale = 0.2\nsweep_c = 1, 2, 2\n"),   # T = 0.1
+])
+def test_a_horizon_shorter_than_the_window_warns(mode, extra, caplog):
+    # no profile one window earlier: the run cannot settle, and says why
+    with caplog.at_level(logging.WARNING, logger="kswave"):
+        parse_config(MINI_CFG + extra, mode=mode)
+    [record] = [r for r in caplog.records if r.name == "kswave"]
+    assert "shorter than conv_window = 1" in record.getMessage()
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="kswave"):
+        parse_config(MINI_CFG + extra + "conv_window = 0.1\n", mode=mode)
+    assert not caplog.records
 
 
 def test_parse_sweep_mode_requires_an_axis():
@@ -431,6 +450,7 @@ def test_sweep_records_per_point_errors(tmp_path, caplog):
     # a chi axis that reaches below 0 gives a point SimParams refuses; the
     # sweep must keep going and record that row as an error
     spec = parse_config(SWEEP_CFG + "sweep_chi = -0.1, 0.1, 2\n")
+    caplog.clear()      # drop the parse's warning that T < conv_window
     with caplog.at_level(logging.WARNING, logger="kswave"):
         rows = sweep(SweepSpec.from_spec(spec), tmp_path / "map.csv",
                      workers=1)
@@ -510,7 +530,7 @@ def per_point_row(spec, b, c, chi) -> str:
     try:
         cfg = point.run_config()
         traj, outcome = harness.run(
-            cfg, harness.sample(point.initial_condition(), cfg.grid))
+            cfg, point.initial_condition()(cfg.grid.nodes))
     except (ValueError, RuntimeError):
         return head + "error,nan,nan\n"
     plateau = math.nan if outcome.plateau is None else outcome.plateau
@@ -528,6 +548,7 @@ def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch,
                         InProcessExecutor)
     spec = replace(parse_config(SWEEP_CFG), T=2.0, snapshot_times=())
     axes = (("b", (1e-7, 1.0, 3)), ("chi", (-0.6, 0.6, 3)))
+    caplog.clear()      # drop the parse's warning that T < conv_window
     with caplog.at_level(logging.WARNING, logger="kswave"):
         rows = sweep(SweepSpec(base=spec, axes=axes), tmp_path / "map.csv",
                      workers=workers)

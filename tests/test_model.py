@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kswave import (ConfigError, Grid, GrowthProfile, HabitatClass,
                     InitialCondition, SimParams, check_regime,
-                    classify_profile, sample, theta_root)
+                    classify_profile, theta_root)
 
 
 # ---------------------------------------------------------------------------
@@ -21,10 +21,11 @@ def test_theta_root_forward_basic():
 
 
 def test_theta_root_backward_quadratic_formula():
-    # independent evaluation of the quadratic formula for theta^2 - c theta + r
+    # independent evaluation of the quadratic formula for
+    # theta^2 - c theta + r, whose positive root is theta_root at -c
     c, r = 1.0, -1.0
     expected = (c + math.sqrt(c * c - 4 * r)) / 2
-    assert theta_root(c, r, "backward") == pytest.approx(expected, abs=1e-14)
+    assert theta_root(-c, r) == pytest.approx(expected, abs=1e-14)
 
 
 def test_theta_root_rejects_nonnegative_r():
@@ -32,16 +33,14 @@ def test_theta_root_rejects_nonnegative_r():
         theta_root(1.0, 0.0)
     with pytest.raises(ValueError):
         theta_root(1.0, 2.5)
-    with pytest.raises(ValueError):
-        theta_root(1.0, -1.0, "sideways")
 
 
 @given(c=st.floats(-1e3, 1e3), r=st.floats(-1e3, -1e-6),
-       orientation=st.sampled_from(["forward", "backward"]))
-def test_theta_root_residual_and_positivity(c, r, orientation):
-    th = theta_root(c, r, orientation)
+       sign=st.sampled_from([1.0, -1.0]))
+def test_theta_root_residual_and_positivity(c, r, sign):
+    # theta_root(sign c, r) solves theta^2 + sign c theta + r = 0
+    th = theta_root(sign * c, r)
     assert th > 0.0
-    sign = 1.0 if orientation == "forward" else -1.0
     residual = th * th + sign * c * th + r
     assert abs(residual) <= 1e-12 * max(1.0, abs(c), abs(r))
 
@@ -116,9 +115,6 @@ def test_profile_validation_errors():
         GrowthProfile.from_breakpoints([(0.0, 1.0)])
     with pytest.raises(ValueError):
         GrowthProfile.from_breakpoints([(1.0, 1.0), (0.0, 2.0)])
-    with pytest.raises(ValueError):
-        GrowthProfile(((0.0, 1.0), (1.0, 2.0)), left_limit=0.0,
-                      right_limit=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +189,7 @@ def test_grid_rejects_nonintegral_ratio():
 def test_sample_case1_initial_condition(case1_u0):
     # paper hump: 0 below -1, ramp to r*/b at 1; value r*/(2b) = 5 at x = 0
     g = Grid(L=20.0, h=0.1)
-    u0 = sample(case1_u0, g)
+    u0 = case1_u0(g.nodes)
     i0 = g.M // 2
     assert u0[i0] == pytest.approx(5.0, abs=1e-12)
     assert u0[0] == 0.0
@@ -202,7 +198,7 @@ def test_sample_case1_initial_condition(case1_u0):
 
 def test_sample_case2_bump(case2_u0):
     g = Grid(L=20.0, h=0.1)
-    u0 = sample(case2_u0, g)
+    u0 = case2_u0(g.nodes)
     i0 = g.M // 2
     assert u0[i0] == pytest.approx(1.0, abs=1e-12)
     assert u0[0] == 0.0 and u0[-1] == 0.0
@@ -212,18 +208,13 @@ def test_sample_case2_bump(case2_u0):
 
 def test_sample_exact_at_breakpoints_linear_between(case1_profile):
     g = Grid(L=8.0, h=0.25)
-    vals = sample(case1_profile, g)
+    vals = case1_profile(g.nodes)
     x = g.nodes
     k8 = int(np.where(np.isclose(x, -8.0))[0][0])
     k7 = int(np.where(np.isclose(x, -7.0))[0][0])
     assert vals[k8] == -1.0
     assert vals[k7] == 10.0
     assert vals[(k8 + k7) // 2] == pytest.approx((-1 + 10) / 2, abs=1e-12)
-
-
-def test_sample_rejects_other_types():
-    with pytest.raises(TypeError):
-        sample(np.zeros(3), Grid(L=1.0, h=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +242,7 @@ def test_types_are_immutable(exp1_params, case1_profile):
     with pytest.raises(dataclasses.FrozenInstanceError):
         exp1_params.chi = 0.2
     with pytest.raises(dataclasses.FrozenInstanceError):
-        case1_profile.left_limit = 0.0
+        case1_profile.breakpoints = ()
 
 
 def test_initial_condition_validation():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kswave import (BlowUpError, BoundaryCase, Grid, GrowthProfile,
-                    InitialCondition, Outcome, OutcomeTag, SimParams,
-                    cfl_check, detect_outcome, initial_state,
+from kswave import (BlowUpError, BoundaryCase, ConfigError, Grid,
+                    GrowthProfile, InitialCondition, Outcome, OutcomeTag,
+                    SimParams, detect_outcome, initial_state,
                     make_run_config, run, run_block)
 from kswave.fixedpoint import _evolve_frozen
 
@@ -29,14 +29,25 @@ def tiny_cfg(**over):
 # CFL
 
 def test_cfl_examples():
-    assert cfl_check(0.1, 0.002)          # ratio 0.2
-    assert not cfl_check(0.1, 0.01)       # ratio 1.0
-    assert cfl_check(0.05, 0.00125)       # ratio 0.5, equality allowed
+    tiny_cfg(grid=Grid(L=1.0, h=0.1), tau=0.002)        # ratio 0.2
+    tiny_cfg(grid=Grid(L=1.0, h=0.05), tau=0.00125)     # ratio 0.5, allowed
+    with pytest.raises(ConfigError, match="CFL") as exc:
+        tiny_cfg(grid=Grid(L=1.0, h=0.1), tau=0.01)     # ratio 1.0
+    assert exc.value.key == "tau"
 
 
-@given(h=st.floats(1e-3, 10.0), tau=st.floats(1e-8, 10.0))
-def test_cfl_matches_definition(h, tau):
-    assert cfl_check(h, tau) == (tau / (h * h) <= 0.5)
+@given(m=st.integers(2, 2000), tau=st.floats(1e-8, 10.0))
+def test_cfl_matches_definition(m, tau):
+    # one-step runs, so only the CFL condition can refuse the step
+    grid = Grid(L=1.0, h=2.0 / m)
+    try:
+        tiny_cfg(grid=grid, tau=tau, T=tau, conv_window=tau)
+    except ConfigError as exc:
+        assert exc.key == "tau"
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (tau / (grid.h * grid.h) <= 0.5)
 
 
 def test_run_refuses_unstable():
@@ -262,6 +273,13 @@ def test_detect_outcome_synthetic_cases(case1_profile, exp1_params):
     # settled but plateau far from r*/b: not a recognized wave shape
     bad = detect_outcome(0.5 * settled, 0.5 * settled.copy(), cfg)
     assert bad.tag is OutcomeTag.UNDETERMINED
+
+    # sup r = 0 leaves no plateau r*/b > 0 to match
+    r_max_zero = GrowthProfile.from_breakpoints([(-8.0, -1.0), (-7.0, 0.0)])
+    no_growth = make_run_config(exp1_params, r_max_zero, grid,
+                                BoundaryCase.CASE1, 0.002, 10.0)
+    out = detect_outcome(settled, settled.copy(), no_growth)
+    assert out.tag is OutcomeTag.UNDETERMINED
 
 
 def test_detect_outcome_without_lag_is_undetermined(case1_profile,
