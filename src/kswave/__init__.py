@@ -15,7 +15,7 @@ from .fixedpoint import (FixedPointResult, SandwichError,
 from .harness import (ConfigError, RunSpec, SweepSpec, parse_config,
                       render_manifest, run_experiment, sweep)
 from .ignition import (BracketError, IgnitionWave, ignition_wave,
-                       profile_residual, richardson_speed)
+                       richardson_speed)
 from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
                     InitialCondition, RegimeReport, SimParams, check_regime,
                     classify_profile, speed_limit, theta_root)

@@ -13,8 +13,9 @@ outcome.txt; eigenvalues.csv and lambda_infinity.txt; regime.txt;
 certification.csv and ignition.csv; regime_map.csv) byte for byte, and a last
 line ``artifacts in DIR``.
 
-Exit codes: 0 success, 1 validation error, 2 numerical fault (also a sweep
-with an ``error`` row).
+Exit codes: 0 success, 1 validation error, 2 numerical fault (any
+RuntimeError: a blow-up, a failed bracket or envelope, a LAPACK failure or
+a refused eigenvalue doubling; also a sweep with an ``error`` row).
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .envelopes import EnvelopeError
 from .harness import (MODES, SUMMARIES, ConfigError, config_help,
                       parse_config, run_experiment)
-from .ignition import BracketError
-from .stepper import BlowUpError
 
 
 def _default_out(stem: str, mode: str) -> Path:
@@ -89,7 +87,7 @@ def main(argv=None) -> int:
     try:
         result = run_experiment(spec, out_dir,
                                 workers=getattr(args, "workers", 1))
-    except (BlowUpError, BracketError, EnvelopeError) as exc:
+    except RuntimeError as exc:
         print(f"numerical fault: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -110,43 +110,34 @@ class CertificationReport:
         return max(self.branches, key=lambda b: b.worst_residual)
 
 
+def _crossing(profile: GrowthProfile, level: float, k: int) -> float:
+    """Where the ramp from breakpoint k to k + 1 meets the level, exact on
+    the piecewise-linear ramp; the level lies between the two values."""
+    (xa, ra), (xb, rb) = profile.breakpoints[k:k + 2]
+    return xa + (level - ra) * (xb - xa) / (rb - ra)
+
+
 def _first_up_crossing(profile: GrowthProfile, level: float) -> float | None:
-    """Smallest x with r(x) > level, exact on the piecewise-linear ramps.
-    None when r never exceeds level; requires r(-inf) <= level."""
+    """Smallest x with r(x) > level.  None when r never exceeds level;
+    requires r(-inf) <= level."""
     if profile.left_limit > level:
         return None
-    pts = profile.breakpoints
-    for k, (xk, rk) in enumerate(pts):
-        if rk > level:      # k > 0, as pts[0] is the left limit
-            x_prev, r_prev = pts[k - 1]
-            return x_prev + (level - r_prev) * (xk - x_prev) / (rk - r_prev)
+    for k, (_, rk) in enumerate(profile.breakpoints):
+        if rk > level:      # k > 0, as breakpoint 0 is the left limit
+            return _crossing(profile, level, k - 1)
     return None
 
 
-def _last_down_crossing(profile: GrowthProfile, level: float) -> float | None:
-    """Largest x with r(x) >= level; requires r(+inf) < level to be finite."""
-    if profile.right_limit >= level:
-        return None
+def _last_crossing(profile: GrowthProfile, level: float) -> float | None:
+    """Where r last changes side of the level, counting r = level as above:
+    the largest x with r(x) >= level when r(+inf) < level, else the
+    smallest x0 with r >= level on (x0, inf).  None when r never changes
+    side."""
     pts = profile.breakpoints
-    for k in range(len(pts) - 1, -1, -1):
-        xk, rk = pts[k]
-        if rk >= level:
-            x_next, r_next = pts[k + 1]
-            return xk + (rk - level) * (x_next - xk) / (rk - r_next)
-    return None
-
-
-def _last_below_crossing(profile: GrowthProfile, level: float) -> float | None:
-    """Smallest x0 such that r >= level on (x0, inf), the last up-crossing
-    of the level; None when r(+inf) < level or when r never drops below."""
-    if profile.right_limit < level:
-        return None
-    pts = profile.breakpoints
-    for k in range(len(pts) - 1, -1, -1):
-        xk, rk = pts[k]
-        if rk < level:      # k < len(pts) - 1, as pts[-1] is the right limit
-            x_next, r_next = pts[k + 1]
-            return xk + (level - rk) * (x_next - xk) / (r_next - rk)
+    above = profile.right_limit >= level
+    for k in range(len(pts) - 2, -1, -1):
+        if (pts[k][1] >= level) != above:
+            return _crossing(profile, level, k)
     return None
 
 
@@ -214,7 +205,7 @@ def build_upper_envelope_case2(params: SimParams, profile: GrowthProfile,
     # on both sides
     rbar = 0.5 * max(profile.left_limit, profile.right_limit)
     xbar = _first_up_crossing(profile, rbar)
-    xtilde = _last_down_crossing(profile, rbar)
+    xtilde = _last_crossing(profile, rbar)
     theta_bar = theta_root(params.c, rbar)
     theta_tilde = theta_root(-params.c, rbar)
     constants = {"rbar": rbar, "xbar": xbar, "xtilde": xtilde,
@@ -231,8 +222,8 @@ def build_lower_envelope_case1(profile: GrowthProfile, grid: Grid,
     ``upper`` envelope's x1 and strictly below it."""
     eps = wave.epsilon
     level = profile.r_star - eps
-    x0 = _last_below_crossing(profile, level)
-    if x0 is None:
+    x0 = _last_crossing(profile, level)
+    if x0 is None or profile.right_limit < level:
         raise ValueError(
             f"no admissible translation: r(+inf) < r* - eps = {level!r}")
     x1 = upper.constants["x1"]

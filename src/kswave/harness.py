@@ -32,7 +32,8 @@ from .model import (BoundaryCase, ConfigError, Grid, GrowthProfile,
                     HabitatClass, InitialCondition, SimParams, check_regime,
                     classify_profile, speed_limit)
 from .spectral import _first_L, lambda_infinity
-from .stepper import initial_state, make_run_config, run, run_block
+from .stepper import (RunConfig, initial_state, make_run_config, run,
+                      run_block)
 
 __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
            "render_manifest", "config_help", "run_experiment", "sweep", "fmt"]
@@ -257,24 +258,28 @@ def parse_config(text: str, mode: str | None = None,
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     spec = RunSpec(**values)
-    _validate(spec, lines)
-    if not spec.params().well_posed:
+    cfg = _validate(spec, lines)
+    if not cfg.params.well_posed:
         _log.warning("b = %g <= chi*mu = %g, solutions may blow up",
                      spec.b, spec.chi * spec.mu)
-    if spec.mode in ("simulate", "sweep"):
-        # steps counted as RunConfig counts them: a run (or sweep point)
-        # shorter than its window has no profile one window earlier
-        T = spec.T * spec.horizon_scale if spec.mode == "sweep" else spec.T
-        if round(T / spec.tau) < round(spec.conv_window / spec.tau):
-            _log.warning("horizon T = %g is shorter than conv_window = %g: "
-                         "the run cannot settle, so it reads undetermined "
-                         "unless extinct", T, spec.conv_window)
+    profile = spec.growth_profile()
+    if (classify_profile(profile) is HabitatClass.CASE1
+            and not profile.is_monotone_case1()):
+        _log.warning("profile is CASE1 by its limits but not monotone "
+                     "between them")
+    # a run (or sweep point) shorter than its window has no profile one
+    # window earlier
+    if spec.mode in ("simulate", "sweep") and cfg.n_steps < cfg.lag_steps:
+        _log.warning("horizon T = %g is shorter than conv_window = %g: "
+                     "the run cannot settle, so it reads undetermined "
+                     "unless extinct", cfg.T, cfg.conv_window)
     return spec
 
 
-def _validate(spec: RunSpec, lines: dict):
+def _validate(spec: RunSpec, lines: dict) -> RunConfig:
     """Build what the spec's mode runs and check the keys that no built
-    object holds; a refusal is re-raised with its key's line."""
+    object holds; a refusal is re-raised with its key's line.  Returns the
+    run's config, or in sweep mode the config of its points."""
     try:
         for key in ("eig_tol", "eig_h", "horizon_scale"):
             if not getattr(spec, key) > 0.0:
@@ -309,12 +314,13 @@ def _validate(spec: RunSpec, lines: dict):
             # the points differ from the run above only in T and
             # snapshot_times
             try:
-                _sweep_point(spec, spec.horizon_scale).run_config()
+                cfg = _sweep_point(spec, spec.horizon_scale).run_config()
             except ConfigError as exc:
                 raise ConfigError("the sweep horizon T * horizon_scale: "
                                   + exc.reason, key="horizon_scale") from None
     except ConfigError as exc:
         raise ConfigError(exc.reason, lines.get(exc.key), exc.key) from None
+    return cfg
 
 
 def render_manifest(spec: RunSpec) -> str:
@@ -509,19 +515,20 @@ def _axis_values(axis):
     return list(np.linspace(lo, hi, count))
 
 
-def _sweep_point(spec: RunSpec, horizon_scale: float, **axes) -> RunSpec:
-    """The simulate run of one sweep point: the base spec marched to
-    T * horizon_scale with no snapshots, with the point's axis values."""
+def _sweep_point(spec: RunSpec, horizon_scale: float) -> RunSpec:
+    """The simulate run that every sweep point shares but for its (b, c,
+    chi): the base spec marched to T * horizon_scale with no snapshots."""
     return replace(spec, mode="simulate", T=spec.T * horizon_scale,
-                   snapshot_times=(), **axes)
+                   snapshot_times=())
 
 
 def _sweep_block(args):
     """The rows of a contiguous run of sweep points.  Points with b <= chi mu
-    are skipped, points whose config fails validation read ``error``, and
-    the rest march as one block; each ``error`` row is logged with why."""
+    are skipped, points whose parameters are refused read ``error``, and
+    the rest march as one block of the shared sweep-point config; each
+    ``error`` row is logged with why."""
     spec, horizon_scale, points = args
-    rows, cfgs, marched = [], [], []
+    rows, runs, marched = [], [], []
     for b, c, chi in points:
         row = {"b": b, "c": c, "chi": chi, "outcome": "error",
                "plateau": math.nan, "final_sup_u": math.nan}
@@ -530,17 +537,17 @@ def _sweep_block(args):
             row["outcome"] = "skipped"
             continue
         try:
-            cfgs.append(_sweep_point(spec, horizon_scale, b=b, c=c,
-                                     chi=chi).run_config())
+            runs.append(SimParams(chi=chi, mu=spec.mu, nu=spec.nu, b=b, c=c))
         except ValueError as exc:
             _log_error(row, exc)
             continue
         marched.append(row)
-    if not cfgs:
+    if not runs:
         return rows
     try:
-        u0 = spec.initial_condition()(cfgs[0].grid.nodes)
-        results = run_block(cfgs, u0)
+        cfg = _sweep_point(spec, horizon_scale).run_config()
+        u0 = spec.initial_condition()(cfg.grid.nodes)
+        results = run_block(cfg, runs, u0)
     except (ValueError, RuntimeError) as exc:
         for row in marched:
             _log_error(row, exc)

@@ -36,7 +36,7 @@ import numpy as np
 from .model import SimParams, speed_limit
 
 __all__ = ["BracketError", "IgnitionWave", "ignition_wave",
-           "profile_residual", "richardson_speed"]
+           "richardson_speed"]
 
 SADDLE_OFFSET = 1e-6
 STEP = 1e-3                 # RK4 step of the shots and of the rebuilt front
@@ -248,20 +248,6 @@ def ignition_wave(params: SimParams, r_star: float,
         epsilon=epsilon, speed=ct, left_level=-epsilon, right_level=Q,
         speed_bound=bound, alpha=alpha, beta=beta, lam_minus=lamm,
         x=x_nodes, psi=psi_nodes, p=p_nodes)
-
-
-def profile_residual(wave: IgnitionWave) -> float:
-    """Sup residual of ct p - p' - f(psi) on the uniform part of the stored
-    grid, with p' from a fourth-order central difference.  An independent
-    check that the integrated orbit solves the front equation."""
-    x, psi, p = wave.x[1:], wave.psi[1:], wave.p[1:]
-    h = x[1] - x[0]
-    if not np.allclose(np.diff(x), h, rtol=0, atol=1e-12):
-        raise RuntimeError("stored grid is not uniform past the crossing")
-    dp = (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * h)
-    core = slice(2, -2)
-    res = wave.speed * p[core] - dp - _reaction(psi[core], wave.alpha, wave.beta)
-    return float(np.max(np.abs(res)))
 
 
 def richardson_speed(params: SimParams, r_star: float):

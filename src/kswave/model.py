@@ -18,7 +18,6 @@ naming the config key that holds it; the config parser adds the key's line.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -258,14 +257,10 @@ def theta_root(c: float, r: float) -> float:
 def classify_profile(profile: GrowthProfile) -> HabitatClass:
     """CASE1 when r(-inf) < 0 < r(+inf); CASE2 when both tails are negative
     but sup r > 0; anything else (including tails exactly zero) is
-    UNCLASSIFIED."""
+    UNCLASSIFIED.  A CASE1 profile need not be monotone between its limits
+    (``is_monotone_case1``); the config parser warns of one that is not."""
     lo, hi = profile.left_limit, profile.right_limit
     if lo < 0.0 < hi:
-        if not profile.is_monotone_case1():
-            warnings.warn(
-                "profile is CASE1 by its limits but not monotone between them",
-                stacklevel=2,
-            )
         return HabitatClass.CASE1
     if lo < 0.0 and hi < 0.0 and profile.r_star > 0.0:
         return HabitatClass.CASE2

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, GrowthProfile
+from .model import ConfigError, Grid, GrowthProfile
 from .tridiagonal import largest_eigenvalue
 
 __all__ = ["EigenResult", "LambdaInfinityResult", "principal_eigenvalue",
@@ -63,23 +63,16 @@ class LambdaInfinityResult:
         return self.estimate > 0.0
 
 
-def _cells(L: float, h: float) -> int:
-    """The 2L/h cells of (-L, L), refused under eig_h unless whole and >= 2."""
-    if L <= 0.0 or h <= 0.0:
-        raise ValueError("L and h must be positive")
-    ratio = 2.0 * L / h
-    m = round(ratio)
-    if m < 2 or abs(ratio - m) > 1e-9 * max(1.0, ratio):
-        raise ConfigError(f"2L/h = {ratio!r} is not an integer >= 2 "
-                          f"(L = {L!r}, h = {h!r})", key="eig_h")
-    return m
-
-
 def _first_L(profile: GrowthProfile, h: float) -> float:
     """The doubling's first L, 10 past the outermost breakpoint, with h
-    checked: doubling is exact in floats, so h then divides every later 2L."""
+    checked by ``Grid``'s rule and refused under eig_h: doubling is exact in
+    floats, so h then divides every later 2L."""
     L = float(math.ceil(max(abs(p[0]) for p in profile.breakpoints) + 10.0))
-    _cells(L, h)
+    try:
+        Grid(L=L, h=h)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc.reason} (L = {L!r}, h = {h!r})",
+                          key="eig_h") from None
     return L
 
 
@@ -87,7 +80,7 @@ def principal_eigenvalue(profile: GrowthProfile, c: float, L: float,
                          h: float) -> EigenResult:
     """Largest eigenvalue of the Dirichlet problem on (-L, L), within the
     absolute tolerance ``EIG_TOL`` of the discrete eigenvalue."""
-    m = _cells(L, h)
+    m = Grid(L=L, h=h).M
     inv_h2 = 1.0 / (h * h)
     # diagonal at the interior nodes -L + i h, i = 1 .. m-1
     d = (-2.0 * inv_h2

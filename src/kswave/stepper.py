@@ -31,11 +31,12 @@ factors from v) and a u-stage (the rest, returning the sup of each row),
 for one run (u of shape (M+1,)) or a block of runs (u of shape (B, M+1),
 one run per row).  ``_march`` is the one step loop and holds the blow-up
 guard; it carries u and the field v as plain arrays.  ``run`` marches one
-run with a hook that records its series.  ``run_block`` marches runs that
-share their grid, tau, r, nu and mu, and so one factored chemical matrix,
-as one block: the kernel steps the runs laid end to end as one line of
-nodes, the chemical solve takes all rows in one LAPACK call, and every
-row gets the bits its own ``run`` would.
+run with a hook that records its series.  ``run_block`` marches one
+config's runs, one ``SimParams`` per row that differ from the config's only
+in (b, c, chi), as one block: they share the grid, tau, r, nu and mu, and
+so one factored chemical matrix; the kernel steps the runs laid end to end
+as one line of nodes, the chemical solve takes all rows in one LAPACK call,
+and every row gets the bits its own ``run`` would.
 The frozen-chemotaxis flow of ``kswave.fixedpoint`` loads its fixed v
 once and marches without a solve.  ``run`` and the frozen flow judge
 convergence with one lag monitor.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -84,8 +85,9 @@ class RunConfig:
     tau; and a snapshot time outside [0, T], on the step of another or off
     the tau grid.  A time is on the grid when it is within 1e-9 (relative
     past 1) of a multiple of tau.  ``n_steps`` and ``lag_steps`` are the
-    steps to T and over the convergence window; like ``Grid.M`` they are
-    derived and cannot be set."""
+    steps to T and over the convergence window, and ``snapshot_steps`` maps
+    each snapshot's step to its time; like ``Grid.M`` they are derived and
+    cannot be set."""
 
     params: SimParams
     grid: Grid
@@ -101,6 +103,7 @@ class RunConfig:
     allow_unstable: bool = False
     n_steps: int = field(init=False)
     lag_steps: int = field(init=False)
+    snapshot_steps: dict[int, float] = field(init=False)
 
     def __post_init__(self):
         for name in ("tau", "T", "conv_window", "conv_tol", "extinct_tol",
@@ -140,6 +143,7 @@ class RunConfig:
                 raise ConfigError(f"snapshot time {t} is not a multiple of "
                                   f"tau = {self.tau!r}", key="snapshot_times")
             steps[j] = t
+        object.__setattr__(self, "snapshot_steps", steps)
 
     def _on_grid(self, t: float) -> bool:
         return abs(round(t / self.tau) * self.tau - t) <= 1e-9 * max(1.0, t)
@@ -355,8 +359,7 @@ def run(cfg: RunConfig, u0: np.ndarray):
     classify the outcome.  Returns (Trajectory, Outcome)."""
     n_steps, lag_steps = cfg.n_steps, cfg.lag_steps
     solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
-    # RunConfig has checked that each snapshot time is on its own step
-    snap_steps = {round(t / cfg.tau): t for t in cfg.snapshot_times}
+    snap_steps = cfg.snapshot_steps
     times, sup_diffs, sup_us, u_rights = [], [], [], []
     snapshots = []
     monitor = _LagMonitor(lag_steps)
@@ -386,25 +389,20 @@ def run(cfg: RunConfig, u0: np.ndarray):
     return traj, detect_outcome(traj.u_final, traj.u_lag, cfg)
 
 
-def _block_key(cfg: RunConfig):
-    return (cfg.grid, cfg.bc, cfg.tau, cfg.T, cfg.conv_window,
-            cfg.allow_unstable, cfg.params.nu, cfg.params.mu,
-            cfg.r_samples.tobytes())
-
-
-def run_block(cfgs: Sequence[RunConfig], u0: np.ndarray):
-    """March one or more runs that differ only in (b, c, chi) from one u0
-    as one (B, M+1) block, with ``run``'s kernel and chemical solve, and
-    classify each row.  Row k reads (u_final, v_final, u_lag, outcome),
-    bitwise the final (u, v), lag profile and outcome of
-    ``run(cfgs[k], u0)`` (u_lag None when T is shorter than the convergence
-    window); no series or snapshots are kept.  A row whose sup passes the
-    blow-up guard is zeroed, which the scheme keeps at zero, and reads
-    None."""
-    cfg = cfgs[0]
-    if any(_block_key(k) != _block_key(cfg) for k in cfgs[1:]):
-        raise ValueError("a block shares its grid, bc, tau, T, conv_window, "
-                         "r, nu and mu")
+def run_block(cfg: RunConfig, runs: Sequence[SimParams], u0: np.ndarray):
+    """March ``cfg`` for each of ``runs``, parameters that differ from
+    ``cfg.params`` only in (b, c, chi), from one u0 as one (B, M+1) block,
+    with ``run``'s kernel and chemical solve, and classify each row.  Row k
+    reads (u_final, v_final, u_lag, outcome), bitwise the final (u, v), lag
+    profile and outcome of ``run(replace(cfg, params=runs[k]), u0)`` (u_lag
+    None when T is shorter than the convergence window); no series or
+    snapshots are kept.  A row whose nu or mu differs from cfg's is refused
+    with ValueError, as the rows share one chemical matrix.  A row whose sup
+    passes the blow-up guard is zeroed, which the scheme keeps at zero, and
+    reads None."""
+    if any((p.nu, p.mu) != (cfg.params.nu, cfg.params.mu) for p in runs):
+        raise ValueError("a block's runs share the chemical matrix, so its "
+                         "nu and mu")
     n_steps, lag_steps = cfg.n_steps, cfg.lag_steps
     solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
     u_lag = None
@@ -414,16 +412,17 @@ def run_block(cfgs: Sequence[RunConfig], u0: np.ndarray):
         if j == n_steps - lag_steps:
             u_lag = u.copy()
 
-    u, v, blown = _march(_ExplicitStep(cfg, [k.params for k in cfgs]),
-                         np.tile(initial_state(cfg, u0), (len(cfgs), 1)),
+    u, v, blown = _march(_ExplicitStep(cfg, runs),
+                         np.tile(initial_state(cfg, u0), (len(runs), 1)),
                          n_steps, solver, keep_lag)
     results = []
-    for k, cfg_k in enumerate(cfgs):
+    for k, params in enumerate(runs):
         if blown[k]:
             results.append(None)
             continue
         lag = None if u_lag is None else u_lag[k]
-        results.append((u[k], v[k], lag, detect_outcome(u[k], lag, cfg_k)))
+        results.append((u[k], v[k], lag,
+                        detect_outcome(u[k], lag, replace(cfg, params=params))))
     return results
 
 

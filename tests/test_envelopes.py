@@ -31,6 +31,89 @@ def branch_residual(env, name, u, params, profile):
 
 
 # ---------------------------------------------------------------------------
+# level crossings of the piecewise-linear profile
+
+
+def _old_first_up(profile, level):
+    # the three crossing formulas that _crossing replaced, as the reference
+    if profile.left_limit > level:
+        return None
+    pts = profile.breakpoints
+    for k, (xk, rk) in enumerate(pts):
+        if rk > level:
+            x_prev, r_prev = pts[k - 1]
+            return x_prev + (level - r_prev) * (xk - x_prev) / (rk - r_prev)
+    return None
+
+
+def _old_last_down(profile, level):
+    if profile.right_limit >= level:
+        return None
+    pts = profile.breakpoints
+    for k in range(len(pts) - 1, -1, -1):
+        xk, rk = pts[k]
+        if rk >= level:
+            x_next, r_next = pts[k + 1]
+            return xk + (rk - level) * (x_next - xk) / (rk - r_next)
+    return None
+
+
+def _old_last_below(profile, level):
+    if profile.right_limit < level:
+        return None
+    pts = profile.breakpoints
+    for k in range(len(pts) - 1, -1, -1):
+        xk, rk = pts[k]
+        if rk < level:
+            x_next, r_next = pts[k + 1]
+            return xk + (level - rk) * (x_next - xk) / (r_next - rk)
+    return None
+
+
+def _same_bits(a, b):
+    return a is None and b is None or (
+        a is not None and b is not None and a.hex() == b.hex())
+
+
+def test_crossings_match_the_three_old_formulas_bitwise():
+    # random profiles with repeated values, levels on breakpoint values
+    # and between them; the last crossing is the old down-crossing when
+    # r(+inf) < level and the old below-crossing otherwise
+    rng = np.random.default_rng(20231019)
+    crossings = 0
+    for _ in range(4000):
+        n = int(rng.integers(2, 7))
+        xs = np.sort(rng.choice(np.concatenate(
+            (np.arange(-20.0, 21.0), rng.uniform(-20.0, 20.0, 20))),
+            size=n, replace=False))
+        rs = rng.choice(np.concatenate(
+            ([-2.0, -1.0, 0.5, 3.0, 10.0], rng.uniform(-5.0, 12.0, 3))),
+            size=n)
+        profile = GrowthProfile.from_breakpoints(zip(xs, rs))
+        for level in [*rs, *rng.uniform(-6.0, 13.0, 3)]:
+            level = float(level)
+            first = envelopes._first_up_crossing(profile, level)
+            last = envelopes._last_crossing(profile, level)
+            assert _same_bits(first, _old_first_up(profile, level))
+            old_last = (_old_last_down(profile, level)
+                        if profile.right_limit < level
+                        else _old_last_below(profile, level))
+            assert _same_bits(last, old_last)
+            crossings += (first is not None) + (last is not None)
+    assert crossings > 10000
+
+
+def test_last_crossing_at_a_breakpoint_on_negative_zero():
+    # the one place the formulas' bits differ: a down-crossing exactly at
+    # a breakpoint x = -0.0 reads -0.0 where the old one read +0.0
+    profile = GrowthProfile.from_breakpoints(
+        [(-10.0, -2.0), (-5.0, 5.0), (-0.0, -1.0), (5.0, -2.0)])
+    old = _old_last_down(profile, -1.0)
+    assert old.hex() == "0x0.0p+0"
+    assert envelopes._last_crossing(profile, -1.0) == old
+
+
+# ---------------------------------------------------------------------------
 # upper envelope, separated habitats
 
 def test_case1_envelope_constants(exp1_params, case1_profile):
@@ -285,14 +368,11 @@ def test_lower_case1_below_upper(exp1_params, case1_profile, exp1_wave):
 def test_lower_case1_rejects_profiles_without_translation(exp1_params,
                                                           exp1_wave):
     # r never reaches r* - eps again after its hump: no admissible x0
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        bumpy = GrowthProfile.from_breakpoints(
-            [(-8.0, -1.0), (-7.0, 10.0), (0.0, 10.0), (1.0, 8.0), (2.0, 8.0)])
-        up = build_upper_envelope_case1(exp1_params, bumpy, GRID)
-        with pytest.raises(ValueError):
-            build_lower_envelope_case1(bumpy, GRID, exp1_wave, up)
+    bumpy = GrowthProfile.from_breakpoints(
+        [(-8.0, -1.0), (-7.0, 10.0), (0.0, 10.0), (1.0, 8.0), (2.0, 8.0)])
+    up = build_upper_envelope_case1(exp1_params, bumpy, GRID)
+    with pytest.raises(ValueError, match="no admissible translation"):
+        build_lower_envelope_case1(bumpy, GRID, exp1_wave, up)
 
 
 def test_lower_case2_numeric(case2_exp1_params, case2_profile):

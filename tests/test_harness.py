@@ -3,13 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kswave import BoundaryCase, OutcomeTag, harness
+from kswave import (BoundaryCase, GrowthProfile, HabitatClass, OutcomeTag,
+                    classify_profile, harness)
 from kswave.cli import main as cli_main
 from kswave.harness import (ConfigError, RunSpec, SweepSpec, parse_config,
                             render_manifest, run_experiment, sweep)
@@ -105,6 +107,25 @@ def test_ill_posed_damping_warns_through_logging(caplog):
     [record] = [r for r in caplog.records if r.name == "kswave"]
     assert record.levelno == logging.WARNING
     assert "solutions may blow up" in record.getMessage()
+
+
+def test_nonmonotone_case1_profile_warns_once_through_logging(caplog):
+    # CASE1 by its limits, with a hump above r(+inf): classify_profile
+    # stays pure, and parsing logs the one warning in every mode
+    text = set_key((EXPERIMENTS / "case1_exp1.cfg").read_text(), "profile",
+                   "-8:-1, -7:10, 0:12, 5:10")
+    profile = GrowthProfile.from_breakpoints(
+        [(-8.0, -1.0), (-7.0, 10.0), (0.0, 12.0), (5.0, 10.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify_profile(profile) is HabitatClass.CASE1
+    for mode in ("simulate", "verify"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="kswave"):
+            parse_config(text, mode=mode)
+        [record] = [r for r in caplog.records if r.name == "kswave"]
+        assert record.getMessage() == ("profile is CASE1 by its limits but "
+                                       "not monotone between them")
 
 
 @pytest.mark.parametrize("mode, extra", [
@@ -598,9 +619,9 @@ def test_sweep_runs_its_own_horizon(tmp_path, monkeypatch):
     horizons = []
     real_run_block = harness.run_block
 
-    def spy(cfgs, u0):
-        horizons.extend(cfg.T for cfg in cfgs)
-        return real_run_block(cfgs, u0)
+    def spy(cfg, runs, u0):
+        horizons.append(cfg.T)
+        return real_run_block(cfg, runs, u0)
     monkeypatch.setattr(harness, "run_block", spy)
     rows = sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),),
                            horizon_scale=0.2), tmp_path / "map.csv")
@@ -681,6 +702,21 @@ def test_cli_numerical_fault_exit_code(tmp_path):
     rc = cli_main(["simulate", str(cfg), "--allow-unstable",
                    "--out", str(tmp_path / "o2")])
     assert rc == 2
+
+
+def test_cli_verify_ignition_fault_is_numerical(tmp_path, capsys):
+    # eps = 8.888 is admissible (alpha = 8.889 - eps > 0), but its front
+    # does not reach its zero within the truncation: a numerical fault
+    # (exit 2), not a traceback, and the verify bundle is not written
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text(set_key((EXPERIMENTS / "case1_exp1.cfg").read_text(),
+                           "verify_epsilons", "8.888"))
+    out = tmp_path / "o"
+    assert cli_main(["verify", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("numerical fault: ") and "truncation" in line
+               for line in err)
+    assert not out.exists()
 
 
 def test_cli_verify_envelope_fault_is_numerical(tmp_path, capsys):

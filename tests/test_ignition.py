@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kswave import (BracketError, SimParams, ignition, ignition_wave,
-                    profile_residual, richardson_speed, speed_limit)
+                    richardson_speed, speed_limit)
 
 PARAMS = SimParams(chi=0.1, mu=1.0, nu=0.05, b=1.0, c=1.0)
 
@@ -45,7 +45,17 @@ def test_wave_evaluate_continuous_at_stitches(wave):
 
 
 def test_boundary_value_residual(wave):
-    assert profile_residual(wave) <= 1e-6
+    # an independent check that the integrated orbit solves the front
+    # equation: the sup residual of ct p - p' - f(psi) on the uniform part
+    # of the stored grid, p' by a fourth-order central difference
+    x, psi, p = wave.x[1:], wave.psi[1:], wave.p[1:]
+    h = x[1] - x[0]
+    np.testing.assert_allclose(np.diff(x), h, rtol=0, atol=1e-12)
+    dp = (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * h)
+    core = slice(2, -2)
+    res = (wave.speed * p[core] - dp
+           - ignition._reaction(psi[core], wave.alpha, wave.beta))
+    assert np.max(np.abs(res)) <= 1e-6
 
 
 def test_speed_increases_as_epsilon_decreases():

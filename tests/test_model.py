@@ -63,13 +63,6 @@ def test_classify_zero_limit_unclassified():
     assert classify_profile(prof) is HabitatClass.UNCLASSIFIED
 
 
-def test_classify_warns_on_nonmonotone_case1():
-    prof = GrowthProfile.from_breakpoints(
-        [(-8.0, -1.0), (0.0, 12.0), (1.0, 10.0), (2.0, 10.0)])
-    with pytest.warns(UserWarning):
-        assert classify_profile(prof) is HabitatClass.CASE1
-
-
 def test_classify_invariant_under_redundant_breakpoints(case1_profile):
     # adding interior points on the existing segments changes nothing
     refined = GrowthProfile.from_breakpoints(
@@ -81,7 +74,6 @@ def test_classify_invariant_under_redundant_breakpoints(case1_profile):
 
 @given(data=st.data())
 def test_classify_invariant_under_midpoint_subdivision(data):
-    import warnings
     n = data.draw(st.integers(min_value=2, max_value=5))
     xs = sorted(data.draw(st.lists(
         st.integers(min_value=-40, max_value=40).map(float),
@@ -94,9 +86,7 @@ def test_classify_invariant_under_midpoint_subdivision(data):
             for a, b in zip(xs, xs[1:])]
     refined = GrowthProfile.from_breakpoints(
         sorted(list(zip(xs, rs)) + mids))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert classify_profile(refined) is classify_profile(prof)
+    assert classify_profile(refined) is classify_profile(prof)
     probe = np.linspace(xs[0] - 5.0, xs[-1] + 5.0, 97)
     np.testing.assert_allclose(refined(probe), prof(probe), rtol=0,
                                atol=1e-9 * max(1.0, max(abs(v) for v in rs)))

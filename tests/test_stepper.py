@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_blowup_guard_raises():
         run(cfg, u0)
     with pytest.raises(BlowUpError):
         _evolve_frozen(cfg, u0, np.zeros(grid.M + 1))
-    assert run_block([cfg], u0) == [None]
+    assert run_block(cfg, [params], u0) == [None]
 
 
 def test_nonnegativity_and_apriori_bound(case1_profile, exp1_params,
@@ -188,16 +189,22 @@ def test_extinction_from_zero_initial_data():
 # ---------------------------------------------------------------------------
 # a block of runs marched as one array
 
-def block_cfgs(axis, values, bc=BoundaryCase.CASE1, **over):
-    """Runs on one grid that differ only in ``axis``: L = 5, 1000 steps."""
+BLOCK_PARAMS = SimParams(chi=0.0, mu=1.0, nu=0.05, b=1.0, c=1.0)
+
+
+def block_runs(axis, values):
+    """Parameters that differ from BLOCK_PARAMS only in ``axis``."""
+    return [replace(BLOCK_PARAMS, **{axis: x}) for x in values]
+
+
+def block_cfg(bc=BoundaryCase.CASE1, **over):
+    """The block's config: L = 5, 1000 steps, with the base parameters."""
     profile = GrowthProfile.from_breakpoints(
         [(-2.0, -1.0), (-1.0, 10.0)] if bc is BoundaryCase.CASE1
         else [(-2.0, -1.0), (-1.0, 10.0), (1.0, 10.0), (2.0, -1.0)])
-    base = {"chi": 0.0, "mu": 1.0, "nu": 0.05, "b": 1.0, "c": 1.0}
     over = {"tau": 0.002, "T": 2.0, **over}
-    return [make_run_config(SimParams(**{**base, axis: x}), profile,
-                            Grid(L=5.0, h=0.1), bc, **over)
-            for x in values]
+    return make_run_config(BLOCK_PARAMS, profile, Grid(L=5.0, h=0.1), bc,
+                           **over)
 
 
 def block_u0(bc):
@@ -216,14 +223,15 @@ def block_u0(bc):
     ("chi", (0.0, 0.6, 0.3)),
 ])
 def test_block_rows_equal_serial_runs_bitwise(axis, values, bc):
-    cfgs = block_cfgs(axis, values, bc)
+    cfg = block_cfg(bc)
+    runs = block_runs(axis, values)
     u0 = block_u0(bc)
-    rows = run_block(cfgs, u0)
-    assert len(rows) == len(cfgs)
+    rows = run_block(cfg, runs, u0)
+    assert len(rows) == len(runs)
     blown = 0
-    for cfg, row in zip(cfgs, rows):
+    for params, row in zip(runs, rows):
         try:
-            traj, outcome = run(cfg, u0)
+            traj, outcome = run(replace(cfg, params=params), u0)
         except BlowUpError:
             assert row is None
             blown += 1
@@ -237,17 +245,16 @@ def test_block_rows_equal_serial_runs_bitwise(axis, values, bc):
 
 
 def test_block_keeps_the_run_checks():
-    u0 = block_u0(BoundaryCase.CASE1)
     with pytest.raises(ValueError, match="CFL"):
-        run_block(block_cfgs("c", (1.0, 2.0), tau=0.01), u0)
+        block_cfg(tau=0.01)
     with pytest.raises(ValueError, match="T must be"):
-        run_block(block_cfgs("c", (1.0, 2.0), T=2.0001), u0)
+        block_cfg(T=2.0001)
     with pytest.raises(ValueError, match="conv_window"):
-        run_block(block_cfgs("c", (1.0, 2.0), conv_window=1.0001), u0)
-    # rows must share everything the kernel and the solve hold fixed
-    mixed = block_cfgs("c", (1.0,)) + block_cfgs("nu", (0.5,))
-    with pytest.raises(ValueError, match="shares"):
-        run_block(mixed, u0)
+        block_cfg(conv_window=1.0001)
+    # the rows share the chemical matrix, which holds nu and mu
+    mixed = block_runs("c", (1.0,)) + block_runs("nu", (0.5,))
+    with pytest.raises(ValueError, match="nu and mu"):
+        run_block(block_cfg(), mixed, block_u0(BoundaryCase.CASE1))
 
 
 # ---------------------------------------------------------------------------
