@@ -13,9 +13,9 @@ outcome.txt; eigenvalues.csv and lambda_infinity.txt; regime.txt;
 certification.csv and ignition.csv; regime_map.csv) byte for byte, and a last
 line ``artifacts in DIR``.
 
-Exit codes: 0 success, 1 validation error, 2 numerical fault (any
-RuntimeError: a blow-up, a failed bracket or envelope, a LAPACK failure or
-a refused eigenvalue doubling; also a sweep with an ``error`` row).
+Exit codes: 0 success, 1 validation error or unwritable --out, 2 numerical
+fault (any RuntimeError: a blow-up, a failed bracket or envelope, a LAPACK
+failure or a refused eigenvalue doubling; also a sweep with an ``error`` row).
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:          # say, --out names an existing file
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return 1
 
     # each summary artifact is the result's one text form: print it as written

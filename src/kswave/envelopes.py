@@ -184,7 +184,7 @@ def build_upper_envelope_case1(params: SimParams, profile: GrowthProfile,
                                grid: Grid) -> Envelope:
     if classify_profile(profile) is not HabitatClass.CASE1:
         raise ValueError("upper CASE1 envelope requires a CASE1 profile")
-    if params.damping_gap <= 0.0:
+    if not params.well_posed:
         raise ValueError("requires b > chi*mu")
     # r(-inf) < r1 < 0 < r(+inf) for CASE1, so r crosses r1
     r1 = 0.5 * profile.left_limit
@@ -199,7 +199,7 @@ def build_upper_envelope_case2(params: SimParams, profile: GrowthProfile,
                                grid: Grid) -> Envelope:
     if classify_profile(profile) is not HabitatClass.CASE2:
         raise ValueError("upper CASE2 envelope requires a CASE2 profile")
-    if params.damping_gap <= 0.0:
+    if not params.well_posed:
         raise ValueError("requires b > chi*mu")
     # max(r(-inf), r(+inf)) < rbar < 0 < r* for CASE2, so r crosses rbar
     # on both sides
@@ -251,10 +251,8 @@ def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
     cfg = make_run_config(heavy, profile, grid, BoundaryCase.CASE2, tau,
                           LOWER_T, conv_window=LOWER_T)
     u0 = InitialCondition(bump=(-1.0, 1.0))(grid.nodes)
-    traj, _ = run(cfg, u0)
-    values = traj.u_final.copy()
-    values[0] = 0.0
-    values[-1] = 0.0
+    # run returns its own copy of u, and the CASE2 closure zeroes both ends
+    values = run(cfg, u0)[0].u_final
     inner = np.abs(grid.nodes) <= grid.L - 2.0
     if not np.all(values[inner] > 0.0):
         raise EnvelopeError("numeric lower envelope is not positive inside")
@@ -294,12 +292,12 @@ def _sample_in_eplus(rng, envelope: Envelope, i: int) -> np.ndarray:
 
 
 def certify_supersolution(envelope: Envelope, params: SimParams,
-                          profile: GrowthProfile, n_samples: int = 100,
+                          profile: GrowthProfile, n_samples: int,
                           seed: int = 20230917) -> CertificationReport:
     """Check A_u(branch) <= CERTIFY_TOL on each claimed region for n_samples
-    random u in E+.  Never raises on a sign failure: the report records the
-    worst residual with its sample and node, and flags whether the damping
-    hypothesis b >= 1.5 chi mu held.
+    random u in E+ (verify mode passes verify_samples).  Never raises on a
+    sign failure: the report records the worst residual with its sample and
+    node, and hypothesis_satisfied is params.damping_hypothesis.
 
     Each branch's value and analytic derivatives do not depend on u, so
     they are evaluated on the grid once, before the sample loop; only the
@@ -331,7 +329,7 @@ def certify_supersolution(envelope: Envelope, params: SimParams,
                 worst[name] = (float(vals[k]), i, float(x[k]))
 
     return CertificationReport(
-        hypothesis_satisfied=params.b >= 1.5 * params.chi * params.mu,
+        hypothesis_satisfied=params.damping_hypothesis,
         n_samples=n_samples, tol=CERTIFY_TOL,
         branches=tuple(
             BranchWorst(branch=name, worst_residual=worst[name][0],

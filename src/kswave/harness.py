@@ -27,11 +27,11 @@ import numpy as np
 
 from .envelopes import (build_lower_envelope_case2, build_upper_envelope_case1,
                         build_upper_envelope_case2, certify_supersolution)
-from .ignition import BracketError, ignition_wave
+from .ignition import RICHARDSON_EPSILONS, BracketError, ignition_wave
 from .model import (BoundaryCase, ConfigError, Grid, GrowthProfile,
                     HabitatClass, InitialCondition, SimParams, check_regime,
-                    classify_profile, speed_limit)
-from .spectral import _first_L, lambda_infinity
+                    classify_profile)
+from .spectral import DOUBLING_H, DOUBLING_TOL, _first_L, lambda_infinity
 from .stepper import (RunConfig, initial_state, make_run_config, run,
                       run_block)
 
@@ -46,7 +46,8 @@ _log = logging.getLogger("kswave")
 @dataclass(frozen=True)
 class RunSpec:
     """Declarative description of one experiment (pure scalars and tuples,
-    so equality and the manifest round-trip are exact)."""
+    so equality and the manifest round-trip are exact).  A default that the
+    code using the key also holds is read from there, not written again."""
 
     mode: str
     chi: float
@@ -62,16 +63,16 @@ class RunSpec:
     profile: tuple[tuple[float, float], ...]
     u0: tuple[tuple[float, float], ...] | None = None
     u0_bump: tuple[float, float] | None = None
-    snapshot_times: tuple[float, ...] = ()
-    conv_window: float = 1.0
-    conv_tol: float = 1e-3
-    extinct_tol: float = 1e-3
-    plateau_rel_tol: float = 0.02
-    allow_unstable: bool = False
-    eig_h: float = 0.01
-    eig_tol: float = 1e-4
+    snapshot_times: tuple[float, ...] = RunConfig.snapshot_times
+    conv_window: float = RunConfig.conv_window
+    conv_tol: float = RunConfig.conv_tol
+    extinct_tol: float = RunConfig.extinct_tol
+    plateau_rel_tol: float = RunConfig.plateau_rel_tol
+    allow_unstable: bool = RunConfig.allow_unstable
+    eig_h: float = DOUBLING_H
+    eig_tol: float = DOUBLING_TOL
     verify_samples: int = 100
-    verify_epsilons: tuple[float, ...] = (0.1, 0.05, 0.025)
+    verify_epsilons: tuple[float, ...] = RICHARDSON_EPSILONS
     sweep_b: tuple[float, float, int] | None = None
     sweep_c: tuple[float, float, int] | None = None
     sweep_chi: tuple[float, float, int] | None = None
@@ -258,11 +259,10 @@ def parse_config(text: str, mode: str | None = None,
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     spec = RunSpec(**values)
-    cfg = _validate(spec, lines)
+    cfg, profile = _validate(spec, lines)
     if not cfg.params.well_posed:
         _log.warning("b = %g <= chi*mu = %g, solutions may blow up",
                      spec.b, spec.chi * spec.mu)
-    profile = spec.growth_profile()
     if (classify_profile(profile) is HabitatClass.CASE1
             and not profile.is_monotone_case1()):
         _log.warning("profile is CASE1 by its limits but not monotone "
@@ -276,10 +276,10 @@ def parse_config(text: str, mode: str | None = None,
     return spec
 
 
-def _validate(spec: RunSpec, lines: dict) -> RunConfig:
+def _validate(spec: RunSpec, lines: dict) -> tuple[RunConfig, GrowthProfile]:
     """Build what the spec's mode runs and check the keys that no built
     object holds; a refusal is re-raised with its key's line.  Returns the
-    run's config, or in sweep mode the config of its points."""
+    run's config (in sweep mode that of its points) and growth profile."""
     try:
         for key in ("eig_tol", "eig_h", "horizon_scale"):
             if not getattr(spec, key) > 0.0:
@@ -320,7 +320,7 @@ def _validate(spec: RunSpec, lines: dict) -> RunConfig:
                                   + exc.reason, key="horizon_scale") from None
     except ConfigError as exc:
         raise ConfigError(exc.reason, lines.get(exc.key), exc.key) from None
-    return cfg
+    return cfg, profile
 
 
 def render_manifest(spec: RunSpec) -> str:
@@ -427,11 +427,9 @@ def _run_eig(spec: RunSpec):
 
 
 def _run_regime(spec: RunSpec):
-    params = spec.params()
     profile = spec.growth_profile()
-    report = check_regime(params, profile)
+    report = check_regime(spec.params(), profile)
     res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
-    report = replace(report, lambda_inf=res.estimate)
     thr = "undefined" if report.h1_threshold is None \
         else fmt(report.h1_threshold)
     lines = [
@@ -439,7 +437,7 @@ def _run_regime(spec: RunSpec):
         f"h1_threshold = {thr}",
         f"h2_damping_holds = {'true' if report.h2_damping_holds else 'false'}",
         f"c_star = {fmt(report.c_star)}",
-        f"lambda_inf = {fmt(report.lambda_inf)}",
+        f"lambda_inf = {fmt(res.estimate)}",
     ]
     return report, {"regime.txt": _text(lines)}
 
@@ -465,8 +463,7 @@ def _run_verify(spec: RunSpec):
 
     ign_rows = ["epsilon,speed,bound"]
     waves = []
-    if params.b > 2.0 * params.chi * params.mu:
-        bound = speed_limit(params, profile.r_star)
+    if params.strongly_damped:
         for eps in spec.verify_epsilons:
             try:
                 w = ignition_wave(params, profile.r_star, eps)
@@ -474,7 +471,7 @@ def _run_verify(spec: RunSpec):
                 _log.warning("ignition eps=%g: %s", eps, exc)
                 continue
             waves.append(w)
-            ign_rows.append(f"{fmt(eps)},{fmt(w.speed)},{fmt(bound)}")
+            ign_rows.append(f"{fmt(eps)},{fmt(w.speed)},{fmt(w.speed_bound)}")
     else:
         _log.warning("b <= 2 chi mu, ignition wave construction skipped")
 
@@ -523,9 +520,9 @@ def _sweep_point(spec: RunSpec, horizon_scale: float) -> RunSpec:
 
 
 def _sweep_block(args):
-    """The rows of a contiguous run of sweep points.  Points with b <= chi mu
-    are skipped, points whose parameters are refused read ``error``, and
-    the rest march as one block of the shared sweep-point config; each
+    """The rows of a contiguous run of sweep points.  Points whose params are
+    refused (a b <= 0 too) read ``error``, points not well_posed are skipped,
+    and the rest march as one block of the shared sweep-point config; each
     ``error`` row is logged with why."""
     spec, horizon_scale, points = args
     rows, runs, marched = [], [], []
@@ -533,14 +530,15 @@ def _sweep_block(args):
         row = {"b": b, "c": c, "chi": chi, "outcome": "error",
                "plateau": math.nan, "final_sup_u": math.nan}
         rows.append(row)
-        if b <= chi * spec.mu:
-            row["outcome"] = "skipped"
-            continue
         try:
-            runs.append(SimParams(chi=chi, mu=spec.mu, nu=spec.nu, b=b, c=c))
+            params = SimParams(chi=chi, mu=spec.mu, nu=spec.nu, b=b, c=c)
         except ValueError as exc:
             _log_error(row, exc)
             continue
+        if not params.well_posed:
+            row["outcome"] = "skipped"
+            continue
+        runs.append(params)
         marched.append(row)
     if not runs:
         return rows

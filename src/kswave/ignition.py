@@ -52,11 +52,10 @@ class BracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class IgnitionWave:
-    """Front profile on a private fine grid, normalized so psi(0) = 0."""
+    """Front from -epsilon to right_level on a private grid; psi(0) = 0."""
 
     epsilon: float
     speed: float
-    left_level: float
     right_level: float
     speed_bound: float
     alpha: float
@@ -173,17 +172,15 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
 def ignition_wave(params: SimParams, r_star: float,
                   epsilon: float) -> IgnitionWave:
     """The front and its speed for one cutoff value: RK4 steps of STEP, the
-    speed rooted to SPEED_TOL, the front built within 2 TRUNCATION_RADIUS."""
-    chimu = params.chi * params.mu
+    speed rooted to SPEED_TOL in (0, speed_limit), the front built within
+    2 TRUNCATION_RADIUS.  ``speed_limit`` refuses params not strongly_damped."""
+    bound = speed_limit(params, r_star)
     beta = params.damping_gap
-    if params.b <= 2.0 * chimu:
-        raise ValueError("ignition construction requires b > 2 chi mu")
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    alpha = r_star - epsilon - chimu * r_star / beta
+    alpha = r_star - epsilon - params.chi * params.mu * r_star / beta
     if alpha <= 0.0:
         raise BracketError(f"epsilon = {epsilon!r} too large: no positive zero gap")
-    bound = speed_limit(params, r_star)
 
     def overshoot(ct):
         return _shoot(ct, alpha, beta, STEP) - ct * epsilon
@@ -245,7 +242,7 @@ def ignition_wave(params: SimParams, r_star: float,
     if not np.all(np.diff(psi_nodes) > 0.0):
         raise RuntimeError("computed front is not strictly increasing")
     return IgnitionWave(
-        epsilon=epsilon, speed=ct, left_level=-epsilon, right_level=Q,
+        epsilon=epsilon, speed=ct, right_level=Q,
         speed_bound=bound, alpha=alpha, beta=beta, lam_minus=lamm,
         x=x_nodes, psi=psi_nodes, p=p_nodes)
 

@@ -60,7 +60,8 @@ class SimParams:
     chi  chemotaxis sensitivity, >= 0
     mu   chemical production rate, > 0
     nu   chemical degradation rate, > 0
-    b    logistic damping, > 0
+    b    logistic damping, > 0; the properties below are the one home of
+         the paper's hypotheses on b, each against the one product chi*mu
     c    habitat shift speed (any sign)
     """
 
@@ -78,9 +79,16 @@ class SimParams:
             raise ConfigError("chi must be nonnegative", key="chi")
 
     @property
-    def well_posed(self) -> bool:
-        """Global-existence condition b > chi*mu."""
+    def well_posed(self) -> bool:           # b > chi mu: global existence
         return self.b > self.chi * self.mu
+
+    @property
+    def strongly_damped(self) -> bool:      # b > 2 chi mu: ignition wave, h1
+        return self.b > 2.0 * (self.chi * self.mu)
+
+    @property
+    def damping_hypothesis(self) -> bool:   # b >= 1.5 chi mu: the envelopes
+        return self.b >= 1.5 * (self.chi * self.mu)
 
     @property
     def damping_gap(self) -> float:
@@ -178,7 +186,7 @@ class Grid:
 
     2L/h must be an integer to relative tolerance 1e-12; anything else is
     rejected rather than silently adjusted, so node counts reproduce exactly.
-    Refusals name ``L`` or ``h``, and a bad ratio 2L/h names ``h``.
+    Refusals name ``L`` or ``h``, and a bad (or overflowing) 2L/h names ``h``.
     """
 
     L: float
@@ -187,10 +195,10 @@ class Grid:
 
     def __post_init__(self):
         for name in ("L", "h"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive", key=name)
+            if not 0.0 < getattr(self, name) < math.inf:    # refuses nan
+                raise ConfigError(f"{name} must be positive and finite", key=name)
         ratio = 2.0 * self.L / self.h
-        m = round(ratio)
+        m = round(ratio) if ratio < math.inf else 0     # overflow: h tiny
         if m < 2 or abs(ratio - m) > 1e-12 * max(1.0, ratio):
             raise ConfigError(f"2L/h = {ratio!r} is not an integer >= 2",
                               key="h")
@@ -230,15 +238,15 @@ class RegimeReport:
     """Closed-form regime quantities for a (params, profile) pair.
 
     h1_threshold is chi*mu*r*/(2 sqrt(nu) (b-chi*mu)) - 2 sqrt(r*(b-2chi*mu)/(b-chi*mu)),
-    defined only when b > 2 chi*mu.  h1_holds requires b > 2 chi*mu and
-    c > h1_threshold.  h2_damping_holds is b >= 1.5 chi*mu.  c_star = 2 sqrt(r*).
+    defined only when params.strongly_damped; h1_holds requires that and
+    c > h1_threshold.  h2_damping_holds is params.damping_hypothesis, the
+    flag a certificate reports.  c_star = 2 sqrt(r*).
     """
 
     h1_holds: bool
     h1_threshold: float | None
     h2_damping_holds: bool
     c_star: float
-    lambda_inf: float | None = None
 
 
 def theta_root(c: float, r: float) -> float:
@@ -269,10 +277,10 @@ def classify_profile(profile: GrowthProfile) -> HabitatClass:
 
 def speed_limit(params: SimParams, r_star: float) -> float:
     """2 sqrt(r* (b - 2 chi mu)/(b - chi mu)), the eps -> 0 speed of the
-    ignition wave."""
+    ignition wave; refused unless ``params.strongly_damped`` and r* >= 0."""
+    if not (params.strongly_damped and r_star >= 0.0):
+        raise ValueError("requires b > 2 chi mu and r* >= 0")
     chimu = params.chi * params.mu
-    if params.b <= 2.0 * chimu:
-        raise ValueError("requires b > 2 chi mu")
     return 2.0 * math.sqrt(r_star * (params.b - 2.0 * chimu) / (params.b - chimu))
 
 
@@ -287,11 +295,9 @@ def check_regime(params: SimParams, profile: GrowthProfile) -> RegimeReport:
         raise ConfigError("profile has no favorable region (sup r <= 0)",
                           key="profile")
     c_star = 2.0 * math.sqrt(r_star)
-    chimu = params.chi * params.mu
-    h2 = params.b >= 1.5 * chimu
-    if params.b > 2.0 * chimu:
-        gap = params.damping_gap
-        threshold = (chimu * r_star / (2.0 * math.sqrt(params.nu) * gap)
+    if params.strongly_damped:
+        threshold = (params.chi * params.mu * r_star
+                     / (2.0 * math.sqrt(params.nu) * params.damping_gap)
                      - speed_limit(params, r_star))
         h1 = params.c > threshold
     else:
@@ -300,6 +306,6 @@ def check_regime(params: SimParams, profile: GrowthProfile) -> RegimeReport:
     return RegimeReport(
         h1_holds=h1,
         h1_threshold=threshold,
-        h2_damping_holds=h2,
+        h2_damping_holds=params.damping_hypothesis,
         c_star=c_star,
     )

@@ -36,6 +36,8 @@ __all__ = ["EigenResult", "LambdaInfinityResult", "principal_eigenvalue",
            "lambda_infinity"]
 
 EIG_TOL = 1e-10         # absolute tolerance of each dstebz bisection
+DOUBLING_TOL = 1e-4     # the doubling stops when lambda_L moves less
+DOUBLING_H = 0.01       # mesh width of the doubling sweep
 MAX_DOUBLINGS = 8       # doublings of L before the sweep gives up
 
 
@@ -91,13 +93,14 @@ def principal_eigenvalue(profile: GrowthProfile, c: float, L: float,
     return EigenResult(lambda_L=lam, L=float(L), h=float(h))
 
 
-def lambda_infinity(profile: GrowthProfile, c: float, tol: float = 1e-4,
-                    h: float = 0.01) -> LambdaInfinityResult:
+def lambda_infinity(profile: GrowthProfile, c: float,
+                    tol: float = DOUBLING_TOL,
+                    h: float = DOUBLING_H) -> LambdaInfinityResult:
     """Estimate lim_{L -> inf} lambda_L by doubling L at fixed h until
-    successive values differ by less than tol, at most MAX_DOUBLINGS
-    times.  Each lambda_L is one LAPACK ``dstebz`` bisection with absolute
-    tolerance ``EIG_TOL``, so a doubling step may drop by round-off of that
-    size; a drop beyond 10 ``EIG_TOL`` is refused."""
+    successive values differ by less than tol, at most MAX_DOUBLINGS times
+    (tol and h default as eig_tol and eig_h do).  Each lambda_L is one LAPACK
+    ``dstebz`` bisection with absolute tolerance ``EIG_TOL``, so a step may
+    drop by round-off of that size; a drop beyond 10 ``EIG_TOL`` is refused."""
     L = _first_L(profile, h)
     upper = profile.r_star - 0.25 * c * c
 

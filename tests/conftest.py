@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
 
 from kswave import GrowthProfile, InitialCondition, SimParams
+from kswave.harness import parse_config, run_experiment
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50)
@@ -38,6 +43,15 @@ def case1_u0():
 @pytest.fixture(scope="session")
 def case2_u0():
     return InitialCondition(bump=(-1.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def sweep_case1_c(tmp_path_factory):
+    """The T = 140 c-sweep of experiments/sweep_case1_c.cfg, run once for
+    the session: its rows and the path of the regime_map.csv it wrote."""
+    out = tmp_path_factory.mktemp("sweep_case1_c")
+    spec = parse_config((EXPERIMENTS / "sweep_case1_c.cfg").read_text())
+    return run_experiment(spec, out), out / "regime_map.csv"
 
 
 @pytest.fixture

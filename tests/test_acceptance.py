@@ -24,7 +24,7 @@ from kswave import (BoundaryCase, ChemicalSolver, Grid, GrowthProfile,
                     frozen_flow_fixed_point, greens_psi, greens_psi_x,
                     make_run_config, principal_eigenvalue, richardson_speed,
                     run, speed_limit, stationary_residual)
-from kswave.harness import SweepSpec, parse_config, sweep
+from kswave.harness import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS = ROOT / "experiments"
@@ -272,10 +272,8 @@ def test_criterion_11_frozen_flow_fixed_point(exp1_setup):
     assert drift < 1e-3
 
 
-def test_criterion_12_regime_transition_sweep(tmp_path):
-    spec = load("sweep_case1_c.cfg")
-    rows = sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)),
-                 tmp_path / "regime_map.csv")
+def test_criterion_12_regime_transition_sweep(sweep_case1_c):
+    rows, _ = sweep_case1_c
     cs = [r["c"] for r in rows]
     extinct = [c for c, r in zip(cs, rows) if r["outcome"] == "extinction"]
     alive = [c for c, r in zip(cs, rows)

@@ -1,8 +1,12 @@
 """Golden artifacts: the shipped T = 10 simulate bundles and the verify
 bundles under out/ are regenerated from their configs and must match byte
 for byte (every file but the wall-clock timestamp.txt).  A bundle named
-``<config>_verify`` is the verify mode of ``experiments/<config>.cfg``."""
+``<config>_verify`` is the verify mode of ``experiments/<config>.cfg``.
+The c-sweep's regime_map.csv must match the SHA-256 that
+scripts/check_artifacts.py records."""
 
+import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -28,3 +32,14 @@ def test_simulate_bundle_is_byte_identical(name, tmp_path):
     for fname in artifacts(shipped):
         assert (tmp_path / fname).read_bytes() == \
             (shipped / fname).read_bytes(), fname
+
+
+def test_c_sweep_regime_map_matches_its_recorded_digest(sweep_case1_c):
+    # the digest has one copy, in the script that checks every artifact
+    script = ROOT / "scripts" / "check_artifacts.py"
+    spec = importlib.util.spec_from_file_location("check_artifacts", script)
+    check_artifacts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_artifacts)
+    _, regime_map = sweep_case1_c
+    assert hashlib.sha256(regime_map.read_bytes()).hexdigest() == \
+        check_artifacts.REGIME_MAP_SHA256

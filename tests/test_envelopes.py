@@ -8,8 +8,8 @@ import pytest
 from kswave import (EnvelopeKind, Grid, GrowthProfile, SimParams,
                     build_lower_envelope_case1, build_lower_envelope_case2,
                     build_upper_envelope_case1, build_upper_envelope_case2,
-                    certify_supersolution, greens_psi, greens_psi_x,
-                    ignition_wave, theta_root)
+                    certify_supersolution, check_regime, greens_psi,
+                    greens_psi_x, ignition_wave, theta_root)
 from kswave import envelopes
 from kswave.envelopes import _branch, _branches, _residual
 
@@ -264,6 +264,18 @@ def test_certify_violated_hypothesis_reports_without_raising(case1_profile):
     report = certify_supersolution(env, params, case1_profile, n_samples=20)
     assert not report.hypothesis_satisfied
     assert math.isfinite(report.worst.worst_residual)
+
+
+def test_regime_and_certificate_agree_on_the_damping_hypothesis(
+        case1_profile):
+    # b = 1.5 chi mu up to rounding: 1.5 * chi * mu and 1.5 * (chi * mu)
+    # fall on different sides of b, and the regime report and the
+    # certificate used to compute one each
+    params = SimParams(chi=0.445, mu=2.19, nu=0.05, b=1.461825, c=1.0)
+    env = build_upper_envelope_case1(params, case1_profile, GRID)
+    report = certify_supersolution(env, params, case1_profile, n_samples=1)
+    assert check_regime(params, case1_profile).h2_damping_holds == \
+        report.hypothesis_satisfied
 
 
 @pytest.mark.parametrize("kwargs", ({"n_samples": 0}, {"n_samples": -3}))

@@ -232,6 +232,9 @@ BAD_VALUES = [
     ("simulate", "case1_exp1.cfg", "nu", "-2", "nu", "nu must be positive"),
     ("simulate", "case1_exp1.cfg", "b", "0", "b", "b must be positive"),
     ("simulate", "case1_exp1.cfg", "L", "-3", "L", "L must be positive"),
+    # 2L/h overflows to inf: refused under h, where round() used to raise
+    ("simulate", "case1_exp1.cfg", "h", "1e-320", "h",
+     "2L/h = inf is not an integer >= 2"),
     ("simulate", "case1_exp1.cfg", "profile", "", "profile",
      "a profile needs at least two breakpoints"),
     ("simulate", "case1_exp1.cfg", "u0", "-1:0, 1:-10", "u0",
@@ -363,8 +366,10 @@ def test_eig_and_regime_modes(tmp_path):
                           mode="regime")
     report = run_experiment(spec_r, tmp_path / "regime")
     assert report.h1_holds
-    assert report.lambda_inf is not None
-    assert "h1_holds = true" in (tmp_path / "regime" / "regime.txt").read_text()
+    regime = (tmp_path / "regime" / "regime.txt").read_text().splitlines()
+    assert "h1_holds = true" in regime
+    [lam] = [row for row in regime if row.startswith("lambda_inf = ")]
+    assert math.isfinite(float(lam.split(" = ")[1]))
 
 
 # eig-mode tables of the shipped configs as the pure-Python Sturm bisection
@@ -467,21 +472,42 @@ def test_sweep_skips_ill_posed_points(tmp_path):
     assert "skipped" in text
 
 
-def test_sweep_records_per_point_errors(tmp_path, caplog):
-    # a chi axis that reaches below 0 gives a point SimParams refuses; the
-    # sweep must keep going and record that row as an error
-    spec = parse_config(SWEEP_CFG + "sweep_chi = -0.1, 0.1, 2\n")
-    caplog.clear()      # drop the parse's warning that T < conv_window
-    with caplog.at_level(logging.WARNING, logger="kswave"):
-        rows = sweep(SweepSpec.from_spec(spec), tmp_path / "map.csv",
-                     workers=1)
-    assert [r["outcome"] == "error" for r in rows] == [True, False]
-    assert "error" in (tmp_path / "map.csv").read_text()
-    # and the log says why, naming the point
-    [record] = [r for r in caplog.records if r.name == "kswave"]
-    assert record.levelno == logging.WARNING
-    assert "b = 1.0, c = 1.0, chi = -0.1" in record.getMessage()
-    assert "chi must be nonnegative" in record.getMessage()
+# each axis reaches values SimParams refuses: a chi below 0, and (refused
+# like it, where it was skipped as b <= chi mu) a b of -1 and of 0
+PER_POINT_ERRORS = [
+    ("sweep_chi = -0.1, 0.1, 2", ["b = 1.0, c = 1.0, chi = -0.1"],
+     "chi must be nonnegative"),
+    ("sweep_b = -1, 1, 3", ["b = -1.0, c = 1.0, chi = 0.1",
+                            "b = 0.0, c = 1.0, chi = 0.1"],
+     "b must be positive"),
+]
+
+
+def test_sweep_records_per_point_errors(tmp_path, caplog, capsys):
+    # the sweep must keep going past a refused point and record its row as
+    # an error, and the CLI then exits 2
+    for k, (axis, points, why) in enumerate(PER_POINT_ERRORS):
+        text = SWEEP_CFG + axis + "\n"
+        spec = parse_config(text)
+        caplog.clear()      # drop the parse's warning that T < conv_window
+        with caplog.at_level(logging.WARNING, logger="kswave"):
+            rows = sweep(SweepSpec.from_spec(spec), tmp_path / f"map{k}.csv",
+                         workers=1)
+        assert [r["outcome"] == "error" for r in rows] == \
+            [True] * len(points) + [False]
+        assert "error" in (tmp_path / f"map{k}.csv").read_text()
+        # and the log says why, naming each point
+        records = [r for r in caplog.records if r.name == "kswave"]
+        assert len(records) == len(points)
+        for record, point in zip(records, points):
+            assert record.levelno == logging.WARNING
+            assert point in record.getMessage()
+            assert why in record.getMessage()
+        cfg = tmp_path / f"sweep{k}.cfg"
+        cfg.write_text(text)
+        assert cli_main(["sweep", str(cfg), "--out",
+                         str(tmp_path / f"o{k}")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -692,6 +718,22 @@ def test_cli_simulate_and_exit_codes(tmp_path):
     bad.write_text("chi = oops\n")
     assert cli_main(["simulate", str(bad)]) == 1
     assert cli_main(["simulate", str(tmp_path / "missing.cfg")]) == 1
+
+
+@pytest.mark.parametrize("mode, text", (("simulate", MINI_CFG),
+                                        ("sweep", SWEEP_CFG)))
+def test_cli_out_naming_a_file_is_an_error(mode, text, tmp_path, capsys):
+    # the bundle directory cannot be made: exit 1 with the reason, where a
+    # FileExistsError traceback ended the run before
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(text)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main([mode, str(cfg), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert "error: cannot write artifacts: " in err
+    assert "Traceback" not in err
+    assert taken.read_text() == ""
 
 
 def test_cli_numerical_fault_exit_code(tmp_path):

@@ -24,7 +24,8 @@ def test_wave_speed_inside_bound(wave):
 
 
 def test_wave_levels(wave):
-    assert wave.left_level == -0.05
+    # psi(-inf) = -eps: the exponential tail is exactly -eps far left
+    assert wave.evaluate(np.array([-1e3]))[0] == -wave.epsilon == -0.05
     # ((r* - eps)(b - chi mu) - chi mu r*)/(b - chi mu)^2
     assert wave.right_level == pytest.approx(
         ((10.0 - 0.05) * 0.9 - 1.0) / 0.81, abs=1e-12)
@@ -34,7 +35,7 @@ def test_wave_profile_monotone_and_normalized(wave):
     assert np.all(np.diff(wave.psi) > 0.0)
     assert wave.evaluate(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
     far = wave.evaluate(np.array([-60.0, 60.0]))
-    assert far[0] == pytest.approx(wave.left_level, abs=1e-9)
+    assert far[0] == pytest.approx(-wave.epsilon, abs=1e-9)
     assert far[1] == pytest.approx(wave.right_level, abs=1e-9)
 
 
@@ -83,6 +84,10 @@ def test_requires_strong_damping():
         ignition_wave(weak, 10.0, 0.05)
     with pytest.raises(ValueError):
         ignition_wave(PARAMS, 10.0, -0.1)
+    # speed_limit, which ignition_wave calls first, refuses a negative r*
+    # by name rather than failing inside math.sqrt
+    with pytest.raises(ValueError, match=r"r\* >= 0"):
+        ignition_wave(PARAMS, -1.0, 0.05)
 
 
 def test_speed_against_pde_front_tracking():

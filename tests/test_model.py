@@ -174,6 +174,12 @@ def test_grid_rejects_nonintegral_ratio():
         Grid(L=1.0, h=0.3)
     with pytest.raises(ValueError):
         Grid(L=-1.0, h=0.1)
+    # an infinite L, and an h so small that 2L/h overflows to inf, used to
+    # raise OverflowError from round(2L/h): each is refused by its key
+    for L, h, key in ((math.inf, 0.1, "L"), (20.0, 1e-320, "h")):
+        with pytest.raises(ConfigError) as exc:
+            Grid(L=L, h=h)
+        assert exc.value.key == key
 
 
 def test_sample_case1_initial_condition(case1_u0):
