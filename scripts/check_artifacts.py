@@ -13,6 +13,12 @@ regime_map.csv is not tracked, so the T = 140 sweep of
 experiments/sweep_case1_c.cfg is run through run_experiment and its SHA-256
 compared with the recorded digest.  Prints every file that differs and exits
 1 if any does, 0 otherwise.  Takes a few minutes; no options.
+
+Runs from a plain checkout: it puts the checkout's src/ first on sys.path,
+so it always checks the kswave of the tree it lives in, never an installed
+copy.
+
+    python3 scripts/check_artifacts.py
 """
 
 import hashlib
@@ -20,9 +26,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from kswave.harness import parse_config, run_experiment
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from kswave.harness import parse_config, run_experiment  # noqa: E402
+
 EXPERIMENTS = ROOT / "experiments"
 OUT = ROOT / "out"
 REGIME_MAP_SHA256 = \

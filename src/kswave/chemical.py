@@ -8,7 +8,8 @@ Two independent routes to v from u:
   Neumann closure v_{M+1} = v_M (CASE1) or v(L) = 0 (CASE2).  The matrix
   does not depend on u, so the solver factors it once with LAPACK
   ``dgttrf`` and each solve is one ``dgttrs`` call on the scaled right-hand
-  side; cost is linear in M.
+  side (a block is one ``dgtsv`` call on the stored matrix, with the same
+  bits); cost is linear in M.
 
 * ``greens_psi`` / ``greens_psi_x``: the whole-line representation
   Psi(x; u) = mu/(2 sqrt(nu)) * integral exp(-sqrt(nu) |x-y|) u(y) dy and its
@@ -38,7 +39,9 @@ class ChemicalSolver:
     """Factored tridiagonal system for one (grid, nu, mu, bc).
 
     The matrix does not depend on u, so a run builds this once and calls
-    :meth:`solve` every step.
+    :meth:`solve` every step.  The solver keeps a block's right-hand side
+    and the views of the last ``out`` it wrote, so one solver serves one
+    thread.
     """
 
     def __init__(self, grid: Grid, nu: float, mu: float, bc: BoundaryCase):
@@ -62,34 +65,63 @@ class ChemicalSolver:
         self._n = n
         # a 0-d array: numpy dispatches it faster than a Python float
         self._rhs_scale = np.array(-self.mu * h2)
+        self._block_rhs = np.empty((0, n))
+        self._out = None
 
-    def solve(self, u: np.ndarray) -> np.ndarray:
+    def solve(self, u: np.ndarray, out: np.ndarray | None = None):
         """The field v of u, for u of shape (M+1,) or a block (B, M+1) of
-        B profiles, one per row; v has the shape of u.  A block is one
-        ``dgttrs`` call, and each of its rows is bitwise the solve of that
-        row alone."""
-        grid = self.grid
-        u = np.asarray(u, dtype=float)
-        if u.ndim not in (1, 2) or u.shape[-1] != grid.M + 1:
-            raise ValueError(f"u must have length {grid.M + 1} "
-                             "(or be a block of such rows)")
-        if not np.isfinite(u).all():
-            raise ValueError("u contains non-finite values")
+        B profiles, one per row; v has the shape of u.  v is written into
+        ``out`` when it is given (a float array of u's shape, which a march
+        passes every step so that no array is allocated) and returned.  A
+        block is one LAPACK call on a (B, M-1) right-hand side the solver
+        keeps, and each of its rows is bitwise the solve of that row alone.
 
-        v = np.empty(u.shape)
+        A non-finite u raises ValueError, found from v_1 and u's two end
+        nodes after the substitution rather than by scanning u: u_1..u_{M-1}
+        are the right-hand side, and as the sub- and superdiagonal are
+        nonzero, a non-finite entry anywhere in it is carried forward to
+        the last unknown by the elimination and back to v_1 by the
+        substitution.  The probe is stricter than a scan only when a finite
+        u makes v overflow, which it refuses too.  ``out`` then holds no
+        field."""
+        u = np.asarray(u, dtype=float)
+        shape = u.shape
+        if len(shape) not in (1, 2) or shape[-1] != self._n + 2:
+            raise ValueError(f"u must have length {self._n + 2} "
+                             "(or be a block of such rows)")
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise ValueError("out must be a float array of u's shape")
         n = self._n
-        if u.ndim == 1:
+        if out is not self._out:
+            # a march passes one out every step: its views are bound once
+            self._out = out
+            self._out_views = out[..., 1:1 + n], self.bc.closer(out)
+        interior, close = self._out_views
+        if len(shape) == 1:
             # the right-hand side is built in place of the unknowns, and
-            # the solve overwrites it there
-            interior = v[1:1 + n]
-            np.multiply(self._rhs_scale, u[1:1 + n], out=interior)
-            interior[...] = self._lu.solve(interior)
+            # the solve overwrites it there (a strided out gets a copy)
+            np.multiply(self._rhs_scale, u[1:1 + n], interior)
+            x = self._lu.solve(interior)
+            if x is not interior:
+                interior[...] = x
+            finite = (math.isfinite(out[1]) and math.isfinite(u[0])
+                      and math.isfinite(u[-1]))
         else:
             # the C-order (B, n) right-hand sides are the Fortran-order
             # (n, B) columns LAPACK solves in place
-            rhs = np.multiply(self._rhs_scale, u[:, 1:1 + n])
-            v[:, 1:1 + n] = self._lu.solve(rhs.T).T
-        return self.bc.close(v)
+            rhs = self._block_rhs
+            if rhs.shape[0] != shape[0]:
+                rhs = self._block_rhs = np.empty((shape[0], n))
+            np.multiply(self._rhs_scale, u[:, 1:1 + n], rhs)
+            interior[...] = self._lu.solve(rhs.T).T
+            finite = (np.isfinite(out[:, 1]).all()
+                      and np.isfinite(u[:, ::n + 1]).all())
+        if not finite:
+            raise ValueError("u contains non-finite values")
+        close()
+        return out
 
 
 def _one_sided_sums(u, grid: Grid, nu: float):

@@ -15,14 +15,14 @@ coupled stepper uses: the zero-extended whole-line kernel would halve the
 chemical mass seen at the zero-flux boundary and inflate the plateau from
 r*/b to r*/(b - chi mu / 2), so the fixed point would not be stationary
 for the coupled scheme.  The inner flow is the coupled stepper's own
-march: the kernel loads the frozen v once (the v-stage), the stepper's
-step loop then runs only the u-stage, with its blow-up guard and no
-chemical solve, and the stepper's lag monitor decides when it has
-settled.  Its config, with tau = 0.4 h^2, is built on the tau grid:
-INNER_T and the unit convergence window are rounded to whole steps, and
-the flow marches by the config's own step counts.  Every inner evolution
-is checked for pointwise monotone decay, and every outer iterate must
-stay inside the envelope sandwich U1- <= u <= U1+.
+march: it loads the frozen v once (the v-stage), then runs only the
+u-stage, with its blow-up guard and no chemical solve, and the stepper's
+lag monitor decides when it has settled; the march calls back only at the
+snapshot and lag-check steps.  Its config, with tau = 0.4 h^2, is built
+on the tau grid: INNER_T and the unit convergence window are rounded to
+whole steps, and the flow marches by the config's own step counts.  Every
+inner evolution is checked for pointwise monotone decay, and every outer
+iterate must stay inside the envelope sandwich U1- <= u <= U1+.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray):
     config's own.  Returns the terminal profile and the worst pointwise
     increase between consecutive snapshots, SNAPSHOT_DT apart (monotone
     decay means it stays at round-off)."""
-    advance = _ExplicitStep(cfg, [cfg.params])
-    advance.load(v)
     monitor = _LagMonitor(cfg.lag_steps)
     snap_every = max(1, round(SNAPSHOT_DT / cfg.tau))
+    steps = range(0, cfg.n_steps + 1)
     prev_snap = None
     worst_increase = -math.inf
 
@@ -90,7 +89,9 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray):
             prev_snap = u.copy()
         return j % monitor.cadence == 0 and monitor.push(j, u) < cfg.conv_tol
 
-    u, _, _ = _march(advance, u_init.copy(), cfg.n_steps, on_step=settle)
+    u, *_ = _march(_ExplicitStep(cfg, [cfg.params]), u_init.copy(),
+                   cfg.n_steps, v=v, on_step=settle,
+                   hooks={*steps[::snap_every], *steps[::monitor.cadence]})
     return u, worst_increase
 
 

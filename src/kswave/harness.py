@@ -380,12 +380,21 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     finishes its work before it writes anything, so a run that fails
     leaves no files behind; sweep writes its manifest and timestamp first
     and then streams its rows.  ``workers`` is passed to ``sweep`` in
-    sweep mode and is checked before anything is written."""
+    sweep mode and is checked before anything is written, and an out_dir
+    that is, or lies under, an existing non-directory raises
+    NotADirectoryError before the mode runs."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if spec.mode not in MODES:
         raise ConfigError(f"unknown mode {spec.mode!r}")
     out = Path(out_dir)
+    # the nearest existing path decides: mkdir makes the missing ones
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(
+                    f"{path} exists and is not a directory")
+            break
     # the wall-clock start time lives in its own file so every other
     # artifact is byte-identical across reruns
     head = {"manifest.cfg": render_manifest(spec),

@@ -216,14 +216,24 @@ class BoundaryCase(Enum):
     CASE1 = "case1"
     CASE2 = "case2"
 
+    def closer(self, a: np.ndarray):
+        """A function of no arguments that imposes the closure in place on
+        a profile (M+1,) or on each row of a block (B, M+1): 0 at -L, and at
+        L the last interior value (CASE1) or 0 (CASE2).  The views of a's
+        end nodes are bound once, for a loop that closes the same array
+        every step."""
+        left, right = a[..., 0], a[..., -1]
+        source = a[..., -2] if self is BoundaryCase.CASE1 else 0.0
+
+        def close():
+            left[...] = 0.0
+            right[...] = source
+        return close
+
     def close(self, a: np.ndarray) -> np.ndarray:
         """Impose the closure in place on a profile (M+1,) or on each row of
-        a block (B, M+1): 0 at -L, and at L the last interior value (CASE1)
-        or 0 (CASE2).  Returns ``a``."""
-        # node axis first: rows 0, -2 and -1 are the end nodes of each row
-        ends = a.T
-        ends[0] = 0.0
-        ends[-1] = ends[-2] if self is BoundaryCase.CASE1 else 0.0
+        a block (B, M+1).  Returns ``a``."""
+        self.closer(a)()
         return a
 
 

@@ -27,19 +27,24 @@ buffers with the operations grouped exactly as in the formula above, so
 the results are bitwise those of the plain array expression.
 
 The update is one kernel with a v-stage (the three bracketed stencil
-factors from v) and a u-stage (the rest, returning the sup of each row),
-for one run (u of shape (M+1,)) or a block of runs (u of shape (B, M+1),
-one run per row).  ``_march`` is the one step loop and holds the blow-up
-guard; it carries u and the field v as plain arrays.  ``run`` marches one
-run with a hook that records its series.  ``run_block`` marches one
-config's runs, one ``SimParams`` per row that differ from the config's only
-in (b, c, chi), as one block: they share the grid, tau, r, nu and mu, and
-so one factored chemical matrix; the kernel steps the runs laid end to end
-as one line of nodes, the chemical solve takes all rows in one LAPACK call,
-and every row gets the bits its own ``run`` would.
-The frozen-chemotaxis flow of ``kswave.fixedpoint`` loads its fixed v
-once and marches without a solve.  ``run`` and the frozen flow judge
-convergence with one lag monitor.
+factors from v) and a u-stage (the rest, then the closure, the clamp and
+the sup of each row), for one run (u of shape (M+1,)) or a block of runs
+(u of shape (B, M+1), one run per row).  ``_march`` is the one step loop
+and runs both stages itself: the two u buffers and the v buffer are
+allocated once, and every view of them the stages read or write is bound
+before the loop, so a step slices nothing and allocates no array; the
+chemical solve writes v in place.  It holds the blow-up guard, tracks the
+largest sup, and calls its hook only at step 0 and the steps its caller
+names: ``run`` its cadence steps, the final step, that step's lag partner
+and the snapshot steps, ``run_block`` the lag step, and the frozen flow
+its snapshot and lag-check steps.  ``run_block`` marches one config's
+runs, one ``SimParams`` per row that differ from the config's only in
+(b, c, chi), as one block: they share the grid, tau, r, nu and mu, and so
+one chemical matrix; the kernel steps the runs laid end to end as one line
+of nodes, the chemical solve takes all rows in one LAPACK call, and every
+row gets the bits its own ``run`` would.  The frozen-chemotaxis flow of
+``kswave.fixedpoint`` loads its fixed v once and marches without a solve.
+``run`` and the frozen flow judge convergence with one lag monitor.
 """
 
 from __future__ import annotations
@@ -72,7 +77,9 @@ BLOWUP_LIMIT = 1e6
 
 class BlowUpError(RuntimeError):
     """Raised when the solution exceeds the blow-up guard, which signals a
-    violated stability condition or b <= chi*mu."""
+    violated stability condition (tau/h^2 > 1/2, or a cell Peclet number
+    |c - chi v_x| h above 2) or b <= chi*mu; the message names all three
+    for the failing step."""
 
 
 @dataclass(frozen=True)
@@ -199,24 +206,20 @@ def _line(a: np.ndarray) -> np.ndarray:
 
 
 class _ExplicitStep:
-    """The explicit update in two stages, for one run (u of shape (M+1,))
-    or for a block of runs (u of shape (B, M+1), one run per row) that
-    share cfg's grid, tau, r, nu and mu and differ in (b, c, chi).  ``load``
-    is the v-stage: it fills the west, centre and east factors of the
-    three-point stencil from the chemical field v.  ``__call__`` is the
-    u-stage: it applies the loaded factors to u, then the damping, the
-    boundary closure and the clamp, and returns the sup of each row (one
-    value for one run); the blow-up guard is ``_march``'s.  The
-    coefficients that stay fixed over the run and the work buffers are set
-    up once.
+    """The coefficients of the explicit update, fixed over the run, for one
+    run (u of shape (M+1,)) or a block of runs (u of shape (B, M+1), one run
+    per row) that share cfg's grid, tau, r, nu and mu and differ in
+    (b, c, chi), and the buffers of the three stencil factors; ``_march``
+    applies them.
 
     A block is stepped as one line of B (M+1) nodes, the runs end to end,
     so every array operation runs over contiguous memory.  An interior
     node's neighbours are in its own run; the stencil values at the end
     nodes, which mix two runs, are overwritten by the boundary closure.  So
     c, chi, tau chi nu, tau (b - chi mu) and the centre factor hold one
-    value per line node (0-d arrays when ``runs`` holds one run), and each
-    run gets the bits it would get alone."""
+    value per line node, or one 0-d value when every run shares it (as chi,
+    tau chi nu and tau (b - chi mu) do in a c-sweep), and each run gets the
+    bits it would get alone."""
 
     def __init__(self, cfg: RunConfig, runs: Sequence[SimParams]):
         h, tau = cfg.grid.h, cfg.tau
@@ -225,10 +228,11 @@ class _ExplicitStep:
         # scalars are 0-d arrays, which numpy dispatches faster than Python
         # floats, with the same float64 arithmetic
         def coefficient(values):
-            if len(runs) == 1:
-                return np.array(values[0])
+            if len({float(x).hex() for x in values}) == 1:    # bits, not ==
+                return np.array(values[0], dtype=float)
             return np.repeat(values, nodes)[1:-1]
-        self.bc = cfg.bc
+        self.cfg = cfg
+        self.runs = runs
         self.c = coefficient([p.c for p in runs])
         self.chi = coefficient([p.chi for p in runs])
         lam = tau / (h * h)
@@ -239,46 +243,22 @@ class _ExplicitStep:
                               len(runs))[1:-1]
         self.chem_rate = coefficient([tau * p.chi * p.nu for p in runs])
         self.damping = coefficient([tau * p.damping_gap for p in runs])
-        self._west, self._mid, self._east, self._work = np.empty(
+        self.west, self.mid, self.east, self.work = np.empty(
             (4, len(runs) * nodes - 2))
 
-    def load(self, v: np.ndarray) -> None:
-        """Fill the stencil factors lam - coef, center - tau chi nu v_i and
-        lam + coef from v."""
-        v = _line(v)
-        coef = self._east
-        # coef = tau/(2h) * (c - chi (v_{i+1} - v_{i-1}) / (2h))
-        np.subtract(v[2:], v[:-2], out=coef)
-        np.multiply(self.chi, coef, out=coef)
-        np.divide(coef, self.two_h, out=coef)
-        np.subtract(self.c, coef, out=coef)
-        np.multiply(self.tau_2h, coef, out=coef)
-        np.subtract(self.lam, coef, out=self._west)
-        np.add(self.lam, coef, out=self._east)
-        np.multiply(self.chem_rate, v[1:-1], out=self._mid)
-        np.subtract(self.center, self._mid, out=self._mid)
-
-    def __call__(self, u: np.ndarray, out: np.ndarray):
-        """Write the step from u with the loaded factors into ``out`` and
-        return the sup of each row."""
-        work = self._work
-        line = _line(u)
-        ui = line[1:-1]
-        # ((west u_{i-1} + mid u_i) - tau (b - chi mu) u_i^2) + east u_{i+1}
-        inner = _line(out)[1:-1]
-        np.multiply(self._west, line[:-2], out=inner)
-        np.multiply(self._mid, ui, out=work)
-        inner += work
-        np.multiply(self.damping, ui, out=work)
-        work *= ui
-        inner -= work
-        np.multiply(self._east, line[2:], out=work)
-        inner += work
-        self.bc.close(out)
-        # round-off negatives are clamped so the quadratic term and the
-        # chemical solve stay in the physical regime
-        np.maximum(out, 0.0, out=out)
-        return np.maximum.reduce(out, axis=-1)
+    def blow_up(self, j: int, sup: float) -> BlowUpError:
+        """The error of one run whose sup reached ``sup`` at step j, with
+        the step's stencil factors still loaded: it names tau/h^2, b - chi
+        mu and the step's largest cell Peclet number |c - chi v_x| h, which
+        is |east - west| / (tau/h^2)."""
+        tau, lam = self.cfg.tau, float(self.lam)
+        peclet = float(np.max(np.abs(self.east - self.west))) / lam
+        return BlowUpError(
+            f"|u| reached {sup:g} > {BLOWUP_LIMIT:g} at step {j} "
+            f"(t = {j * tau:g}): tau/h^2 = {lam:g} (stable up to 0.5), "
+            f"b - chi*mu = {self.runs[0].damping_gap:g} (must be positive), "
+            f"largest cell Peclet number |c - chi*v_x|*h = {peclet:.3g} "
+            "(central differences need it below 2)")
 
 
 class _LagMonitor:
@@ -315,47 +295,114 @@ def initial_state(cfg: RunConfig, u0: np.ndarray) -> np.ndarray:
     return cfg.bc.close(np.maximum(u0, 0.0))
 
 
-def _march(advance: _ExplicitStep, u: np.ndarray, n_steps: int,
-           solver: ChemicalSolver | None = None, on_step=None):
+def _march(step: _ExplicitStep, u: np.ndarray, n_steps: int,
+           solver: ChemicalSolver | None = None, v: np.ndarray | None = None,
+           on_step=None, hooks=()):
     """Step u, one run (M+1,) or a block (B, M+1) that the march then owns,
-    up to n_steps times with ``advance``: with a ``solver`` the v-stage is
-    reloaded from u every step (the coupled flow), without one the loaded v
-    stays (the frozen flow).  One run past the blow-up guard raises
-    BlowUpError; a block row past it is zeroed, which the scheme keeps at
-    zero, and flagged.  ``on_step(j, u, v, m)``, v the field of u (None in
-    the frozen flow) and m the sup of each row, sees step 0 and every step;
-    the march stops when it returns True.  Returns the last (u, v) and the
-    flags of blown rows."""
-    v = None if solver is None else solver.solve(u)
+    up to n_steps times with ``step``'s coefficients: with a ``solver`` the
+    v-stage is reloaded from u every step (the coupled flow), without one
+    the factors are loaded once from the given v (the frozen flow).  One
+    run past the blow-up guard raises BlowUpError; a block row past it is
+    zeroed, which the scheme keeps at zero, and flagged.  ``on_step(j, u, v,
+    m)``, v the field of u (the given v in the frozen flow) and m the sup of
+    each row, sees step 0 and the steps j in ``hooks`` (empty without a
+    hook), and no other; the march stops when it returns True.  Returns
+    the last (u, v), the flags of blown rows and the largest sup of each
+    row over the march.
+
+    The buffers, every view of them the two stages read or write, the
+    coefficients and the solve are bound to local names before the loop,
+    so a step allocates nothing and slices nothing: it runs the v-stage
+    (the three stencil factors from v), the u-stage (the update into the
+    other u buffer, the boundary closure, the clamp and the sup) and the
+    solve for the next v into the one v buffer."""
+    coupled = solver is not None
+    if coupled:
+        v = solver.solve(u, np.empty_like(u))
+    block = u.ndim > 1
+    m0 = np.maximum.reduce(u, axis=-1)
     blown = np.zeros(u.shape[:-1], dtype=bool)
-    if on_step is not None and on_step(0, u, v,
-                                       np.maximum.reduce(u, axis=-1)):
-        return u, v, blown
-    u_next = np.empty_like(u)
+    # the largest sup of steps 1.. (of each row of a block)
+    top = np.zeros(u.shape[:-1]) if block else 0.0
+    if on_step is not None and on_step(0, u, v, m0):
+        n_steps = 0
+
+    def views(a):
+        line = _line(a)
+        return a, line[:-2], line[1:-1], line[2:], step.cfg.bc.closer(a)
+    here, there = views(u), views(np.empty_like(u))
+    line_v = _line(v)
+    v_west, v_mid, v_east = line_v[:-2], line_v[1:-1], line_v[2:]
+    west, mid, east, work = step.west, step.mid, step.east, step.work
+    coef = east
+    c, chi, lam, two_h, tau_2h = (step.c, step.chi, step.lam, step.two_h,
+                                  step.tau_2h)
+    center, chem_rate, damping = step.center, step.chem_rate, step.damping
+    zero = np.array(0.0)
+    ok = np.empty(u.shape[:-1], dtype=bool) if block else None
+    sup = np.empty(u.shape[:-1]) if block else None
+    solve = solver.solve if coupled else None
+    # ufuncs bound to local names and called with a positional out, which
+    # numpy dispatches faster than a global lookup and an out= keyword
+    add, subtract, multiply, divide, maximum = (
+        np.add, np.subtract, np.multiply, np.divide, np.maximum)
+    reduce_max, less_equal = np.maximum.reduce, np.less_equal
+    load = True
     for j in range(1, n_steps + 1):
-        if solver is not None:
-            advance.load(v)
-        m = advance(u, u_next)
-        u, u_next = u_next, u
-        # both tests catch nan (nan <= limit is False); one run's sup is a
-        # numpy scalar, for which ``not m <= limit`` is far cheaper
-        if u.ndim > 1:
-            bad = ~(m <= BLOWUP_LIMIT)
-            if bad.any():
-                u[bad] = 0.0
-                blown |= bad
-        elif not m <= BLOWUP_LIMIT:
-            raise BlowUpError(f"|u| exceeded {BLOWUP_LIMIT:g}: unstable step "
-                              "(check CFL and b > chi*mu)")
-        if solver is not None:
-            v = solver.solve(u)
-        if on_step is not None and on_step(j, u, v, m):
+        if load:
+            # v-stage: lam - coef, center - tau chi nu v_i and lam + coef,
+            # coef = tau/(2h) * (c - chi (v_{i+1} - v_{i-1}) / (2h))
+            subtract(v_east, v_west, coef)
+            multiply(chi, coef, coef)
+            divide(coef, two_h, coef)
+            subtract(c, coef, coef)
+            multiply(tau_2h, coef, coef)
+            subtract(lam, coef, west)
+            add(lam, coef, east)
+            multiply(chem_rate, v_mid, mid)
+            subtract(center, mid, mid)
+            load = coupled
+        # u-stage:
+        # ((west u_{i-1} + mid u_i) - tau (b - chi mu) u_i^2) + east u_{i+1}
+        _, u_west, u_mid, u_east, _ = here
+        u, _, inner, _, close = there
+        here, there = there, here
+        multiply(west, u_west, inner)
+        multiply(mid, u_mid, work)
+        add(inner, work, inner)
+        multiply(damping, u_mid, work)
+        multiply(work, u_mid, work)
+        subtract(inner, work, inner)
+        multiply(east, u_east, work)
+        add(inner, work, inner)
+        close()
+        # round-off negatives are clamped so the quadratic term and the
+        # chemical solve stay in the physical regime
+        maximum(u, zero, out=u)     # np.maximum deprecates a positional out
+        m = reduce_max(u, -1, None, sup)
+        # the guard catches nan too (nan <= limit is False); one run's sup
+        # is checked only when it passes the largest so far, which the
+        # guard has already passed
+        if block:
+            maximum(top, m, out=top)
+            less_equal(m, BLOWUP_LIMIT, ok)
+            if not ok.all():
+                u[~ok] = 0.0
+                blown |= ~ok
+        elif not m <= top:
+            if not m <= BLOWUP_LIMIT:
+                raise step.blow_up(j, m)
+            top = m
+        if coupled:
+            solve(u, v)
+        if j in hooks and on_step(j, u, v, m):
             break
-    return u, v, blown
+    return u, v, blown, np.maximum(top, m0)
 
 
 def run(cfg: RunConfig, u0: np.ndarray):
-    """March to t = T, recording the convergence series and snapshots, then
+    """March to t = T, recording the convergence series at the cadence
+    steps, the final step, its lag partner and the snapshot steps, then
     classify the outcome.  Returns (Trajectory, Outcome)."""
     n_steps, lag_steps = cfg.n_steps, cfg.lag_steps
     solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
@@ -363,29 +410,25 @@ def run(cfg: RunConfig, u0: np.ndarray):
     times, sup_diffs, sup_us, u_rights = [], [], [], []
     snapshots = []
     monitor = _LagMonitor(lag_steps)
-    max_sup = 0.0
+    hooks = {*range(0, n_steps + 1, monitor.cadence), n_steps,
+             n_steps - lag_steps, *snap_steps}
 
     def record(j, u, v, m):
-        nonlocal max_sup
-        if m > max_sup:
-            max_sup = float(m)
-        # cadence points, the final step, its lag partner, and snapshot steps
-        if (j % monitor.cadence == 0 or j == n_steps
-                or j == n_steps - lag_steps or j in snap_steps):
-            times.append(j * cfg.tau)
-            sup_diffs.append(monitor.push(j, u))
-            sup_us.append(float(u.max()))
-            u_rights.append(float(u[-1]))
-            if j in snap_steps:
-                snapshots.append((snap_steps[j], u.copy(), v.copy()))
+        times.append(j * cfg.tau)
+        sup_diffs.append(monitor.push(j, u))
+        sup_us.append(float(m))
+        u_rights.append(float(u[-1]))
+        if j in snap_steps:
+            snapshots.append((snap_steps[j], u.copy(), v.copy()))
 
-    u, v, _ = _march(_ExplicitStep(cfg, [cfg.params]),
-                     initial_state(cfg, u0), n_steps, solver, record)
+    u, v, _, top = _march(_ExplicitStep(cfg, [cfg.params]),
+                          initial_state(cfg, u0), n_steps, solver,
+                          on_step=record, hooks=hooks)
     traj = Trajectory(
         times=np.array(times), sup_diff=np.array(sup_diffs),
         sup_u=np.array(sup_us), u_at_right=np.array(u_rights),
         snapshots=snapshots, u_final=u.copy(), v_final=v.copy(),
-        u_lag=monitor.kept.get(n_steps - lag_steps), max_sup_u=max_sup)
+        u_lag=monitor.kept.get(n_steps - lag_steps), max_sup_u=float(top))
     return traj, detect_outcome(traj.u_final, traj.u_lag, cfg)
 
 
@@ -412,9 +455,10 @@ def run_block(cfg: RunConfig, runs: Sequence[SimParams], u0: np.ndarray):
         if j == n_steps - lag_steps:
             u_lag = u.copy()
 
-    u, v, blown = _march(_ExplicitStep(cfg, runs),
-                         np.tile(initial_state(cfg, u0), (len(runs), 1)),
-                         n_steps, solver, keep_lag)
+    u, v, blown, _ = _march(_ExplicitStep(cfg, runs),
+                            np.tile(initial_state(cfg, u0), (len(runs), 1)),
+                            n_steps, solver, on_step=keep_lag,
+                            hooks={n_steps - lag_steps})
     results = []
     for k, params in enumerate(runs):
         if blown[k]:

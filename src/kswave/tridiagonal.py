@@ -9,6 +9,16 @@ right-hand side.  This is the same elimination ``?gtsv`` performs (and so
 the stored factors returns the bits a from-scratch solve would, without
 re-validating and re-eliminating a constant matrix on every call.
 
+``dgttrs`` substitutes the right-hand sides one column after another, while
+``dgtsv`` eliminates all of them row by row in one pass over the matrix, with
+the same operations, so the two give the same bits.  A block of right-hand
+sides is therefore solved by ``dgtsv`` on the stored matrix, and one
+right-hand side by ``dgttrs`` on the stored factors.  For 799 unknowns on a
+2-core Xeon (Python 3.11, scipy 1.17) ``dgtsv`` took 17, 24 and 35 us for 1,
+2 and 3 columns against 11, 22 and 34 us for ``dgttrs``, and 42 and 97 us
+for 4 and 11 columns against 45 and 127 us: slower up to two columns,
+faster from four.  A sweep's block has one row per point.
+
 The ``dgttrf`` wrapper rejects systems of fewer than three unknowns, so those
 are solved from scratch on each call, as ``solve_banded`` solves them: by
 ``dgtsv`` for two unknowns and by one division for one.
@@ -72,32 +82,33 @@ dgtsv, dgttrf, dgttrs, dstebz = (_flapack.dgtsv, _flapack.dgttrf,
 
 class TridiagonalLU:
     """LU factors of the n x n tridiagonal matrix with subdiagonal ``dl``,
-    diagonal ``d`` and superdiagonal ``du``.  A zero pivot raises
-    RuntimeError, here or in :meth:`solve`."""
+    diagonal ``d`` and superdiagonal ``du``, and the matrix itself.  A zero
+    pivot raises RuntimeError, here or in :meth:`solve`."""
 
     def __init__(self, dl, d, du):
         d = np.asarray(d, dtype=float)
         self._n = d.size
+        self._matrix = (np.asarray(dl, dtype=float), d,
+                        np.asarray(du, dtype=float))
         if self._n < 3:
             if self._n == 1 and d[0] == 0.0:
                 raise RuntimeError("singular tridiagonal matrix")
-            self._matrix = (np.asarray(dl, dtype=float), d,
-                            np.asarray(du, dtype=float))
             return
-        *factors, info = dgttrf(dl, d, du)
+        *factors, info = dgttrf(*self._matrix)
         if info != 0:
             raise RuntimeError(f"tridiagonal factorization failed (info={info})")
         self._factors = factors
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution x of A x = b for ``b`` of shape (n,), or of shape (n, k)
-        for k right-hand sides at once (one LAPACK call; each column gets
+        for k right-hand sides at once (one ``dgtsv`` call; each column gets
         the bits a solve of that column alone would).  A contiguous float
-        ``b`` (Fortran order when 2-D) is overwritten by x and returned;
-        use the return value in any case."""
-        if self._n >= 3:
+        ``b`` (Fortran order when 2-D) is overwritten by x and returned; use
+        the return value in any case."""
+        if self._n >= 3 and b.ndim == 1:
             x, info = dgttrs(*self._factors, b, overwrite_b=True)
-        elif self._n == 2:
+        elif self._n >= 2:
+            # dgtsv overwrites copies of the stored matrix, not the matrix
             *_, x, info = dgtsv(*self._matrix, b, overwrite_b=True)
         else:
             x = np.divide(b, self._matrix[1][0], out=b)

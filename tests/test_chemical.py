@@ -125,14 +125,15 @@ def test_factored_solve_matches_banded_oracle_bitwise(bc, M, rng):
         assert v.tobytes() == banded_oracle(u, g, 0.05, 1.3, bc).tobytes()
 
 
-@pytest.mark.parametrize("M", (2, 3, 400))
+@pytest.mark.parametrize("M", (2, 3, 400, 800))
 @pytest.mark.parametrize("bc", BOTH_CASES)
 def test_block_solve_matches_row_solves_bitwise(bc, M, rng):
-    # a (B, M+1) block is one LAPACK call; each row must get the bits of
-    # its own 1-D solve, whatever the block size
+    # a (B, M+1) block is one dgtsv call, a row alone one dgttrs call on
+    # the stored factors; each row must get the bits of its own 1-D solve,
+    # whatever the block size
     g = Grid(L=M / 16, h=0.125)
     solver = ChemicalSolver(g, 0.05, 1.3, bc)
-    for B in (1, 2, 7):
+    for B in (1, 2, 7, 11):
         u = rng.random((B, g.M + 1)) * rng.uniform(0.1, 30.0, size=(B, 1))
         v = solver.solve(u)
         assert type(v) is np.ndarray and v.shape == (B, g.M + 1)
@@ -149,6 +150,65 @@ def test_block_solve_rejects_non_finite_row(row, bad, rng):
     solver = ChemicalSolver(g, 1.0, 1.0, BoundaryCase.CASE1)
     u = rng.random((5, g.M + 1))
     u[row, g.M // 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solver.solve(u)
+
+
+@pytest.mark.parametrize("B", (None, 1, 2, 11))
+@pytest.mark.parametrize("M", (2, 3, 400, 800))
+@pytest.mark.parametrize("bc", BOTH_CASES)
+def test_solve_into_out_matches_allocating_solve(bc, M, B, rng):
+    # solve(u, out=v) writes v in place and returns out, bitwise what
+    # solve(u) returns; one out serves successive solves, as in a march
+    g = Grid(L=M / 16, h=0.125)
+    solver = ChemicalSolver(g, 0.05, 1.3, bc)
+    shape = (g.M + 1,) if B is None else (B, g.M + 1)
+    out = np.full(shape, np.nan)
+    for _ in range(3):
+        u = rng.random(shape) * rng.uniform(0.1, 30.0)
+        assert solver.solve(u, out=out) is out
+        assert out.tobytes() == solver.solve(u).tobytes()
+
+
+def test_solve_into_a_strided_out(rng):
+    g = Grid(L=5.0, h=0.1)
+    solver = ChemicalSolver(g, 0.05, 1.3, BoundaryCase.CASE1)
+    u = rng.random(g.M + 1)
+    wide = np.zeros(2 * (g.M + 1))
+    assert solver.solve(u, out=wide[::2]).tobytes() == \
+        solver.solve(u).tobytes()
+    with pytest.raises(ValueError, match="out must be"):
+        solver.solve(u, out=np.empty(g.M))
+    with pytest.raises(ValueError, match="out must be"):
+        solver.solve(u, out=np.empty(g.M + 1, dtype=np.float32))
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("node", ("left end", "first", "middle", "last",
+                                  "right end"))
+@pytest.mark.parametrize("block", (False, True))
+@pytest.mark.parametrize("bc", BOTH_CASES)
+def test_solve_rejects_non_finite_anywhere(bc, block, node, bad, rng):
+    # the probe reads v_1 and u's end nodes: a non-finite value at any
+    # node, interior or end, of a profile or of one row of a block, is
+    # refused
+    g = Grid(L=5.0, h=0.1)
+    solver = ChemicalSolver(g, 0.05, 1.3, bc)
+    k = {"left end": 0, "first": 1, "middle": g.M // 2, "last": g.M - 1,
+         "right end": g.M}[node]
+    u = rng.random((3, g.M + 1) if block else g.M + 1)
+    row = u[1] if block else u
+    row[k] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solver.solve(u, out=np.empty_like(u))
+
+
+@pytest.mark.parametrize("block", (False, True))
+def test_solve_refuses_a_field_that_overflows(block):
+    # u is finite but v ~ mu u / nu is not representable
+    g = Grid(L=5.0, h=0.1)
+    solver = ChemicalSolver(g, 0.05, 1.3, BoundaryCase.CASE1)
+    u = np.full((2, g.M + 1) if block else g.M + 1, 1e308)
     with pytest.raises(ValueError, match="non-finite"):
         solver.solve(u)
 

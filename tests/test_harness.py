@@ -736,6 +736,32 @@ def test_cli_out_naming_a_file_is_an_error(mode, text, tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+@pytest.mark.parametrize("under", (False, True))
+@pytest.mark.parametrize("mode, text", (("simulate", MINI_CFG),
+                                        ("sweep", SWEEP_CFG)))
+def test_cli_out_under_a_file_is_refused_before_the_run(
+        mode, text, under, tmp_path, monkeypatch, capsys):
+    # an --out that is a file, or lies under one, is refused before the
+    # mode runs and without making anything
+    calls = []
+    spy = lambda *args, **kwargs: calls.append(args)          # noqa: E731
+    if mode == "sweep":
+        monkeypatch.setattr(harness, "sweep", spy)
+    else:
+        monkeypatch.setitem(harness._RUNNERS, mode, spy)
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(text)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "bundle" if under else taken
+    assert cli_main([mode, str(cfg), "--out", str(out)]) == 1
+    assert calls == []
+    assert f"{taken} exists and is not a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.cfg",
+                                                          "taken"]
+    assert taken.read_text() == ""
+
+
 def test_cli_numerical_fault_exit_code(tmp_path):
     # unstable run pushed through the override: blow-up is exit code 2
     cfg = tmp_path / "unstable.cfg"

@@ -1,16 +1,21 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kswave import (BlowUpError, BoundaryCase, ConfigError, Grid,
-                    GrowthProfile, InitialCondition, Outcome, OutcomeTag,
-                    SimParams, detect_outcome, initial_state,
-                    make_run_config, run, run_block)
+from kswave import (BlowUpError, BoundaryCase, ChemicalSolver, ConfigError,
+                    Grid, GrowthProfile, InitialCondition, Outcome,
+                    OutcomeTag, SimParams, detect_outcome, harness,
+                    initial_state, make_run_config, run, run_block)
 from kswave.fixedpoint import _evolve_frozen
+from kswave.stepper import _ExplicitStep, _march
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def tiny_cfg(**over):
@@ -124,6 +129,70 @@ def test_blowup_guard_raises():
     with pytest.raises(BlowUpError):
         _evolve_frozen(cfg, u0, np.zeros(grid.M + 1))
     assert run_block(cfg, [params], u0) == [None]
+
+
+def test_blowup_message_names_the_peclet_number():
+    # at chi = 2 on the sweep config (b < chi mu) the run blows up with a
+    # cell Peclet number far above 2, which the message must name beside
+    # tau/h^2 and b - chi mu
+    spec = harness.parse_config((EXPERIMENTS / "sweep_case1_c.cfg")
+                                .read_text())
+    cfg = spec.run_config()
+    cfg = replace(cfg, params=replace(cfg.params, chi=2.0), T=1.0)
+    with pytest.raises(BlowUpError) as exc:
+        run(cfg, spec.initial_condition()(cfg.grid.nodes))
+    message = str(exc.value)
+    assert "tau/h^2 = 0.2 " in message and "b - chi*mu = -1 " in message
+    assert re.search(r"at step \d+ \(t = [0-9.]+\)", message)
+    peclet = re.search(r"Peclet number \|c - chi\*v_x\|\*h = ([0-9.e+]+)",
+                       message)
+    assert peclet and float(peclet.group(1)) > 2.0
+
+
+def march_cfg(chi=0.6):
+    """block_cfg's CASE1 run at chi = 0.6, whose sup overshoots: it peaks
+    at step 330, between two of run's cadence steps, and then falls."""
+    return replace(block_cfg(), params=replace(BLOCK_PARAMS, chi=chi))
+
+
+def march(cfg, n_steps, on_step, hooks):
+    solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
+    u0 = initial_state(cfg, block_u0(cfg.bc))
+    return _march(_ExplicitStep(cfg, [cfg.params]), u0, n_steps, solver,
+                  on_step=on_step, hooks=hooks)
+
+
+def test_march_calls_its_hook_only_at_the_named_steps():
+    cfg = march_cfg()
+    seen = []
+
+    def hook(j, u, v, m):
+        seen.append(j)
+        assert v.tobytes() == ChemicalSolver(
+            cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc).solve(u).tobytes()
+        assert m == u.max()
+
+    u, v, blown, top = march(cfg, 25, hook, {3, 7, 20, 25, 30, -1})
+    assert seen == [0, 3, 7, 20, 25]
+    # a True return stops the march at that step, with that step's state
+    stop = march(cfg, 25, lambda j, u, v, m: j == 7, {3, 7, 20})
+    seven = march(cfg, 7, None, ())
+    for a, b in zip(stop, seven):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_max_sup_is_the_largest_sup_of_every_step():
+    # the march tracks the largest sup itself, over the steps its hook
+    # does not see as well
+    cfg = march_cfg()
+    sups = []
+    march(cfg, cfg.n_steps, lambda j, u, v, m: sups.append(m),
+          range(cfg.n_steps + 1))
+    peak = int(np.argmax(sups))
+    assert peak % (cfg.lag_steps // 10) != 0 and 0 < peak < cfg.n_steps
+    traj, _ = run(cfg, block_u0(cfg.bc))
+    assert np.float64(traj.max_sup_u).tobytes() == max(sups).tobytes()
+    assert traj.max_sup_u > traj.sup_u.max()
 
 
 def test_nonnegativity_and_apriori_bound(case1_profile, exp1_params,
