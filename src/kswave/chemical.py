@@ -45,11 +45,8 @@ class ChemicalSolver:
     """
 
     def __init__(self, grid: Grid, nu: float, mu: float, bc: BoundaryCase):
-        if nu <= 0.0 or mu <= 0.0:
-            raise ValueError("nu and mu must be positive")
-        self.grid = grid
-        self.nu = float(nu)
-        self.mu = float(mu)
+        if not (0.0 < nu < math.inf and 0.0 < mu < math.inf):  # refuses nan
+            raise ValueError("nu and mu must be finite and positive")
         self.bc = bc
 
         h2 = grid.h * grid.h
@@ -64,7 +61,7 @@ class ChemicalSolver:
         self._lu = TridiagonalLU(dl, d, du)
         self._n = n
         # a 0-d array: numpy dispatches it faster than a Python float
-        self._rhs_scale = np.array(-self.mu * h2)
+        self._rhs_scale = np.array(-float(mu) * h2)
         self._block_rhs = np.empty((0, n))
         self._out = None
 

@@ -44,7 +44,7 @@ from .chemical import greens_psi, greens_psi_x
 from .ignition import IgnitionWave
 from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
                     InitialCondition, SimParams, classify_profile, theta_root)
-from .stepper import make_run_config, run
+from .stepper import ANALYSIS_CFL, make_run_config, run
 
 __all__ = [
     "EnvelopeError",
@@ -244,7 +244,7 @@ def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
     positive inside and strictly below the CASE2 ``upper`` envelope."""
     heavy = SimParams(chi=params.chi, mu=params.mu, nu=params.nu,
                       b=LOWER_DAMPING_SCALE * params.b, c=params.c)
-    n = max(1, round(LOWER_T / (0.4 * grid.h * grid.h)))
+    n = max(1, round(LOWER_T / (ANALYSIS_CFL * grid.h * grid.h)))
     tau = LOWER_T / n
     # only u_final is read, so the convergence window is the whole run: a
     # fixed window of 1.0 need not divide the adjusted tau = T/n

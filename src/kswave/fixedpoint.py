@@ -14,13 +14,14 @@ chemical field v(.;u) is the same boundary-closed tridiagonal solve the
 coupled stepper uses: the zero-extended whole-line kernel would halve the
 chemical mass seen at the zero-flux boundary and inflate the plateau from
 r*/b to r*/(b - chi mu / 2), so the fixed point would not be stationary
-for the coupled scheme.  The inner flow is the coupled stepper's own
-march: it loads the frozen v once (the v-stage), then runs only the
-u-stage, with its blow-up guard and no chemical solve, and the stepper's
-lag monitor decides when it has settled; the march calls back only at the
-snapshot and lag-check steps.  Its config, with tau = 0.4 h^2, is built
-on the tau grid: INNER_T and the unit convergence window are rounded to
-whole steps, and the flow marches by the config's own step counts.  Every
+for the coupled scheme.  The inner flow is one call of the coupled
+stepper's own march, given the frozen v: it loads v once (the v-stage),
+then runs only the u-stage, with its blow-up guard and no chemical solve,
+and the stepper's lag monitor decides when it has settled; the march calls
+back only at the snapshot and lag-check steps.  Its config, with
+tau = ANALYSIS_CFL h^2 = 0.4 h^2, is built on the tau grid: INNER_T and
+the unit convergence window are rounded to whole steps, and the flow
+marches by the config's own step counts.  Every
 inner evolution is checked for pointwise monotone decay, and every outer
 iterate must stay inside the envelope sandwich U1- <= u <= U1+.
 """
@@ -37,7 +38,7 @@ from .envelopes import (Envelope, _residual, build_lower_envelope_case1,
                         build_upper_envelope_case1)
 from .ignition import ignition_wave
 from .model import BoundaryCase, Grid, GrowthProfile, SimParams
-from .stepper import (RunConfig, _ExplicitStep, _LagMonitor, _march,
+from .stepper import (ANALYSIS_CFL, RunConfig, _LagMonitor, _march,
                       make_run_config)
 
 __all__ = ["SandwichError", "FixedPointResult", "frozen_flow_fixed_point",
@@ -89,8 +90,7 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray):
             prev_snap = u.copy()
         return j % monitor.cadence == 0 and monitor.push(j, u) < cfg.conv_tol
 
-    u, *_ = _march(_ExplicitStep(cfg, [cfg.params]), u_init.copy(),
-                   cfg.n_steps, v=v, on_step=settle,
+    u, *_ = _march(cfg, [cfg.params], u_init.copy(), v, on_step=settle,
                    hooks={*steps[::snap_every], *steps[::monitor.cadence]})
     return u, worst_increase
 
@@ -103,7 +103,7 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
     upper = build_upper_envelope_case1(params, profile, grid)
     wave = ignition_wave(params, profile.r_star, WAVE_EPSILON)
     lower = build_lower_envelope_case1(profile, grid, wave, upper)
-    tau = 0.4 * grid.h * grid.h
+    tau = ANALYSIS_CFL * grid.h * grid.h
     cfg = make_run_config(params, profile, grid, BoundaryCase.CASE1, tau,
                           round(INNER_T / tau) * tau,
                           conv_window=max(1, round(1.0 / tau)) * tau,

@@ -32,8 +32,8 @@ from .model import (BoundaryCase, ConfigError, Grid, GrowthProfile,
                     HabitatClass, InitialCondition, SimParams, check_regime,
                     classify_profile)
 from .spectral import DOUBLING_H, DOUBLING_TOL, _first_L, lambda_infinity
-from .stepper import (RunConfig, initial_state, make_run_config, run,
-                      run_block)
+from .stepper import (BlowUpError, RunConfig, initial_state, make_run_config,
+                      run, run_block)
 
 __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
            "render_manifest", "config_help", "run_experiment", "sweep", "fmt"]
@@ -560,8 +560,8 @@ def _sweep_block(args):
             _log_error(row, exc)
         return rows
     for row, result in zip(marched, results):
-        if result is None:
-            _log_error(row, "blew up")
+        if isinstance(result, BlowUpError):
+            _log_error(row, result)
             continue
         u_final, _, _, outcome = result
         row["outcome"] = outcome.tag.value

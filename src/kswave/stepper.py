@@ -16,9 +16,10 @@ u_{M+1} = 0 in CASE2).  Stability requires the usual tau/h^2 <= 1/2.
 
 ``RunConfig`` is the one gate that decides whether a run is well-formed
 (its docstring lists what it refuses, each by its config key; the config
-parser builds one, so those mistakes are refused at parse time), and it
-carries the step counts that ``run``, ``run_block`` and the frozen flow
-march by.
+parser builds one, so those mistakes are refused at parse time).  It is
+all a march needs besides its runs and u: ``_march(cfg, runs, u)`` builds
+the coefficients, the buffers and the one chemical solver from it and
+marches cfg.n_steps steps, for ``run``, ``run_block`` and the frozen flow.
 
 Everything in the update that does not depend on u or v (tau/h^2, the
 array 1 - 2 tau/h^2 + tau r_i, tau chi nu, tau (b - chi mu), tau/(2h) and
@@ -33,7 +34,8 @@ the sup of each row), for one run (u of shape (M+1,)) or a block of runs
 and runs both stages itself: the two u buffers and the v buffer are
 allocated once, and every view of them the stages read or write is bound
 before the loop, so a step slices nothing and allocates no array; the
-chemical solve writes v in place.  It holds the blow-up guard, tracks the
+chemical solve writes v in place.  It holds the blow-up guard, whose one
+diagnosis serves a run (raised) and each block row (returned), tracks the
 largest sup, and calls its hook only at step 0 and the steps its caller
 names: ``run`` its cadence steps, the final step, that step's lag partner
 and the snapshot steps, ``run_block`` the lag step, and the frozen flow
@@ -73,13 +75,15 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e6
+ANALYSIS_CFL = 0.4      # tau/h^2 of the frozen flow and the CASE2 lower run
 
 
 class BlowUpError(RuntimeError):
     """Raised when the solution exceeds the blow-up guard, which signals a
     violated stability condition (tau/h^2 > 1/2, or a cell Peclet number
     |c - chi v_x| h above 2) or b <= chi*mu; the message names all three
-    for the failing step."""
+    for the failing step.  A blown row of ``run_block`` reads this error,
+    with the text its own ``run`` raises."""
 
 
 @dataclass(frozen=True)
@@ -205,62 +209,6 @@ def _line(a: np.ndarray) -> np.ndarray:
     return a if a.ndim == 1 else a.reshape(-1, copy=False)
 
 
-class _ExplicitStep:
-    """The coefficients of the explicit update, fixed over the run, for one
-    run (u of shape (M+1,)) or a block of runs (u of shape (B, M+1), one run
-    per row) that share cfg's grid, tau, r, nu and mu and differ in
-    (b, c, chi), and the buffers of the three stencil factors; ``_march``
-    applies them.
-
-    A block is stepped as one line of B (M+1) nodes, the runs end to end,
-    so every array operation runs over contiguous memory.  An interior
-    node's neighbours are in its own run; the stencil values at the end
-    nodes, which mix two runs, are overwritten by the boundary closure.  So
-    c, chi, tau chi nu, tau (b - chi mu) and the centre factor hold one
-    value per line node, or one 0-d value when every run shares it (as chi,
-    tau chi nu and tau (b - chi mu) do in a c-sweep), and each run gets the
-    bits it would get alone."""
-
-    def __init__(self, cfg: RunConfig, runs: Sequence[SimParams]):
-        h, tau = cfg.grid.h, cfg.tau
-        nodes = cfg.grid.M + 1
-
-        # scalars are 0-d arrays, which numpy dispatches faster than Python
-        # floats, with the same float64 arithmetic
-        def coefficient(values):
-            if len({float(x).hex() for x in values}) == 1:    # bits, not ==
-                return np.array(values[0], dtype=float)
-            return np.repeat(values, nodes)[1:-1]
-        self.cfg = cfg
-        self.runs = runs
-        self.c = coefficient([p.c for p in runs])
-        self.chi = coefficient([p.chi for p in runs])
-        lam = tau / (h * h)
-        self.lam = np.array(lam)
-        self.two_h = np.array(2.0 * h)
-        self.tau_2h = np.array(tau / (2.0 * h))
-        self.center = np.tile(1.0 - 2.0 * lam + tau * cfg.r_samples,
-                              len(runs))[1:-1]
-        self.chem_rate = coefficient([tau * p.chi * p.nu for p in runs])
-        self.damping = coefficient([tau * p.damping_gap for p in runs])
-        self.west, self.mid, self.east, self.work = np.empty(
-            (4, len(runs) * nodes - 2))
-
-    def blow_up(self, j: int, sup: float) -> BlowUpError:
-        """The error of one run whose sup reached ``sup`` at step j, with
-        the step's stencil factors still loaded: it names tau/h^2, b - chi
-        mu and the step's largest cell Peclet number |c - chi v_x| h, which
-        is |east - west| / (tau/h^2)."""
-        tau, lam = self.cfg.tau, float(self.lam)
-        peclet = float(np.max(np.abs(self.east - self.west))) / lam
-        return BlowUpError(
-            f"|u| reached {sup:g} > {BLOWUP_LIMIT:g} at step {j} "
-            f"(t = {j * tau:g}): tau/h^2 = {lam:g} (stable up to 0.5), "
-            f"b - chi*mu = {self.runs[0].damping_gap:g} (must be positive), "
-            f"largest cell Peclet number |c - chi*v_x|*h = {peclet:.3g} "
-            "(central differences need it below 2)")
-
-
 class _LagMonitor:
     """The convergence check over a lag of ``lag`` steps: ``push`` keeps a
     copy of step j in ``kept``, drops the copies older than the lag and
@@ -286,6 +234,8 @@ def initial_state(cfg: RunConfig, u0: np.ndarray) -> np.ndarray:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (cfg.grid.M + 1,):
         raise ValueError("u0 must be sampled on the grid nodes")
+    if not np.isfinite(u0).all():
+        raise ValueError("u0 must be finite")
     if u0.min() < -1e-12:
         raise ValueError("u0 must be nonnegative")
     if abs(u0[0]) > 1e-12:
@@ -295,20 +245,32 @@ def initial_state(cfg: RunConfig, u0: np.ndarray) -> np.ndarray:
     return cfg.bc.close(np.maximum(u0, 0.0))
 
 
-def _march(step: _ExplicitStep, u: np.ndarray, n_steps: int,
-           solver: ChemicalSolver | None = None, v: np.ndarray | None = None,
-           on_step=None, hooks=()):
-    """Step u, one run (M+1,) or a block (B, M+1) that the march then owns,
-    up to n_steps times with ``step``'s coefficients: with a ``solver`` the
-    v-stage is reloaded from u every step (the coupled flow), without one
-    the factors are loaded once from the given v (the frozen flow).  One
-    run past the blow-up guard raises BlowUpError; a block row past it is
-    zeroed, which the scheme keeps at zero, and flagged.  ``on_step(j, u, v,
-    m)``, v the field of u (the given v in the frozen flow) and m the sup of
-    each row, sees step 0 and the steps j in ``hooks`` (empty without a
-    hook), and no other; the march stops when it returns True.  Returns
-    the last (u, v), the flags of blown rows and the largest sup of each
-    row over the march.
+def _march(cfg: RunConfig, runs: Sequence[SimParams], u: np.ndarray,
+           v: np.ndarray | None = None, on_step=None, hooks=()):
+    """March u, one run (M+1,) or a block (B, M+1) of ``runs`` that the
+    march then owns, cfg.n_steps steps with the explicit update of each
+    run's parameters.  The runs share cfg's grid, tau, r, nu and mu and
+    differ in (b, c, chi).  Without a ``v`` the march builds the chemical
+    solver, which the runs share (one whose nu or mu differs from cfg's is
+    refused with ValueError), and reloads the v-stage from u every step
+    (the coupled flow); with one it loads the factors once from the given
+    v and solves nothing (the frozen flow).  One run past the blow-up guard
+    raises its BlowUpError; a block row past it is zeroed, which the scheme
+    keeps at zero, and reads the error its own run would raise.
+    ``on_step(j, u, v, m)``, v the field of u (the given v in the frozen
+    flow) and m the sup of each row, sees step 0 and the steps j in
+    ``hooks`` (empty without a hook), and no other; the march stops when it
+    returns True.  Returns the last (u, v), each row's BlowUpError or None,
+    and the largest sup of each row over the march.
+
+    A block is stepped as one line of B (M+1) nodes, the runs end to end,
+    so every array operation runs over contiguous memory.  An interior
+    node's neighbours are in its own run; the stencil values at the end
+    nodes, which mix two runs, are overwritten by the boundary closure.  So
+    c, chi, tau chi nu, tau (b - chi mu) and the centre factor hold one
+    value per line node, or one 0-d value when every run shares it (as chi,
+    tau chi nu and tau (b - chi mu) do in a c-sweep), and each run gets the
+    bits it would get alone.
 
     The buffers, every view of them the two stages read or write, the
     coefficients and the solve are bound to local names before the loop,
@@ -316,32 +278,67 @@ def _march(step: _ExplicitStep, u: np.ndarray, n_steps: int,
     (the three stencil factors from v), the u-stage (the update into the
     other u buffer, the boundary closure, the clamp and the sup) and the
     solve for the next v into the one v buffer."""
-    coupled = solver is not None
+    h, tau = cfg.grid.h, cfg.tau
+    nodes = cfg.grid.M + 1
+
+    # scalars are 0-d arrays, which numpy dispatches faster than Python
+    # floats, with the same float64 arithmetic
+    def coefficient(values):
+        if len({float(x).hex() for x in values}) == 1:    # bits, not ==
+            return np.array(values[0], dtype=float)
+        return np.repeat(values, nodes)[1:-1]
+    c = coefficient([p.c for p in runs])
+    chi = coefficient([p.chi for p in runs])
+    ratio = tau / (h * h)
+    lam, two_h, tau_2h = (np.array(ratio), np.array(2.0 * h),
+                          np.array(tau / (2.0 * h)))
+    center = np.tile(1.0 - 2.0 * ratio + tau * cfg.r_samples,
+                     len(runs))[1:-1]
+    chem_rate = coefficient([tau * p.chi * p.nu for p in runs])
+    damping = coefficient([tau * p.damping_gap for p in runs])
+    west, mid, east, work = np.empty((4, len(runs) * nodes - 2))
+
+    def blow_up(j, k, sup):
+        """Row k's error, its sup ``sup`` past the guard at step j, with
+        the step's stencil factors still loaded: it names tau/h^2, the
+        row's b - chi mu and the largest cell Peclet number |c - chi v_x| h
+        over the row's interior, which is |east - west| / (tau/h^2)."""
+        row = slice(k * nodes, (k + 1) * nodes - 2)
+        peclet = float(np.max(np.abs(east[row] - west[row]))) / ratio
+        return BlowUpError(
+            f"|u| reached {sup:g} > {BLOWUP_LIMIT:g} at step {j} "
+            f"(t = {j * tau:g}): tau/h^2 = {ratio:g} (stable up to 0.5), "
+            f"b - chi*mu = {runs[k].damping_gap:g} (must be positive), "
+            f"largest cell Peclet number |c - chi*v_x|*h = {peclet:.3g} "
+            "(central differences need it below 2)")
+
+    coupled = v is None
     if coupled:
-        v = solver.solve(u, np.empty_like(u))
+        if any((p.nu, p.mu) != (cfg.params.nu, cfg.params.mu) for p in runs):
+            raise ValueError("a block's runs share the chemical matrix, so "
+                             "its nu and mu")
+        solve = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu,
+                               cfg.bc).solve
+        v = solve(u, np.empty_like(u))
     block = u.ndim > 1
     m0 = np.maximum.reduce(u, axis=-1)
-    blown = np.zeros(u.shape[:-1], dtype=bool)
+    errors = [None] * len(runs)
     # the largest sup of steps 1.. (of each row of a block)
     top = np.zeros(u.shape[:-1]) if block else 0.0
+    n_steps = cfg.n_steps
     if on_step is not None and on_step(0, u, v, m0):
         n_steps = 0
 
     def views(a):
         line = _line(a)
-        return a, line[:-2], line[1:-1], line[2:], step.cfg.bc.closer(a)
+        return a, line[:-2], line[1:-1], line[2:], cfg.bc.closer(a)
     here, there = views(u), views(np.empty_like(u))
     line_v = _line(v)
     v_west, v_mid, v_east = line_v[:-2], line_v[1:-1], line_v[2:]
-    west, mid, east, work = step.west, step.mid, step.east, step.work
     coef = east
-    c, chi, lam, two_h, tau_2h = (step.c, step.chi, step.lam, step.two_h,
-                                  step.tau_2h)
-    center, chem_rate, damping = step.center, step.chem_rate, step.damping
     zero = np.array(0.0)
     ok = np.empty(u.shape[:-1], dtype=bool) if block else None
     sup = np.empty(u.shape[:-1]) if block else None
-    solve = solver.solve if coupled else None
     # ufuncs bound to local names and called with a positional out, which
     # numpy dispatches faster than a global lookup and an out= keyword
     add, subtract, multiply, divide, maximum = (
@@ -387,17 +384,18 @@ def _march(step: _ExplicitStep, u: np.ndarray, n_steps: int,
             maximum(top, m, out=top)
             less_equal(m, BLOWUP_LIMIT, ok)
             if not ok.all():
+                for k in np.flatnonzero(~ok):
+                    errors[k] = blow_up(j, k, m[k])
                 u[~ok] = 0.0
-                blown |= ~ok
         elif not m <= top:
             if not m <= BLOWUP_LIMIT:
-                raise step.blow_up(j, m)
+                raise blow_up(j, 0, m)
             top = m
         if coupled:
             solve(u, v)
         if j in hooks and on_step(j, u, v, m):
             break
-    return u, v, blown, np.maximum(top, m0)
+    return u, v, errors, np.maximum(top, m0)
 
 
 def run(cfg: RunConfig, u0: np.ndarray):
@@ -405,7 +403,6 @@ def run(cfg: RunConfig, u0: np.ndarray):
     steps, the final step, its lag partner and the snapshot steps, then
     classify the outcome.  Returns (Trajectory, Outcome)."""
     n_steps, lag_steps = cfg.n_steps, cfg.lag_steps
-    solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
     snap_steps = cfg.snapshot_steps
     times, sup_diffs, sup_us, u_rights = [], [], [], []
     snapshots = []
@@ -421,8 +418,7 @@ def run(cfg: RunConfig, u0: np.ndarray):
         if j in snap_steps:
             snapshots.append((snap_steps[j], u.copy(), v.copy()))
 
-    u, v, _, top = _march(_ExplicitStep(cfg, [cfg.params]),
-                          initial_state(cfg, u0), n_steps, solver,
+    u, v, _, top = _march(cfg, [cfg.params], initial_state(cfg, u0),
                           on_step=record, hooks=hooks)
     traj = Trajectory(
         times=np.array(times), sup_diff=np.array(sup_diffs),
@@ -442,31 +438,23 @@ def run_block(cfg: RunConfig, runs: Sequence[SimParams], u0: np.ndarray):
     snapshots are kept.  A row whose nu or mu differs from cfg's is refused
     with ValueError, as the rows share one chemical matrix.  A row whose sup
     passes the blow-up guard is zeroed, which the scheme keeps at zero, and
-    reads None."""
-    if any((p.nu, p.mu) != (cfg.params.nu, cfg.params.mu) for p in runs):
-        raise ValueError("a block's runs share the chemical matrix, so its "
-                         "nu and mu")
-    n_steps, lag_steps = cfg.n_steps, cfg.lag_steps
-    solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
+    reads the BlowUpError its own ``run`` raises, with the same text."""
+    lag_step = cfg.n_steps - cfg.lag_steps
     u_lag = None
 
     def keep_lag(j, u, v, m):
         nonlocal u_lag
-        if j == n_steps - lag_steps:
+        if j == lag_step:
             u_lag = u.copy()
 
-    u, v, blown, _ = _march(_ExplicitStep(cfg, runs),
-                            np.tile(initial_state(cfg, u0), (len(runs), 1)),
-                            n_steps, solver, on_step=keep_lag,
-                            hooks={n_steps - lag_steps})
+    u, v, errors, _ = _march(cfg, runs,
+                             np.tile(initial_state(cfg, u0), (len(runs), 1)),
+                             on_step=keep_lag, hooks={lag_step})
     results = []
-    for k, params in enumerate(runs):
-        if blown[k]:
-            results.append(None)
-            continue
+    for k, (params, error) in enumerate(zip(runs, errors)):
         lag = None if u_lag is None else u_lag[k]
-        results.append((u[k], v[k], lag,
-                        detect_outcome(u[k], lag, replace(cfg, params=params))))
+        results.append(error or (u[k], v[k], lag, detect_outcome(
+            u[k], lag, replace(cfg, params=params))))
     return results
 
 

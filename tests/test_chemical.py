@@ -221,6 +221,17 @@ def test_solve_rejects_wrong_shape(shape):
         solver.solve(np.zeros(shape))
 
 
+@pytest.mark.parametrize("bc", BOTH_CASES)
+@pytest.mark.parametrize("nu, mu", ((math.nan, 1.0), (1.0, math.nan),
+                                    (math.inf, 1.0), (1.0, math.inf),
+                                    (0.0, 1.0), (1.0, -1.0)))
+def test_solver_refuses_non_finite_or_nonpositive_nu_mu(nu, mu, bc):
+    # a nan nu or mu, or an infinite mu, would make solve blame u; an
+    # infinite nu would return v = 0 without a word
+    with pytest.raises(ValueError, match="nu and mu must be finite"):
+        ChemicalSolver(Grid(L=5.0, h=0.1), nu, mu, bc)
+
+
 # ---------------------------------------------------------------------------
 # kernel quadrature oracle
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kswave import (BoundaryCase, GrowthProfile, HabitatClass, OutcomeTag,
-                    classify_profile, harness)
+from kswave import (BlowUpError, BoundaryCase, GrowthProfile, HabitatClass,
+                    OutcomeTag, classify_profile, harness)
 from kswave.cli import main as cli_main
 from kswave.harness import (ConfigError, RunSpec, SweepSpec, parse_config,
                             render_manifest, run_experiment, sweep)
@@ -566,6 +566,16 @@ def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch):
         (tmp_path / "serial.csv").read_bytes()
 
 
+def per_point_blow_up(spec, b, c, chi) -> str:
+    """The text of the BlowUpError a sweep point's own stepper.run raises."""
+    point = replace(spec, mode="simulate", b=b, c=c, chi=chi,
+                    snapshot_times=())
+    cfg = point.run_config()
+    with pytest.raises(BlowUpError) as exc:
+        harness.run(cfg, point.initial_condition()(cfg.grid.nodes))
+    return str(exc.value)
+
+
 def per_point_row(spec, b, c, chi) -> str:
     """A sweep row computed the way a point alone is run: its own
     stepper.run, or a skip or error."""
@@ -591,6 +601,7 @@ def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch,
     # one block or several: chi = -0.6 fails validation, b <= chi mu is
     # skipped, and b = 1e-7 with chi = 0 blows up near t = 1.1; every other
     # row must read what its own run gives, and each error row is logged
+    # with why: the blown point with its own run's BlowUpError
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         InProcessExecutor)
     spec = replace(parse_config(SWEEP_CFG), T=2.0, snapshot_times=())
@@ -604,8 +615,8 @@ def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch,
     assert logged == sorted(
         f"sweep point b = {harness.fmt(r['b'])}, c = {harness.fmt(r['c'])}, "
         f"chi = {harness.fmt(r['chi'])} reads error: "
-        + ("blew up" if r["chi"] == 0.0
-           else "key 'chi': chi must be nonnegative")
+        + (per_point_blow_up(spec, r["b"], r["c"], r["chi"])
+           if r["chi"] == 0.0 else "key 'chi': chi must be nonnegative")
         for r in rows if r["outcome"] == "error")
     assert [r["outcome"] for r in rows][:4] == [
         "error", "error", "skipped", "error"]

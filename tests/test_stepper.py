@@ -13,7 +13,7 @@ from kswave import (BlowUpError, BoundaryCase, ChemicalSolver, ConfigError,
                     OutcomeTag, SimParams, detect_outcome, harness,
                     initial_state, make_run_config, run, run_block)
 from kswave.fixedpoint import _evolve_frozen
-from kswave.stepper import _ExplicitStep, _march
+from kswave.stepper import _march
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
@@ -114,9 +114,24 @@ def test_initial_state_validation():
     assert np.array_equal(u, [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bc", (BoundaryCase.CASE1, BoundaryCase.CASE2))
+@pytest.mark.parametrize("node", (0, 5, -1))
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+def test_initial_state_refuses_a_non_finite_u0(value, node, bc):
+    # a nan is no smaller than -1e-12, and the closure would erase one at
+    # an end node: u0 is named before any step is taken
+    cfg = block_cfg(bc)
+    u0 = np.zeros(cfg.grid.M + 1)
+    u0[node] = value
+    with pytest.raises(ValueError, match="u0 must be finite"):
+        initial_state(cfg, u0)
+    with pytest.raises(ValueError, match="u0 must be finite"):
+        run(cfg, u0)
+
+
 def test_blowup_guard_raises():
     # the guard in every flow: one run and the frozen flow raise, a block
-    # row reads None
+    # row reads the error its run raises
     params = SimParams(chi=0.0, mu=1.0, nu=1.0, b=1.0, c=0.0)
     profile = GrowthProfile.from_breakpoints([(-5.0, 30.0), (5.0, 30.0)])
     grid = Grid(L=5.0, h=0.1)
@@ -124,11 +139,20 @@ def test_blowup_guard_raises():
                           tau=0.02, T=10.0, allow_unstable=True)
     u0 = np.zeros(grid.M + 1)
     u0[grid.M // 2] = 1.0
-    with pytest.raises(BlowUpError):
+    with pytest.raises(BlowUpError) as exc:
         run(cfg, u0)
     with pytest.raises(BlowUpError):
         _evolve_frozen(cfg, u0, np.zeros(grid.M + 1))
-    assert run_block(cfg, [params], u0) == [None]
+    [row] = run_block(cfg, [params], u0)
+    assert isinstance(row, BlowUpError) and str(row) == str(exc.value)
+    # each row's Peclet number is its own: c differs, so do the messages
+    runs = [params, replace(params, c=3.0)]
+    rows = run_block(cfg, runs, u0)
+    for row, p in zip(rows, runs):
+        with pytest.raises(BlowUpError) as exc:
+            run(replace(cfg, params=p), u0)
+        assert isinstance(row, BlowUpError) and str(row) == str(exc.value)
+    assert str(rows[0]) != str(rows[1])
 
 
 def test_blowup_message_names_the_peclet_number():
@@ -156,9 +180,8 @@ def march_cfg(chi=0.6):
 
 
 def march(cfg, n_steps, on_step, hooks):
-    solver = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc)
-    u0 = initial_state(cfg, block_u0(cfg.bc))
-    return _march(_ExplicitStep(cfg, [cfg.params]), u0, n_steps, solver,
+    cfg = replace(cfg, T=n_steps * cfg.tau)
+    return _march(cfg, [cfg.params], initial_state(cfg, block_u0(cfg.bc)),
                   on_step=on_step, hooks=hooks)
 
 
@@ -301,8 +324,8 @@ def test_block_rows_equal_serial_runs_bitwise(axis, values, bc):
     for params, row in zip(runs, rows):
         try:
             traj, outcome = run(replace(cfg, params=params), u0)
-        except BlowUpError:
-            assert row is None
+        except BlowUpError as exc:
+            assert isinstance(row, BlowUpError) and str(row) == str(exc)
             blown += 1
             continue
         u_final, v_final, u_lag, block_outcome = row
