@@ -52,18 +52,25 @@ def _files(d: Path) -> set:
         if d.is_dir() else set()
 
 
+def _differing(name: str, fresh: Path, shipped: Path) -> list[str]:
+    """The files of bundle ``name`` that are missing from the fresh or the
+    shipped directory, or differ in a byte, timestamp.txt aside."""
+    differ = []
+    for fname in sorted(_files(fresh) | _files(shipped)):
+        a, b = fresh / fname, shipped / fname
+        if not (a.is_file() and b.is_file()
+                and a.read_bytes() == b.read_bytes()):
+            differ.append(f"out/{name}/{fname}")
+    return differ
+
+
 def main():
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg, mode in _bundles():
             fresh = Path(tmp) / name
             run_experiment(parse_config(cfg.read_text(), mode=mode), fresh)
-            shipped = OUT / name
-            for fname in sorted(_files(fresh) | _files(shipped)):
-                a, b = fresh / fname, shipped / fname
-                if not (a.is_file() and b.is_file()
-                        and a.read_bytes() == b.read_bytes()):
-                    differ.append(f"out/{name}/{fname}")
+            differ += _differing(name, fresh, OUT / name)
             print(f"{name:20s} checked", flush=True)
 
         sweep_dir = Path(tmp) / "sweep_case1_c"

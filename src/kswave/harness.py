@@ -4,9 +4,10 @@ Configs are flat ``key = value`` text: ``#`` starts a comment, breakpoint
 lists are comma-separated ``x:r`` pairs, plain lists are comma-separated.
 One table, ``_SCHEMA``, says how each ``RunSpec`` field is parsed, written
 back and shown in the CLI help.  Unknown keys and malformed or non-finite
-numbers are rejected with their line number.  A value the run cannot use
-is refused by the type that owns its rule, naming its key, when
-``parse_config`` builds what the mode runs; the parser adds the key's line.
+numbers are rejected with their line number.  ``_build`` builds what a
+spec's mode runs, and a value the run cannot use is refused by the type that
+owns its rule, naming its key; ``parse_config`` adds the key's line, and
+``run_experiment`` and ``sweep`` build with it before they write.
 ``render_manifest`` writes back every effective value (defaults included), so
 ``parse_config(render_manifest(spec)) == spec`` and a manifest alone
 reproduces a run bitwise.  All CSV numbers use the shortest representation
@@ -229,10 +230,10 @@ def config_help() -> str:
 
 def parse_config(text: str, mode: str | None = None,
                  overrides: dict[str, str] | None = None) -> RunSpec:
-    """Parse flat key = value text into a validated RunSpec.  ``mode``
-    overrides any mode key in the text (the CLI subcommand wins), and
-    ``overrides`` maps keys to raw values that replace the text's, parsed
-    and validated as if they were lines of it."""
+    """Parse flat key = value text into a RunSpec that ``_build`` accepts.
+    ``mode`` overrides any mode key in the text (the CLI subcommand wins),
+    and ``overrides`` maps keys to raw values that replace the text's,
+    parsed and validated as if they were lines of it."""
     values: dict = {}
     lines: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -252,6 +253,7 @@ def parse_config(text: str, mode: str | None = None,
         lines.pop(key, None)
     if mode is not None:
         values["mode"] = mode
+        lines.pop("mode", None)
     values.setdefault("mode", "simulate")
 
     missing = [f.name for f in fields(RunSpec)
@@ -259,7 +261,10 @@ def parse_config(text: str, mode: str | None = None,
     if missing:
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     spec = RunSpec(**values)
-    cfg, profile = _validate(spec, lines)
+    try:
+        cfg, profile, _ = _build(spec)
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, lines.get(exc.key), exc.key) from None
     if not cfg.params.well_posed:
         _log.warning("b = %g <= chi*mu = %g, solutions may blow up",
                      spec.b, spec.chi * spec.mu)
@@ -276,51 +281,59 @@ def parse_config(text: str, mode: str | None = None,
     return spec
 
 
-def _validate(spec: RunSpec, lines: dict) -> tuple[RunConfig, GrowthProfile]:
-    """Build what the spec's mode runs and check the keys that no built
-    object holds; a refusal is re-raised with its key's line.  Returns the
-    run's config (in sweep mode that of its points) and growth profile."""
-    try:
-        for key in ("eig_tol", "eig_h", "horizon_scale"):
-            if not getattr(spec, key) > 0.0:
-                raise ConfigError("must be positive", key=key)
-        if spec.verify_samples < 1:
-            raise ConfigError("verify_samples must be >= 1",
-                              key="verify_samples")
-        for eps in spec.verify_epsilons:
-            if not eps > 0.0:
-                raise ConfigError(f"epsilon must be positive, got {fmt(eps)}",
-                                  key="verify_epsilons")
-        # the run's config holds the params, profile, grid and step grid
-        cfg = spec.run_config()
-        profile = spec.growth_profile()
-        if spec.mode in ("regime", "verify"):
-            check_regime(cfg.params, profile)
-        if spec.mode == "verify":
-            _verify_habitat(profile)
-        if spec.mode in ("eig", "regime"):
-            _first_L(profile, spec.eig_h)
-        if spec.mode in ("simulate", "sweep"):
-            u0 = spec.initial_condition()(cfg.grid.nodes)
-            try:
-                initial_state(cfg, u0)
-            except ValueError as exc:
-                raise ConfigError(str(exc), key="u0" if spec.u0 is not None
-                                  else "u0_bump") from None
-        if spec.mode == "sweep":
-            if not any((spec.sweep_b, spec.sweep_c, spec.sweep_chi)):
-                raise ConfigError("sweep mode needs at least one sweep axis",
-                                  key="sweep_c")
-            # the points differ from the run above only in T and
-            # snapshot_times
-            try:
-                cfg = _sweep_point(spec, spec.horizon_scale).run_config()
-            except ConfigError as exc:
-                raise ConfigError("the sweep horizon T * horizon_scale: "
-                                  + exc.reason, key="horizon_scale") from None
-    except ConfigError as exc:
-        raise ConfigError(exc.reason, lines.get(exc.key), exc.key) from None
-    return cfg, profile
+def _build(spec: RunSpec):
+    """Check and build everything the spec's mode runs, refusing a bad
+    value with a ConfigError under its key.  Returns (cfg, profile, own):
+    the run's config (in sweep mode that of its points), the growth profile
+    and the mode's own input, which is the closed initial profile for
+    simulate and sweep, the ``check_regime`` report for regime, the habitat
+    (CASE1 or CASE2) for verify and None for eig."""
+    if spec.mode not in MODES:
+        raise ConfigError(f"unknown mode {spec.mode!r}", key="mode")
+    for key in ("eig_tol", "eig_h", "horizon_scale"):
+        if not getattr(spec, key) > 0.0:
+            raise ConfigError("must be positive", key=key)
+    if spec.verify_samples < 1:
+        raise ConfigError("verify_samples must be >= 1", key="verify_samples")
+    for eps in spec.verify_epsilons:
+        if not eps > 0.0:
+            raise ConfigError(f"epsilon must be positive, got {fmt(eps)}",
+                              key="verify_epsilons")
+    # the run's config holds the params, profile, grid and step grid
+    cfg = spec.run_config()
+    profile = spec.growth_profile()
+    own = None
+    if spec.mode == "sweep":
+        if not any((spec.sweep_b, spec.sweep_c, spec.sweep_chi)):
+            raise ConfigError("sweep mode needs at least one sweep axis",
+                              key="sweep_c")
+        # the points differ from the run above only in T and
+        # snapshot_times, so only their T can be refused anew
+        try:
+            return _build(_sweep_point(spec, spec.horizon_scale))
+        except ConfigError as exc:
+            if exc.key != "T":
+                raise
+            raise ConfigError("the sweep horizon T * horizon_scale: "
+                              + exc.reason, key="horizon_scale") from None
+    if spec.mode == "simulate":
+        u0 = spec.initial_condition()(cfg.grid.nodes)
+        try:
+            own = initial_state(cfg, u0)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key="u0" if spec.u0 is not None
+                              else "u0_bump") from None
+    if spec.mode in ("regime", "verify"):
+        # refuses b <= chi*mu and a profile with no favorable region
+        own = check_regime(cfg.params, profile)
+    if spec.mode == "verify":
+        own = classify_profile(profile)
+        if own is HabitatClass.UNCLASSIFIED:
+            raise ConfigError("verify mode needs a CASE1 or CASE2 profile",
+                              key="profile")
+    if spec.mode in ("eig", "regime"):
+        _first_L(profile, spec.eig_h)
+    return cfg, profile, own
 
 
 def render_manifest(spec: RunSpec) -> str:
@@ -376,17 +389,15 @@ def _write_bundle(out: Path, files: dict):
 
 def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     """Execute the spec's mode, writing the artifact bundle into out_dir.
-    Returns the mode's principal result object.  Every mode but sweep
-    finishes its work before it writes anything, so a run that fails
-    leaves no files behind; sweep writes its manifest and timestamp first
-    and then streams its rows.  ``workers`` is passed to ``sweep`` in
-    sweep mode and is checked before anything is written, and an out_dir
-    that is, or lies under, an existing non-directory raises
-    NotADirectoryError before the mode runs."""
+    Returns the mode's principal result object.  Before anything is
+    written, ``_build`` refuses a spec its mode cannot run, ``workers``
+    (passed to ``sweep`` in sweep mode) is checked, and an out_dir that is,
+    or lies under, an existing non-directory raises NotADirectoryError.
+    Every mode but sweep finishes its work before it writes anything; sweep
+    writes its manifest and timestamp first and then streams its rows."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if spec.mode not in MODES:
-        raise ConfigError(f"unknown mode {spec.mode!r}")
+    built = _build(spec)
     out = Path(out_dir)
     # the nearest existing path decides: mkdir makes the missing ones
     for path in (out, *out.parents):
@@ -403,14 +414,12 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
         _write_bundle(out, head)
         return sweep(SweepSpec.from_spec(spec), out / "regime_map.csv",
                      workers=workers)
-    result, files = _RUNNERS[spec.mode](spec)
+    result, files = _RUNNERS[spec.mode](spec, *built)
     _write_bundle(out, {**head, **files})
     return result
 
 
-def _run_simulate(spec: RunSpec):
-    cfg = spec.run_config()
-    u0 = spec.initial_condition()(cfg.grid.nodes)
+def _run_simulate(spec: RunSpec, cfg: RunConfig, profile, u0):
     traj, outcome = run(cfg, u0)
     return outcome, {
         "snapshots.csv": _snapshot_csv(cfg.grid.nodes, traj.snapshots),
@@ -418,8 +427,7 @@ def _run_simulate(spec: RunSpec):
         "outcome.txt": _text(_outcome_lines(outcome))}
 
 
-def _run_eig(spec: RunSpec):
-    profile = spec.growth_profile()
+def _run_eig(spec: RunSpec, cfg: RunConfig, profile, _):
     res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
     rows = ["L,h,lambda"]
     for L, h, lam in res.table:
@@ -435,9 +443,7 @@ def _run_eig(spec: RunSpec):
                  "lambda_infinity.txt": _text(cert)}
 
 
-def _run_regime(spec: RunSpec):
-    profile = spec.growth_profile()
-    report = check_regime(spec.params(), profile)
+def _run_regime(spec: RunSpec, cfg: RunConfig, profile, report):
     res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
     thr = "undefined" if report.h1_threshold is None \
         else fmt(report.h1_threshold)
@@ -451,11 +457,8 @@ def _run_regime(spec: RunSpec):
     return report, {"regime.txt": _text(lines)}
 
 
-def _run_verify(spec: RunSpec):
-    params = spec.params()
-    profile = spec.growth_profile()
-    grid = spec.grid()
-    habitat = _verify_habitat(profile)
+def _run_verify(spec: RunSpec, cfg: RunConfig, profile, habitat):
+    params, grid = cfg.params, cfg.grid
     build = (build_upper_envelope_case1 if habitat is HabitatClass.CASE1
              else build_upper_envelope_case2)
     envelope = build(params, profile, grid)
@@ -490,15 +493,8 @@ def _run_verify(spec: RunSpec):
                              "ignition.csv": _text(ign_rows)}
 
 
-def _verify_habitat(profile: GrowthProfile) -> HabitatClass:
-    """The habitat of a verify run: CASE1 or CASE2, which have envelopes."""
-    habitat = classify_profile(profile)
-    if habitat is HabitatClass.UNCLASSIFIED:
-        raise ConfigError("verify mode needs a CASE1 or CASE2 profile",
-                          key="profile")
-    return habitat
-
-
+# runner(spec, cfg, profile, own), the last three from _build, returns the
+# mode's result and its artifacts
 _RUNNERS = {"simulate": _run_simulate, "eig": _run_eig,
             "regime": _run_regime, "verify": _run_verify}
 
@@ -529,18 +525,19 @@ def _sweep_point(spec: RunSpec, horizon_scale: float) -> RunSpec:
 
 
 def _sweep_block(args):
-    """The rows of a contiguous run of sweep points.  Points whose params are
-    refused (a b <= 0 too) read ``error``, points not well_posed are skipped,
-    and the rest march as one block of the shared sweep-point config; each
-    ``error`` row is logged with why."""
-    spec, horizon_scale, points = args
+    """The rows of a contiguous run of sweep points, given the config and
+    initial profile they share.  Points whose params are refused (a b <= 0
+    too) read ``error``, points not well_posed are skipped, and the rest
+    march as one block; each ``error`` row is logged with why."""
+    cfg, u0, points = args
+    mu, nu = cfg.params.mu, cfg.params.nu
     rows, runs, marched = [], [], []
     for b, c, chi in points:
         row = {"b": b, "c": c, "chi": chi, "outcome": "error",
                "plateau": math.nan, "final_sup_u": math.nan}
         rows.append(row)
         try:
-            params = SimParams(chi=chi, mu=spec.mu, nu=spec.nu, b=b, c=c)
+            params = SimParams(chi=chi, mu=mu, nu=nu, b=b, c=c)
         except ValueError as exc:
             _log_error(row, exc)
             continue
@@ -552,8 +549,6 @@ def _sweep_block(args):
     if not runs:
         return rows
     try:
-        cfg = _sweep_point(spec, horizon_scale).run_config()
-        u0 = spec.initial_condition()(cfg.grid.nodes)
         results = run_block(cfg, runs, u0)
     except (ValueError, RuntimeError) as exc:
         for row in marched:
@@ -578,13 +573,16 @@ def _log_error(row, why):
 
 def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     """Run the cartesian grid of the sweep axes, classify each point, and
-    stream rows to the CSV in deterministic sorted order.  The sorted
+    stream rows to the CSV in deterministic sorted order.  What the points
+    share is built once, before the CSV is opened, so a base spec they
+    cannot run raises its ConfigError and writes nothing.  The sorted
     points are cut into ``min(workers, points)`` contiguous blocks, each
     marched as one array; with more than one block, each runs in its own
     worker process."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     base = sw.base
+    cfg, _, u0 = _build(_sweep_point(base, sw.horizon_scale))
     axis_map = dict(sw.axes)
     bs = _axis_values(axis_map["b"]) if "b" in axis_map else [base.b]
     cs = _axis_values(axis_map["c"]) if "c" in axis_map else [base.c]
@@ -592,8 +590,7 @@ def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     points = sorted((b, c, chi) for b in bs for c in cs for chi in chis)
     n = len(points)
     n_proc = min(workers, n)
-    jobs = [(base, sw.horizon_scale,
-             points[k * n // n_proc:(k + 1) * n // n_proc])
+    jobs = [(cfg, u0, points[k * n // n_proc:(k + 1) * n // n_proc])
             for k in range(n_proc)]
 
     out_path = Path(out_path)

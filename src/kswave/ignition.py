@@ -79,10 +79,6 @@ class IgnitionWave:
         return np.where(xq <= 0.0, left, np.where(xq >= x_end, right, mid))
 
 
-def _reaction(psi, alpha, beta):
-    return np.where(psi >= 0.0, psi * (alpha - beta * psi), 0.0)
-
-
 def _lam_minus(ct: float, alpha: float) -> float:
     """Stable eigenvalue of the saddle (Q, 0): (ct - sqrt(ct^2+4 alpha))/2."""
     return 0.5 * (ct - math.sqrt(ct * ct + 4.0 * alpha))

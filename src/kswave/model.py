@@ -54,8 +54,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """Physical constants of the chemotaxis system; a refusal names the
-    constant's own key.
+    """Physical constants of the chemotaxis system, each finite; a refusal
+    names the constant's own key.
 
     chi  chemotaxis sensitivity, >= 0
     mu   chemical production rate, > 0
@@ -73,10 +73,13 @@ class SimParams:
 
     def __post_init__(self):
         for name in ("mu", "nu", "b"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive", key=name)
+            if not 0.0 < getattr(self, name) < math.inf:    # refuses nan
+                raise ConfigError(f"{name} must be positive and finite", key=name)
         if not self.chi >= 0.0:     # refuses nan
             raise ConfigError("chi must be nonnegative", key="chi")
+        for name in ("chi", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite", key=name)
 
     @property
     def well_posed(self) -> bool:           # b > chi mu: global existence
@@ -118,6 +121,8 @@ class GrowthProfile:
                               key="profile")
         if not (math.isfinite(self.left_limit) and math.isfinite(self.right_limit)):
             raise ConfigError("limits must be finite", key="profile")
+        if not np.isfinite(self.breakpoints).all():
+            raise ConfigError("breakpoints must be finite", key="profile")
 
     @classmethod
     def from_breakpoints(cls, points) -> "GrowthProfile":
@@ -164,9 +169,10 @@ class InitialCondition:
             raise ConfigError("give exactly one of u0 or u0_bump", key="u0")
         if self.breakpoints is not None:
             xs = [p[0] for p in self.breakpoints]
-            if len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:])):
-                raise ConfigError("need >= 2 strictly increasing breakpoints",
-                                  key="u0")
+            if (len(xs) < 2 or any(b <= a for a, b in zip(xs, xs[1:]))
+                    or not np.isfinite(self.breakpoints).all()):
+                raise ConfigError("need >= 2 strictly increasing, finite "
+                                  "breakpoints", key="u0")
         if self.bump is not None and not self.bump[0] < self.bump[1]:
             raise ConfigError("bump requires xl < xr", key="u0_bump")
 

@@ -1,9 +1,9 @@
 """Golden artifacts: the shipped T = 10 simulate bundles and the verify
 bundles under out/ are regenerated from their configs and must match byte
-for byte (every file but the wall-clock timestamp.txt).  A bundle named
-``<config>_verify`` is the verify mode of ``experiments/<config>.cfg``.
-The c-sweep's regime_map.csv must match the SHA-256 that
-scripts/check_artifacts.py records."""
+for byte (every file but the wall-clock timestamp.txt), by the comparison
+scripts/check_artifacts.py makes.  A bundle named ``<config>_verify`` is
+the verify mode of ``experiments/<config>.cfg``.  The c-sweep's
+regime_map.csv must match the SHA-256 that the script records."""
 
 import hashlib
 import importlib.util
@@ -15,6 +15,13 @@ from kswave.harness import parse_config, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the comparison rule and the digest have one copy, in the script that
+# checks every artifact
+_script = importlib.util.spec_from_file_location(
+    "check_artifacts", ROOT / "scripts" / "check_artifacts.py")
+check_artifacts = importlib.util.module_from_spec(_script)
+_script.loader.exec_module(check_artifacts)
+
 
 @pytest.mark.parametrize("name", ("case1_exp1", "case2_exp1", "case2_exp2",
                                   "case1_exp1_verify", "case2_exp1_verify"))
@@ -24,22 +31,11 @@ def test_simulate_bundle_is_byte_identical(name, tmp_path):
     spec = parse_config((ROOT / "experiments" / f"{stem}.cfg").read_text(),
                         mode=mode)
     run_experiment(spec, tmp_path)
-    shipped = ROOT / "out" / name
-
-    def artifacts(d):
-        return sorted(p.name for p in d.iterdir() if p.name != "timestamp.txt")
-    assert artifacts(tmp_path) == artifacts(shipped)
-    for fname in artifacts(shipped):
-        assert (tmp_path / fname).read_bytes() == \
-            (shipped / fname).read_bytes(), fname
+    assert check_artifacts._differing(name, tmp_path,
+                                      ROOT / "out" / name) == []
 
 
 def test_c_sweep_regime_map_matches_its_recorded_digest(sweep_case1_c):
-    # the digest has one copy, in the script that checks every artifact
-    script = ROOT / "scripts" / "check_artifacts.py"
-    spec = importlib.util.spec_from_file_location("check_artifacts", script)
-    check_artifacts = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_artifacts)
     _, regime_map = sweep_case1_c
     assert hashlib.sha256(regime_map.read_bytes()).hexdigest() == \
         check_artifacts.REGIME_MAP_SHA256

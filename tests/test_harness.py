@@ -281,6 +281,54 @@ def test_parse_refuses_bad_values_by_their_key(mode, name, key, raw, named,
     assert not out.exists()         # in sweep mode, not even manifest.cfg
 
 
+def test_an_unknown_mode_is_refused_under_its_key(tmp_path):
+    # the mode argument wins over the text's mode line, so its refusal
+    # cites no line; run_experiment refuses it the same way
+    text = (EXPERIMENTS / "case1_exp1.cfg").read_text()
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, mode="bogus")
+    assert exc.value.key == "mode" and exc.value.line is None
+    assert str(exc.value) == "key 'mode': unknown mode 'bogus'"
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(replace(parse_config(text), mode="bogus"), out)
+    assert exc.value.key == "mode"
+    assert not out.exists()
+
+
+def test_an_unrunnable_sweep_is_refused_before_it_writes(tmp_path):
+    # T off the tau grid: one keyed refusal, where a spec that skipped the
+    # parser once got a manifest, a timestamp and one error row per point
+    spec = replace(parse_config((EXPERIMENTS / "sweep_case1_c.cfg")
+                                .read_text()), T=0.0031)
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="T must be an integer multiple "
+                       "of tau") as exc:
+        run_experiment(spec, out)
+    assert exc.value.key == "T"
+    assert not out.exists()
+    csv = tmp_path / "map.csv"
+    with pytest.raises(ConfigError, match="T must be an integer multiple"):
+        sweep(SweepSpec.from_spec(spec), csv)
+    assert not csv.exists()
+
+
+def test_verify_refuses_zero_samples_before_any_envelope(tmp_path,
+                                                         monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "build_upper_envelope_case1",
+                        lambda *args: built.append(args))
+    spec = parse_config((EXPERIMENTS / "case1_exp1.cfg").read_text(),
+                        mode="verify")
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="verify_samples must be >= 1") \
+            as exc:
+        run_experiment(replace(spec, verify_samples=0), out)
+    assert exc.value.key == "verify_samples"
+    assert built == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # manifest round-trip
 

@@ -226,12 +226,54 @@ def test_params_validation():
     assert not SimParams(chi=2.0, mu=1.0, nu=1.0, b=1.0, c=0.0).well_posed
 
 
-def test_params_refuse_nan_chi_under_its_key():
-    # the config parser refuses nan first; built directly, a nan chi used to
-    # pass the `chi < 0` test
-    with pytest.raises(ConfigError, match="chi must be nonnegative") as exc:
-        SimParams(chi=math.nan, mu=1.0, nu=1.0, b=1.0, c=0.0)
-    assert exc.value.key == "chi"
+NON_FINITE_PARAMS = [
+    ("chi", math.nan, "chi must be nonnegative"),
+    ("chi", math.inf, "chi must be finite"),
+    ("c", math.nan, "c must be finite"),
+    ("c", math.inf, "c must be finite"),
+    ("c", -math.inf, "c must be finite"),
+    ("mu", math.inf, "mu must be positive and finite"),
+    ("nu", math.inf, "nu must be positive and finite"),
+    ("b", math.inf, "b must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("key, value, why", NON_FINITE_PARAMS,
+                         ids=[f"{k}={v}" for k, v, _ in NON_FINITE_PARAMS])
+def test_params_refuse_non_finite_values_under_their_keys(key, value, why):
+    # the config parser refuses these numbers first; built directly, a nan
+    # chi used to pass the `chi < 0` test, and the others to fail the run
+    # at its first step
+    values = dict(chi=0.1, mu=1.0, nu=1.0, b=1.0, c=0.0)
+    with pytest.raises(ConfigError, match=why) as exc:
+        SimParams(**{**values, key: value})
+    assert exc.value.key == key
+
+
+# a non-finite abscissa or interior value once classified with no error
+# (r_star = 1.0 for the nan, inf for the inf)
+@pytest.mark.parametrize("points, why", [
+    (((-1.0, -1.0), (0.0, math.nan), (1.0, 1.0)), "breakpoints must be finite"),
+    (((-1.0, -1.0), (0.0, math.inf), (1.0, 1.0)), "breakpoints must be finite"),
+    (((-1.0, -1.0), (math.nan, 0.0), (1.0, 1.0)), "breakpoints must be finite"),
+    (((-2.0, -1.0), (-1.0, math.inf)), "limits must be finite"),
+], ids=["nan-value", "inf-value", "nan-abscissa", "inf-limit"])
+def test_profile_refuses_non_finite_breakpoints(points, why):
+    with pytest.raises(ConfigError, match=why) as exc:
+        GrowthProfile(points)
+    assert exc.value.key == "profile"
+
+
+# an infinite breakpoint once sampled as all zeros, so the run went extinct
+@pytest.mark.parametrize("points", [
+    ((-1.0, 0.0), (math.inf, 1.0)),
+    ((-1.0, 0.0), (math.nan, 1.0)),
+    ((-1.0, 0.0), (1.0, math.inf)),
+], ids=["inf-abscissa", "nan-abscissa", "inf-value"])
+def test_initial_condition_refuses_non_finite_breakpoints(points):
+    with pytest.raises(ConfigError, match="finite breakpoints") as exc:
+        InitialCondition(breakpoints=points)
+    assert exc.value.key == "u0"
 
 
 def test_types_are_immutable(exp1_params, case1_profile):
