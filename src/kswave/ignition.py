@@ -9,21 +9,34 @@ admits a unique increasing front psi with speed ct > 0,
 
     ct psi' = psi'' + f(psi),   psi(-inf) = -eps,  psi(+inf) = Q = alpha/beta,
 
-whose speed tends to 2 sqrt(r* (b - 2 chi mu)/(b - chi mu)) as eps -> 0.
+whose speed tends to 2 sqrt(r* (b - 2 chi mu)/(b - chi mu)) as eps -> 0,
+but only logarithmically: the relative deficit approaches
+pi^2 / (2 ln^2(1/eps)) (E. Brunet and B. Derrida, PRE 56, 2597 (1997)), and
+is asymptotic only near eps ~ 1e-8.  So no extrapolation in a power of eps
+from RICHARDSON_EPSILONS reaches the limit (acceptance criterion 10b).
 
-The speed is found by phase-plane shooting: with p = psi' > 0 the orbit from
-the saddle (Q, 0) satisfies dp/dpsi = ct - f(psi)/p, integrated from
-psi = Q - delta down to psi = 0 with fixed-step RK4.  The correct speed makes
-p(0) = ct*eps, the unique slope from which the f = 0 zone carries the orbit
-exactly to (-eps, 0); p(0) - ct*eps changes sign across the front speed on
-(0, 2 sqrt(r* (b - 2 chi mu)/(b - chi mu))) and is rooted to tolerance by
-Brent's zeroin (R. P. Brent, Algorithms for Minimization without
-Derivatives, 1973): inverse quadratic or secant steps where the shots are
-finite, bisection where one has collapsed (-inf); about a dozen shots where
-bisection took thirty-odd.  The left tail is then the explicit exponential
-psi(x) = eps (exp(ct x) - 1) for x <= 0, the middle is rebuilt by a stable
-backward x-integration off the saddle (plain-float RK4, like the shots),
-and the far right tail uses the saddle asymptotics.
+The front is a boundary-value problem in x with ct as one more unknown,
+solved on x in [0, LENGTH] by central differences and Newton's method
+(W.-J. Beyn, "The numerical computation of connecting orbits in dynamical
+systems", IMA J. Numer. Anal. 10 (1990)):
+
+* left end: psi(0) = 0 and psi'(0) = ct eps, the value and slope of the
+  exact tail psi = eps (exp(ct x) - 1) that the f = 0 zone carries for
+  x <= 0; the ghost node comes from the equation at x = 0, where f = 0;
+* right end: the projective condition psi' = lam_minus(ct) (psi - Q), the
+  stable direction of the saddle (Q, 0);
+* one Newton step is one bordered tridiagonal solve
+  (:func:`kswave.tridiagonal.solve_bordered`): the tridiagonal Jacobian in
+  psi_1..psi_N, the ct column and the left-end row.
+
+The meshes are MESH, MESH/2 and MESH/4, each Newton started from the coarser
+solution.  The speed is the Richardson value of the (h/2, h/4) pair, and its
+error estimate is its distance from the (h, h/2) value; a speed whose error
+exceeds SPEED_TOL is refused.  The profile is the Richardson combination of
+the h/2 and h/4 solutions on the h/2 nodes, with p = psi' from fourth-order
+differences.  Unlike a phase-plane shot, which is stiff near psi ~ eps where
+p ~ ct eps is tiny, the front is smooth in x, so the solve holds its
+accuracy down to eps = 1e-8 and below.
 """
 
 from __future__ import annotations
@@ -34,28 +47,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SimParams, speed_limit
+from .tridiagonal import solve_bordered
 
 __all__ = ["BracketError", "IgnitionWave", "ignition_wave",
            "richardson_speed"]
 
-SADDLE_OFFSET = 1e-6
-STEP = 1e-3                 # RK4 step of the shots and of the rebuilt front
-SPEED_TOL = 1e-8            # Brent's tolerance on the speed
-TRUNCATION_RADIUS = 60.0    # the front must cross zero within 2x this
+MESH = 0.005                # the coarsest of the three meshes
+LENGTH = 40.0               # the front is solved on x in [0, LENGTH]
+SPEED_TOL = 1e-8            # bound on the Richardson speed error
 RICHARDSON_EPSILONS = (0.1, 0.05, 0.025)    # the halving eps grid
-_EPS = np.finfo(float).eps
+_NEWTON_TOL = 1e-11         # last step relative to speed_limit and Q
+_NEWTON_ITERS = 30
 
 
 class BracketError(RuntimeError):
-    """No sign change in the speed bracket: eps too large or b <= 2 chi mu."""
+    """No front speed in (0, speed_limit) to within SPEED_TOL: eps too large,
+    Newton's method did not converge, or the speed error is too large."""
 
 
 @dataclass(frozen=True)
 class IgnitionWave:
-    """Front from -epsilon to right_level on a private grid; psi(0) = 0."""
+    """Front from -epsilon to right_level on a uniform grid; psi(0) = 0.
+    The grid runs from 0 while the front rises, at most to LENGTH."""
 
     epsilon: float
     speed: float
+    speed_error: float
     right_level: float
     speed_bound: float
     alpha: float
@@ -67,8 +84,8 @@ class IgnitionWave:
 
     def evaluate(self, xq) -> np.ndarray:
         """psi at arbitrary abscissae: exact exponential tail for x <= 0,
-        interpolation of the integrated orbit in the middle, saddle
-        asymptotics beyond the stored range."""
+        interpolation of the mesh profile in the middle, saddle asymptotics
+        beyond the stored range."""
         xq = np.asarray(xq, dtype=float)
         left = self.epsilon * (np.exp(self.speed * np.minimum(xq, 0.0)) - 1.0)
         mid = np.interp(xq, self.x, self.psi)
@@ -79,97 +96,61 @@ class IgnitionWave:
         return np.where(xq <= 0.0, left, np.where(xq >= x_end, right, mid))
 
 
-def _lam_minus(ct: float, alpha: float) -> float:
-    """Stable eigenvalue of the saddle (Q, 0): (ct - sqrt(ct^2+4 alpha))/2."""
-    return 0.5 * (ct - math.sqrt(ct * ct + 4.0 * alpha))
+def _lam_minus(ct: float, alpha: float):
+    """Stable eigenvalue of the saddle (Q, 0), (ct - sqrt(ct^2+4 alpha))/2,
+    and its derivative in ct."""
+    root = math.sqrt(ct * ct + 4.0 * alpha)
+    return 0.5 * (ct - root), 0.5 * (1.0 - ct / root)
 
 
-def _shoot(ct: float, alpha: float, beta: float, step: float):
-    """Integrate dp/dpsi = ct - f/p from psi = Q - delta down to psi = 0.
-    Returns p(0), or -inf when p collapses before reaching 0 (undershoot).
-    The RK4 stages are written out: a stage whose p is at or below the
-    floor has slope -inf, stages 2 and 3 share f at psi + ds/2, and stage
-    4's f at psi + ds is the next step's stage-1 f."""
-    Q = alpha / beta
-    lamm = _lam_minus(ct, alpha)
-    psi = Q - SADDLE_OFFSET
-    p = -lamm * SADDLE_OFFSET
-    floor = 1e-12
-    inf = math.inf
-    isfinite = math.isfinite
-
-    n_full = int(psi / step)
-    ds = -step
-    f = psi * (alpha - beta * psi) if psi >= 0.0 else 0.0
-    for k in range(n_full + 1):
-        if k == n_full:
-            ds = -(psi - 0.0) if psi > 0.0 else 0.0
-            if ds == 0.0:
-                break
-        half = 0.5 * ds
-        k1 = -inf if p <= floor else ct - f / p
-        mid = psi + half
-        f_mid = mid * (alpha - beta * mid) if mid >= 0.0 else 0.0
-        q = p + half * k1
-        k2 = -inf if q <= floor else ct - f_mid / q
-        q = p + half * k2
-        k3 = -inf if q <= floor else ct - f_mid / q
-        psi = psi + ds
-        f = psi * (alpha - beta * psi) if psi >= 0.0 else 0.0
-        q = p + ds * k3
-        k4 = -inf if q <= floor else ct - f / q
-        p = p + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not isfinite(p) or p < floor:
-            return -inf
-    return p
-
-
-def _zeroin(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
-    """Brent's zeroin for a root of f in [a, b], given fa = f(a) and
-    fb = f(b) of opposite signs.  Returns a point within tol (plus a few
-    ulps) of the root.  Interpolation uses only finite values of f; a step
-    next to an infinite one bisects."""
-    c, fc, d = a, fa, b - a
-    e = d
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc, d = a, fa, b - a
-            e = d
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
-        m = 0.5 * (c - b)
-        if abs(m) <= tol1 or fb == 0.0:
-            return b
-        if (abs(e) >= tol1 and abs(fa) > abs(fb)
-                and math.isfinite(fa) and math.isfinite(fc)):
-            s = fb / fa
-            if a == c:      # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:           # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = f(b)
+def _newton(psi, ct, h, epsilon, alpha, beta, bound):
+    """Newton's method on the front equations at mesh h from the guess
+    (psi_1..psi_N, ct).  Row k = 1..N is h^2 times the central-difference
+    equation at x = k h, with psi_0 = 0 and the ghost node psi_{N+1} =
+    psi_{N-1} + 2 h lam_minus (psi_N - Q) of the right-end condition; the
+    border row is the left-end condition psi_1 = eps (ct h + (ct h)^2 / 2).
+    Returns the converged (psi, ct), or raises BracketError."""
+    q = alpha / beta
+    ext = np.zeros(psi.size + 2)        # psi_0 = 0, psi_1..psi_N, ghost
+    row = np.zeros(psi.size)
+    row[0] = 1.0
+    for _ in range(_NEWTON_ITERS):
+        lam, dlam = _lam_minus(ct, alpha)
+        gap = psi[-1] - q
+        ext[1:-1] = psi
+        ext[-1] = psi[-2] + 2.0 * h * lam * gap
+        rise = ext[2:] - ext[:-2]           # 2 h psi'
+        live = psi >= 0.0
+        f = np.where(live, psi * (alpha - beta * psi), 0.0)
+        res = ext[2:] - 2.0 * psi + ext[:-2] - 0.5 * ct * h * rise + h * h * f
+        sub = np.full(psi.size - 1, 1.0 + 0.5 * ct * h)
+        sub[-1] = 2.0
+        diag = h * h * np.where(live, alpha - 2.0 * beta * psi, 0.0) - 2.0
+        diag[-1] += h * lam * (2.0 - ct * h)
+        sup = np.full(psi.size - 1, 1.0 - 0.5 * ct * h)
+        col = -0.5 * h * rise
+        col[-1] = gap * h * (2.0 * dlam - h * (lam + ct * dlam))
+        left = psi[0] - epsilon * (ct * h + 0.5 * (ct * h) ** 2)
+        dpsi, dct = solve_bordered(sub, diag, sup, col, row,
+                                   -epsilon * h * (1.0 + ct * h), -res, -left)
+        psi = psi + dpsi
+        ct += dct
+        if not math.isfinite(ct):
+            break
+        if (abs(dct) <= _NEWTON_TOL * bound
+                and np.max(np.abs(dpsi)) <= _NEWTON_TOL * q):
+            return psi, ct
+    raise BracketError(f"Newton's method did not converge at mesh h = {h:g}")
 
 
 def ignition_wave(params: SimParams, r_star: float,
                   epsilon: float) -> IgnitionWave:
-    """The front and its speed for one cutoff value: RK4 steps of STEP, the
-    speed rooted to SPEED_TOL in (0, speed_limit), the front built within
-    2 TRUNCATION_RADIUS.  ``speed_limit`` refuses params not strongly_damped."""
+    """The front and its speed for one cutoff value, from the meshes MESH,
+    MESH/2 and MESH/4 on [0, LENGTH].  BracketError when a mesh's speed
+    leaves (0, speed_limit), Newton's method does not converge or the speed
+    error exceeds SPEED_TOL; RuntimeError when the front has not come within
+    sqrt(SPEED_TOL) Q of its level Q where it stops rising.  ``speed_limit``
+    refuses params not strongly_damped."""
     bound = speed_limit(params, r_star)
     beta = params.damping_gap
     if not (math.isfinite(epsilon) and epsilon > 0.0):
@@ -177,70 +158,60 @@ def ignition_wave(params: SimParams, r_star: float,
     alpha = r_star - epsilon - params.chi * params.mu * r_star / beta
     if alpha <= 0.0:
         raise BracketError(f"epsilon = {epsilon!r} too large: no positive zero gap")
+    q = alpha / beta
 
-    def overshoot(ct):
-        return _shoot(ct, alpha, beta, STEP) - ct * epsilon
+    h = MESH
+    psi = q * np.tanh(0.5 * h * np.arange(1, round(LENGTH / h) + 1))
+    ct = 0.5 * bound
+    fronts, speeds = [], []
+    for level in range(3):
+        if level:       # halve the mesh, linear interpolation of the guess
+            finer = np.empty(2 * psi.size)
+            finer[1::2] = psi
+            finer[0] = 0.5 * psi[0]
+            finer[2::2] = 0.5 * (psi[:-1] + psi[1:])
+            psi, h = finer, 0.5 * h
+        psi, ct = _newton(psi, ct, h, epsilon, alpha, beta, bound)
+        if not 0.0 < ct < bound:
+            raise BracketError(f"speed {ct!r} at mesh h = {h:g} is outside "
+                               f"(0, {bound:.6g}): epsilon too large or "
+                               "hypothesis violated")
+        fronts.append(psi)
+        speeds.append(ct)
+    coarse, speed = ((4.0 * speeds[k + 1] - speeds[k]) / 3.0 for k in (0, 1))
+    error = abs(speed - coarse)
+    if not (error <= SPEED_TOL and 0.0 < speed < bound):
+        raise BracketError(f"Richardson speed {speed!r} with error "
+                           f"estimate {error:.3g}: not resolved to SPEED_TOL "
+                           f"= {SPEED_TOL:g} inside (0, {bound:.6g})")
 
-    s_lo = overshoot(0.0)
-    s_hi = overshoot(bound)
-    if not (s_lo > 0.0 and s_hi < 0.0):
-        raise BracketError(
-            f"speed bracket (0, {bound:.6g}) has no sign change "
-            f"(s(0)={s_lo:.3g}, s(bound)={s_hi:.3g}): epsilon too large "
-            "or hypothesis violated")
-    ct = _zeroin(overshoot, 0.0, bound, s_lo, s_hi, SPEED_TOL)
-
-    # rebuild psi(x): backward-in-x integration from the saddle is stable,
-    # so integrate d(psi,p)/ds = -(p, ct p - f) with s = -x from the offset
-    # start until psi crosses 0, then shift so the crossing sits at x = 0
-    Q = alpha / beta
-    lamm = _lam_minus(ct, alpha)
-    ds = STEP
-    half, sixth = 0.5 * ds, ds / 6.0
-    max_steps = int(2.0 * TRUNCATION_RADIUS / ds)
-    psi_v, p_v = Q - SADDLE_OFFSET, -lamm * SADDLE_OFFSET
-    psis, ps = [psi_v], [p_v]
-
-    # RK4 with the stages of (-p, -(ct p - f(psi))) written out
-    for _ in range(max_steps):
-        a1 = -p_v
-        b1 = -(ct * p_v - (psi_v * (alpha - beta * psi_v)
-                           if psi_v >= 0.0 else 0.0))
-        x, y = psi_v + half * a1, p_v + half * b1
-        a2 = -y
-        b2 = -(ct * y - (x * (alpha - beta * x) if x >= 0.0 else 0.0))
-        x, y = psi_v + half * a2, p_v + half * b2
-        a3 = -y
-        b3 = -(ct * y - (x * (alpha - beta * x) if x >= 0.0 else 0.0))
-        x, y = psi_v + ds * a3, p_v + ds * b3
-        a4 = -y
-        b4 = -(ct * y - (x * (alpha - beta * x) if x >= 0.0 else 0.0))
-        psi_v = psi_v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        p_v = p_v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        psis.append(psi_v)
-        ps.append(p_v)
-        if psi_v <= 0.0:
-            break
-    else:
-        raise RuntimeError("front did not reach its zero within the truncation")
-
-    psis, ps = np.array(psis), np.array(ps)
-    s = ds * np.arange(psis.size)
-    # linear interpolation of the crossing abscissa
-    f0, f1 = psis[-2], psis[-1]
-    s_cross = s[-2] + ds * f0 / (f0 - f1)
-    x_all = s_cross - s          # descending; x = 0 at the crossing
-    keep = x_all > 0.0
-    x_nodes = np.concatenate(([0.0], x_all[keep][::-1]))
-    psi_nodes = np.concatenate(([0.0], psis[keep][::-1]))
-    p_nodes = np.concatenate(([ct * epsilon], ps[keep][::-1]))
-
-    if not np.all(np.diff(psi_nodes) > 0.0):
-        raise RuntimeError("computed front is not strictly increasing")
+    # the Richardson profile on the h/2 nodes; its slope p is the left
+    # condition at x = 0, where psi''' jumps with f', a one-sided
+    # fourth-order stencil (psi[0] = 0) at the next node and central ones
+    # beyond, with two ghost nodes from the saddle asymptotics evaluate() uses
+    h *= 2.0
+    psi = np.concatenate(([0.0], (4.0 * fronts[2][1::2] - fronts[1]) / 3.0))
+    lam = _lam_minus(speed, alpha)[0]
+    right = q - (q - psi[-1]) * np.exp(lam * h * np.array([1.0, 2.0]))
+    ext = np.concatenate((psi, right))
+    p = np.empty_like(psi)
+    p[0] = speed * epsilon
+    p[1] = (18.0 * psi[2] - 10.0 * psi[1] - 6.0 * psi[3] + psi[4]) / (12.0 * h)
+    p[2:] = (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) / (12 * h)
+    # keep the front while it rises; the right-end condition drops f's
+    # quadratic term at Q, a fraction (Q - psi)/Q of its linear one, and the
+    # speed error that makes is of the order of that fraction squared
+    rising = np.diff(psi) > 0.0
+    n = rising.size if rising.all() else int(np.argmin(rising))
+    if q - psi[n] > math.sqrt(SPEED_TOL) * q:
+        raise RuntimeError(
+            f"front stops rising at x = {n * h:g}, {q - psi[n]:.3g} below its "
+            f"level {q:.6g}: it does not settle within the truncation "
+            f"x <= {LENGTH:g}")
     return IgnitionWave(
-        epsilon=epsilon, speed=ct, right_level=Q,
-        speed_bound=bound, alpha=alpha, beta=beta, lam_minus=lamm,
-        x=x_nodes, psi=psi_nodes, p=p_nodes)
+        epsilon=epsilon, speed=speed, speed_error=error, right_level=q,
+        speed_bound=bound, alpha=alpha, beta=beta, lam_minus=lam,
+        x=h * np.arange(n + 1), psi=psi[:n + 1], p=p[:n + 1])
 
 
 def richardson_speed(params: SimParams, r_star: float):

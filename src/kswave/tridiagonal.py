@@ -19,6 +19,12 @@ right-hand side by ``dgttrs`` on the stored factors.  For 799 unknowns on a
 for 4 and 11 columns against 45 and 127 us: slower up to two columns,
 faster from four.  A sweep's block has one row per point.
 
+:func:`solve_bordered` solves a tridiagonal matrix bordered by one column and
+one row, the Jacobian of a banded system with one scalar unknown added (a
+speed, or a continuation parameter) and one equation to fix it.  It is one
+``dgtsv`` call with two right-hand sides, the system's own and the border
+column, and then one scalar elimination for the border row.
+
 The ``dgttrf`` wrapper rejects systems of fewer than three unknowns, so those
 are solved from scratch on each call, as ``solve_banded`` solves them: by
 ``dgtsv`` for two unknowns and by one division for one.
@@ -47,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["TridiagonalLU", "largest_eigenvalue"]
+__all__ = ["TridiagonalLU", "largest_eigenvalue", "solve_bordered"]
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -116,6 +122,32 @@ class TridiagonalLU:
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
         return x
+
+
+def solve_bordered(dl, d, du, col, row, corner: float, rhs, rhs_end: float):
+    """Solution (x, s) of the (n + 1) x (n + 1) system
+
+        [ A      col    ] [x]   [rhs    ]
+        [ row^T  corner ] [s] = [rhs_end]
+
+    with A the n x n tridiagonal matrix (``dl``, ``d``, ``du``), n >= 2, and
+    ``col``, ``row`` and ``rhs`` of length n: A [y z] = [rhs col] in one
+    ``dgtsv`` call, then s = (rhs_end - row.y) / (corner - row.z) and
+    x = y - s z.  Block elimination needs A itself nonsingular.  A zero pivot
+    of A or a zero Schur complement raises RuntimeError."""
+    b = np.empty((np.size(rhs), 2), order="F")
+    b[:, 0] = rhs
+    b[:, 1] = col
+    *_, yz, info = dgtsv(dl, d, du, b, overwrite_b=True)
+    if info != 0:
+        raise RuntimeError(f"tridiagonal solve failed (info={info})")
+    # einsum, not a BLAS dot: OpenBLAS threads a long dot, and its threads
+    # then spin on the processor after the call returns
+    ry, rz = np.einsum("i,ij->j", row, yz)
+    if corner == rz:
+        raise RuntimeError("bordered system is singular")
+    s = float((rhs_end - ry) / (corner - rz))
+    return yz[:, 0] - s * yz[:, 1], s
 
 
 def largest_eigenvalue(d, e, tol: float) -> float:

@@ -4,10 +4,13 @@
 Criterion 10 is split: the speed bounds hold (10a), but the extrapolated
 cutoff-to-zero limit (10b) is out of reach of any extrapolation from the
 prescribed cutoff grid, because the front speed approaches its limit only
-logarithmically; 10b therefore fails by design rather than by defect.  The
-mechanism and the independent PDE cross-check live in
-``test_ignition.test_speed_against_pde_front_tracking`` and the module
-docstring of ``kswave.ignition``.
+logarithmically; 10b therefore fails by design rather than by defect.  Each
+speed comes from the boundary-value solve of ``kswave.ignition`` (Newton's
+method on three meshes) with a Richardson error estimate below 1e-8.  The
+mechanism is in that module's docstring; the independent cross-checks are
+in ``test_ignition``: phase-plane shooting, PDE front tracking
+(``test_speed_against_pde_front_tracking``) and, at eps = 1e-8, the
+Brunet-Derrida asymptotics.
 """
 
 import math
@@ -249,8 +252,9 @@ def test_criterion_10b_richardson_limit(ignition_study, exp1_setup):
         "limit only logarithmically in the cutoff (deficit proportional to "
         "1/ln^2 eps, fitted order 0.35 over the halving grid), so no "
         "extrapolation from eps in {0.1, 0.05, 0.025} can land within 1%. "
-        "The speeds themselves are confirmed independently by PDE front "
-        "tracking in test_ignition.py.")
+        "The speeds themselves, from the boundary-value solve with a "
+        "Richardson error below 1e-8, are confirmed independently by "
+        "phase-plane shooting and PDE front tracking in test_ignition.py.")
 
 
 def test_criterion_11_frozen_flow_fixed_point(exp1_setup):

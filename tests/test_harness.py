@@ -833,7 +833,7 @@ def test_cli_numerical_fault_exit_code(tmp_path):
 
 def test_cli_verify_ignition_fault_is_numerical(tmp_path, capsys):
     # eps = 8.888 is admissible (alpha = 8.889 - eps > 0), but its front
-    # does not reach its zero within the truncation: a numerical fault
+    # does not settle at its level within the truncation: a numerical fault
     # (exit 2), not a traceback, and the verify bundle is not written
     cfg = tmp_path / "tight.cfg"
     cfg.write_text(set_key((EXPERIMENTS / "case1_exp1.cfg").read_text(),

@@ -50,9 +50,9 @@ def _reaction(psi, alpha, beta):
 
 
 def test_boundary_value_residual(wave):
-    # an independent check that the integrated orbit solves the front
-    # equation: the sup residual of ct p - p' - f(psi) on the uniform part
-    # of the stored grid, p' by a fourth-order central difference
+    # an independent check that the stored profile solves the front
+    # equation: the sup residual of ct p - p' - f(psi) on the stored grid
+    # past x = 0, p' by a fourth-order central difference
     x, psi, p = wave.x[1:], wave.psi[1:], wave.p[1:]
     h = x[1] - x[0]
     np.testing.assert_allclose(np.diff(x), h, rtol=0, atol=1e-12)
@@ -126,49 +126,167 @@ def test_speed_against_pde_front_tracking():
     ("epsilon", math.nan),        # used to die converting nan to an integer
 ])
 def test_rejects_argument_not_finite_positive(name, value, monkeypatch):
-    def no_shot(*args):
-        pytest.fail("a shot was taken before the arguments were checked")
-    monkeypatch.setattr(ignition, "_shoot", no_shot)
+    def no_solve(*args):
+        pytest.fail("a mesh was solved before the arguments were checked")
+    monkeypatch.setattr(ignition, "_newton", no_solve)
     kwargs = {"epsilon": 0.05, name: value}
     with pytest.raises(ValueError, match=name):
         ignition_wave(PARAMS, 10.0, **kwargs)
 
 
-@pytest.mark.parametrize("eps", (0.1, 0.05, 0.025))
-def test_brent_speed_matches_bisection_in_few_shots(eps, monkeypatch):
-    # reference: bisection of the same overshoot on the same (0, bound)
-    # bracket down to a width of SPEED_TOL, as the speed was found before
-    speed_tol, step = ignition.SPEED_TOL, ignition.STEP
-    beta = PARAMS.damping_gap
-    alpha = 10.0 - eps - PARAMS.chi * PARAMS.mu * 10.0 / beta
-    lo, hi = 0.0, speed_limit(PARAMS, 10.0)
-    while hi - lo > speed_tol:
-        mid = 0.5 * (lo + hi)
-        if ignition._shoot(mid, alpha, beta, step) - mid * eps > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    shots = []
-    shoot = ignition._shoot
+def test_speed_error_estimated_and_small(wave):
+    assert 0.0 < wave.speed_error <= ignition.SPEED_TOL
 
-    def counted(*args):
-        shots.append(args[0])
-        return shoot(*args)
-    monkeypatch.setattr(ignition, "_shoot", counted)
+
+def test_speed_error_over_tol_is_refused(monkeypatch):
+    # on meshes 0.1, 0.05 and 0.025 the Richardson speeds disagree by 5e-5
+    monkeypatch.setattr(ignition, "MESH", 0.1)
+    with pytest.raises(BracketError, match="SPEED_TOL"):
+        ignition_wave(PARAMS, 10.0, 0.05)
+
+
+def test_newton_without_convergence_is_refused(monkeypatch):
+    monkeypatch.setattr(ignition, "_NEWTON_ITERS", 2)
+    with pytest.raises(BracketError, match="did not converge"):
+        ignition_wave(PARAMS, 10.0, 0.05)
+
+
+def test_front_not_settled_within_truncation_is_a_fault():
+    # alpha = 0.001 leaves a front wider than the truncation: Q - psi(LENGTH)
+    # is 38% of Q.  Not a bracket failure but a numerical fault.
+    with pytest.raises(RuntimeError, match="truncation") as info:
+        ignition_wave(PARAMS, 10.0, 8.888)
+    assert not isinstance(info.value, BracketError)
+
+
+def test_brunet_derrida_small_cutoff():
+    # out of sample: far below the Richardson grid the speed deficit
+    # approaches pi^2 / (2 ln^2(1/eps)) of the pulled speed 2 sqrt(alpha)
+    # (E. Brunet and B. Derrida, PRE 56, 2597 (1997))
+    eps = 1e-8
     wave = ignition_wave(PARAMS, 10.0, eps)
-    assert abs(wave.speed - 0.5 * (lo + hi)) <= speed_tol
-    assert len(shots) <= 16
+    s = wave.speed / (2.0 * math.sqrt(wave.alpha))
+    ell = math.log(1.0 / eps)
+    assert abs(s + math.pi ** 2 / (2.0 * ell ** 2) - 1.0) <= 1e-3
 
 
 # ---------------------------------------------------------------------------
-# the written-out RK4 stages against the closure form they replace
+# phase-plane shooting: the oracle for the speed
+
+SADDLE_OFFSET = 1e-6
+STEP = 1e-3                 # RK4 step of the shots
+
+
+def _shoot(ct: float, alpha: float, beta: float, step: float):
+    """Integrate dp/dpsi = ct - f/p with RK4 from psi = Q - SADDLE_OFFSET
+    on the saddle's stable direction down to psi = 0.  Returns p(0), or
+    -inf when p collapses before reaching 0 (undershoot).
+    The RK4 stages are written out: a stage whose p is at or below the
+    floor has slope -inf, stages 2 and 3 share f at psi + ds/2, and stage
+    4's f at psi + ds is the next step's stage-1 f."""
+    Q = alpha / beta
+    lamm = 0.5 * (ct - math.sqrt(ct * ct + 4.0 * alpha))
+    psi = Q - SADDLE_OFFSET
+    p = -lamm * SADDLE_OFFSET
+    floor = 1e-12
+    inf = math.inf
+    isfinite = math.isfinite
+
+    n_full = int(psi / step)
+    ds = -step
+    f = psi * (alpha - beta * psi) if psi >= 0.0 else 0.0
+    for k in range(n_full + 1):
+        if k == n_full:
+            ds = -(psi - 0.0) if psi > 0.0 else 0.0
+            if ds == 0.0:
+                break
+        half = 0.5 * ds
+        k1 = -inf if p <= floor else ct - f / p
+        mid = psi + half
+        f_mid = mid * (alpha - beta * mid) if mid >= 0.0 else 0.0
+        q = p + half * k1
+        k2 = -inf if q <= floor else ct - f_mid / q
+        q = p + half * k2
+        k3 = -inf if q <= floor else ct - f_mid / q
+        psi = psi + ds
+        f = psi * (alpha - beta * psi) if psi >= 0.0 else 0.0
+        q = p + ds * k3
+        k4 = -inf if q <= floor else ct - f / q
+        p = p + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not isfinite(p) or p < floor:
+            return -inf
+    return p
+
+
+def _zeroin(f, a, b, fa, fb, tol):
+    """Brent's zeroin for a root of f in [a, b], given fa = f(a) and
+    fb = f(b) of opposite signs (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973).  Returns a point within tol (plus a few
+    ulps) of the root.  Interpolation uses only finite values of f; a step
+    next to an infinite one bisects."""
+    eps = np.finfo(float).eps
+    c, fc, d = a, fa, b - a
+    e = d
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, d = a, fa, b - a
+            e = d
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
+            return b
+        if (abs(e) >= tol1 and abs(fa) > abs(fb)
+                and math.isfinite(fa) and math.isfinite(fc)):
+            s = fb / fa
+            if a == c:      # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:           # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+
+
+@pytest.mark.parametrize("eps", ignition.RICHARDSON_EPSILONS)
+def test_speed_matches_shooting_oracle(eps):
+    # the right speed makes the shot from the saddle reach psi = 0 with
+    # p(0) = ct eps; the overshoot changes sign on (0, speed_limit)
+    beta = PARAMS.damping_gap
+    alpha = 10.0 - eps - PARAMS.chi * PARAMS.mu * 10.0 / beta
+    bound = speed_limit(PARAMS, 10.0)
+
+    def overshoot(ct):
+        return _shoot(ct, alpha, beta, STEP) - ct * eps
+    lo, hi = overshoot(0.0), overshoot(bound)
+    assert lo > 0.0 > hi
+    shot = _zeroin(overshoot, 0.0, bound, lo, hi, ignition.SPEED_TOL)
+    speed = ignition_wave(PARAMS, 10.0, eps).speed
+    assert abs(speed - shot) <= ignition.SPEED_TOL
+
+
+# ---------------------------------------------------------------------------
+# the oracle's written-out RK4 stages against their closure form
 
 def closure_shot(ct, alpha, beta, step):
     """The shot with the slope as a nested function called four times a
-    step: the reference for ``ignition._shoot``."""
+    step: the reference for ``_shoot``."""
     Q = alpha / beta
-    delta = ignition.SADDLE_OFFSET
-    lamm = ignition._lam_minus(ct, alpha)
+    delta = SADDLE_OFFSET
+    lamm = 0.5 * (ct - math.sqrt(ct * ct + 4.0 * alpha))
     psi = Q - delta
     p = -lamm * delta
     floor = 1e-12
@@ -197,31 +315,6 @@ def closure_shot(ct, alpha, beta, step):
     return p
 
 
-def closure_orbit(wave, ds=1e-3):
-    """The profile rebuild off the saddle with the slope as a nested
-    function: (psi, p) at each step until psi <= 0."""
-    ct, alpha, beta = wave.speed, wave.alpha, wave.beta
-    half, sixth = 0.5 * ds, ds / 6.0
-    psi_v = alpha / beta - ignition.SADDLE_OFFSET
-    p_v = -wave.lam_minus * ignition.SADDLE_OFFSET
-    psis, ps = [psi_v], [p_v]
-
-    def rhs2(psi_v, p_v):
-        f = psi_v * (alpha - beta * psi_v) if psi_v >= 0.0 else 0.0
-        return -p_v, -(ct * p_v - f)
-
-    while psi_v > 0.0:
-        a1, b1 = rhs2(psi_v, p_v)
-        a2, b2 = rhs2(psi_v + half * a1, p_v + half * b1)
-        a3, b3 = rhs2(psi_v + half * a2, p_v + half * b2)
-        a4, b4 = rhs2(psi_v + ds * a3, p_v + ds * b3)
-        psi_v = psi_v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        p_v = p_v + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        psis.append(psi_v)
-        ps.append(p_v)
-    return np.array(psis), np.array(ps)
-
-
 @pytest.mark.parametrize("step", (0.01, 0.05))
 @pytest.mark.parametrize("r_star", (10.0, 1.0))
 @pytest.mark.parametrize("chi, b", ((0.1, 1.0), (0.0, 1.0), (0.2, 0.5)))
@@ -237,16 +330,7 @@ def test_shot_matches_closure_form_bitwise(chi, b, r_star, step):
         for i in range(61):
             ct = bound * i / 40
             want = closure_shot(ct, alpha, beta, step)
-            assert ignition._shoot(ct, alpha, beta, step).hex() == \
+            assert _shoot(ct, alpha, beta, step).hex() == \
                 want.hex(), (eps, ct)
             collapsed += want == -math.inf
     assert 0 < collapsed < 4 * 61
-
-
-def test_profile_rebuild_matches_closure_form_bitwise(wave):
-    psis, ps = closure_orbit(wave)
-    # the wave keeps the orbit up to the crossing of 0, reversed, after
-    # the normalization point x = 0
-    n = wave.psi.size - 1
-    assert np.array_equal(wave.psi[1:][::-1], psis[:n])
-    assert np.array_equal(wave.p[1:][::-1], ps[:n])
