@@ -6,8 +6,11 @@ One table, ``_SCHEMA``, says how each ``RunSpec`` field is parsed, written
 back and shown in the CLI help.  Unknown keys and malformed or non-finite
 numbers are rejected with their line number.  ``_build`` builds what a
 spec's mode runs, and a value the run cannot use is refused by the type that
-owns its rule, naming its key; ``parse_config`` adds the key's line, and
-``run_experiment`` and ``sweep`` build with it before they write.
+owns its rule, naming its key; ``parse_config`` adds the key's line.
+``run_experiment`` builds once, runs the mode and only then writes its
+bundle, so a run that is refused, fails or is interrupted writes nothing.
+``sweep`` runs a ``SweepSpec`` as the sweep-mode spec it describes, through
+the same build and runner, and writes its ``regime_map.csv`` the same way.
 ``render_manifest`` writes back every effective value (defaults included), so
 ``parse_config(render_manifest(spec)) == spec`` and a manifest alone
 reproduces a run bitwise.  All CSV numbers use the shortest representation
@@ -19,8 +22,8 @@ from __future__ import annotations
 import datetime
 import logging
 import math
-from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import product
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -106,21 +109,20 @@ class RunSpec:
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of simulate runs around ``base``: each axis is a (name,
-    (min, max, count)) pair with name one of b, c, chi, and every point
-    marches to ``base.T * horizon_scale``."""
+    (min, max, count)) pair with name one of b, c, chi, each named at most
+    once, and every point marches to ``base.T * horizon_scale``.  A refused
+    axis names the config key it stands for, sweep_<name>."""
 
     base: RunSpec
     axes: tuple[tuple[str, tuple[float, float, int]], ...]
     horizon_scale: float = 1.0
 
-    @classmethod
-    def from_spec(cls, spec: RunSpec) -> SweepSpec:
-        """The sweep a spec's sweep_b/sweep_c/sweep_chi axes and its
-        horizon_scale describe."""
-        axes = tuple((name[len("sweep_"):], getattr(spec, name))
-                     for name in ("sweep_b", "sweep_c", "sweep_chi")
-                     if getattr(spec, name) is not None)
-        return cls(base=spec, axes=axes, horizon_scale=spec.horizon_scale)
+    def __post_init__(self):
+        names = [name for name, _ in self.axes]
+        for k, name in enumerate(names):
+            if name not in ("b", "c", "chi") or name in names[:k]:
+                raise ConfigError("each sweep axis is one of b, c or chi, "
+                                  "given once", key=f"sweep_{name}")
 
 
 def fmt(x) -> str:
@@ -161,8 +163,8 @@ def _bump(raw: str) -> tuple[float, float]:
 
 def _axis(raw: str) -> tuple[float, float, int]:
     vals = _numbers(raw)
-    if len(vals) != 3 or vals[2] < 1 or vals[2] != int(vals[2]):
-        raise ValueError("axis needs min,max,count with count >= 1")
+    if len(vals) != 3 or vals[2] != int(vals[2]):
+        raise ValueError("axis needs min,max,count with a whole count")
     return (vals[0], vals[1], int(vals[2]))
 
 
@@ -299,6 +301,10 @@ def _build(spec: RunSpec):
         if not eps > 0.0:
             raise ConfigError(f"epsilon must be positive, got {fmt(eps)}",
                               key="verify_epsilons")
+    for key in ("sweep_b", "sweep_c", "sweep_chi"):
+        axis = getattr(spec, key)
+        if axis is not None and not axis[2] >= 1:      # no point to run
+            raise ConfigError("axis needs count >= 1", key=key)
     # the run's config holds the params, profile, grid and step grid
     cfg = spec.run_config()
     profile = spec.growth_profile()
@@ -307,16 +313,17 @@ def _build(spec: RunSpec):
         if not any((spec.sweep_b, spec.sweep_c, spec.sweep_chi)):
             raise ConfigError("sweep mode needs at least one sweep axis",
                               key="sweep_c")
-        # the points differ from the run above only in T and
-        # snapshot_times, so only their T can be refused anew
+        # every point is the run above marched to T * horizon_scale with no
+        # snapshots, so only its T can be refused anew
         try:
-            return _build(_sweep_point(spec, spec.horizon_scale))
+            cfg = replace(spec, T=spec.T * spec.horizon_scale,
+                          snapshot_times=()).run_config()
         except ConfigError as exc:
             if exc.key != "T":
                 raise
             raise ConfigError("the sweep horizon T * horizon_scale: "
                               + exc.reason, key="horizon_scale") from None
-    if spec.mode == "simulate":
+    if spec.mode in ("simulate", "sweep"):
         u0 = spec.initial_condition()(cfg.grid.nodes)
         try:
             own = initial_state(cfg, u0)
@@ -389,15 +396,13 @@ def _write_bundle(out: Path, files: dict):
 
 def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     """Execute the spec's mode, writing the artifact bundle into out_dir.
-    Returns the mode's principal result object.  Before anything is
-    written, ``_build`` refuses a spec its mode cannot run, ``workers``
-    (passed to ``sweep`` in sweep mode) is checked, and an out_dir that is,
-    or lies under, an existing non-directory raises NotADirectoryError.
-    Every mode but sweep finishes its work before it writes anything; sweep
-    writes its manifest and timestamp first and then streams its rows."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    built = _build(spec)
+    Returns the mode's principal result object (in sweep mode, the rows).
+    Before any work, the one ``_build`` call refuses a spec its mode cannot
+    run, and an out_dir that is, or lies under, an existing non-directory
+    raises NotADirectoryError; ``workers`` (sweep mode only) must be >= 1.
+    Every mode finishes its work before it writes anything, so a run that
+    fails or is interrupted leaves no bundle."""
+    cfg, profile, own = _build(spec)
     out = Path(out_dir)
     # the nearest existing path decides: mkdir makes the missing ones
     for path in (out, *out.parents):
@@ -408,14 +413,14 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
             break
     # the wall-clock start time lives in its own file so every other
     # artifact is byte-identical across reruns
-    head = {"manifest.cfg": render_manifest(spec),
-            "timestamp.txt": datetime.datetime.now().isoformat() + "\n"}
+    started = datetime.datetime.now().isoformat() + "\n"
     if spec.mode == "sweep":
-        _write_bundle(out, head)
-        return sweep(SweepSpec.from_spec(spec), out / "regime_map.csv",
-                     workers=workers)
-    result, files = _RUNNERS[spec.mode](spec, *built)
-    _write_bundle(out, {**head, **files})
+        result, regime_map = _run_sweep(spec, cfg, own, workers)
+        files = {"regime_map.csv": regime_map}
+    else:
+        result, files = _RUNNERS[spec.mode](spec, cfg, profile, own)
+    _write_bundle(out, {"manifest.cfg": render_manifest(spec),
+                        "timestamp.txt": started, **files})
     return result
 
 
@@ -494,7 +499,7 @@ def _run_verify(spec: RunSpec, cfg: RunConfig, profile, habitat):
 
 
 # runner(spec, cfg, profile, own), the last three from _build, returns the
-# mode's result and its artifacts
+# mode's result and its artifacts; sweep mode's is _run_sweep below
 _RUNNERS = {"simulate": _run_simulate, "eig": _run_eig,
             "regime": _run_regime, "verify": _run_verify}
 
@@ -510,18 +515,13 @@ SUMMARIES = {"simulate": ("outcome.txt",),
 # --------------------------------------------------------------------------
 # sweeps
 
-def _axis_values(axis):
-    lo, hi, count = axis
-    if count == 1:
-        return [lo]
-    return list(np.linspace(lo, hi, count))
-
-
-def _sweep_point(spec: RunSpec, horizon_scale: float) -> RunSpec:
-    """The simulate run that every sweep point shares but for its (b, c,
-    chi): the base spec marched to T * horizon_scale with no snapshots."""
-    return replace(spec, mode="simulate", T=spec.T * horizon_scale,
-                   snapshot_times=())
+def _points(spec: RunSpec):
+    """The sorted (b, c, chi) points of a sweep-mode spec: np.linspace over
+    each axis it sets, its own value where it sets none."""
+    return sorted(product(*(
+        [value] if axis is None else np.linspace(*axis)
+        for axis, value in ((spec.sweep_b, spec.b), (spec.sweep_c, spec.c),
+                            (spec.sweep_chi, spec.chi)))))
 
 
 def _sweep_block(args):
@@ -571,49 +571,46 @@ def _log_error(row, why):
                  fmt(row["b"]), fmt(row["c"]), fmt(row["chi"]), why)
 
 
-def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
-    """Run the cartesian grid of the sweep axes, classify each point, and
-    stream rows to the CSV in deterministic sorted order.  What the points
-    share is built once, before the CSV is opened, so a base spec they
-    cannot run raises its ConfigError and writes nothing.  The sorted
-    points are cut into ``min(workers, points)`` contiguous blocks, each
-    marched as one array; with more than one block, each runs in its own
-    worker process."""
+def _run_sweep(spec: RunSpec, cfg: RunConfig, u0, workers: int):
+    """The rows of a sweep-mode spec's points and their regime_map.csv
+    text, given the config and initial profile that ``_build`` made for its
+    points.  The sorted points are cut into ``min(workers, points)``
+    contiguous blocks, each marched as one array; with more than one block,
+    each runs in its own worker process."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    base = sw.base
-    cfg, _, u0 = _build(_sweep_point(base, sw.horizon_scale))
-    axis_map = dict(sw.axes)
-    bs = _axis_values(axis_map["b"]) if "b" in axis_map else [base.b]
-    cs = _axis_values(axis_map["c"]) if "c" in axis_map else [base.c]
-    chis = _axis_values(axis_map["chi"]) if "chi" in axis_map else [base.chi]
-    points = sorted((b, c, chi) for b in bs for c in cs for chi in chis)
+    points = _points(spec)
     n = len(points)
     n_proc = min(workers, n)
     jobs = [(cfg, u0, points[k * n // n_proc:(k + 1) * n // n_proc])
             for k in range(n_proc)]
+    if n_proc > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=n_proc) as pool:
+            blocks = list(pool.map(_sweep_block, jobs))
+    else:
+        blocks = map(_sweep_block, jobs)
+    rows = [row for block in blocks for row in block]
+    return rows, _text(["b,c,chi,outcome,plateau,final_sup_u"] + [
+        f"{fmt(r['b'])},{fmt(r['c'])},{fmt(r['chi'])},{r['outcome']},"
+        f"{fmt(r['plateau'])},{fmt(r['final_sup_u'])}" for r in rows])
 
+
+def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
+    """Run ``sw`` as the sweep-mode spec it describes (its axes as sweep_b,
+    sweep_c and sweep_chi, its horizon_scale) through the one build and
+    runner that ``run_experiment`` uses, and return the rows.  The CSV is
+    written to out_path once every point has run: a spec the sweep cannot
+    run raises its ConfigError, and a sweep that fails or is interrupted
+    writes nothing."""
+    axes = dict(sw.axes)
+    spec = replace(sw.base, mode="sweep", horizon_scale=sw.horizon_scale,
+                   sweep_b=axes.get("b"), sweep_c=axes.get("c"),
+                   sweep_chi=axes.get("chi"))
+    cfg, _, u0 = _build(spec)
+    rows, regime_map = _run_sweep(spec, cfg, u0, workers)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    with ExitStack() as stack:
-        fh = stack.enter_context(open(out_path, "w"))
-        fh.write("b,c,chi,outcome,plateau,final_sup_u\n")
-        mapper = map
-        if n_proc > 1:
-            # imported here: it loads multiprocessing, which nothing else needs
-            from concurrent.futures import ProcessPoolExecutor
-            mapper = stack.enter_context(
-                ProcessPoolExecutor(max_workers=n_proc)).map
-        for block in mapper(_sweep_block, jobs):
-            for row in block:
-                rows.append(row)
-                fh.write(_sweep_row_text(row))
-            fh.flush()
+    out_path.write_text(regime_map)
     return rows
-
-
-def _sweep_row_text(row) -> str:
-    return (f"{fmt(row['b'])},{fmt(row['c'])},{fmt(row['chi'])},"
-            f"{row['outcome']},{fmt(row['plateau'])},"
-            f"{fmt(row['final_sup_u'])}\n")

@@ -33,10 +33,9 @@ The meshes are MESH, MESH/2 and MESH/4, each Newton started from the coarser
 solution.  The speed is the Richardson value of the (h/2, h/4) pair, and its
 error estimate is its distance from the (h, h/2) value; a speed whose error
 exceeds SPEED_TOL is refused.  The profile is the Richardson combination of
-the h/2 and h/4 solutions on the h/2 nodes, with p = psi' from fourth-order
-differences.  Unlike a phase-plane shot, which is stiff near psi ~ eps where
-p ~ ct eps is tiny, the front is smooth in x, so the solve holds its
-accuracy down to eps = 1e-8 and below.
+the h/2 and h/4 solutions on the h/2 nodes.  Unlike a phase-plane shot,
+which is stiff near psi ~ eps where psi' ~ ct eps is tiny, the front is
+smooth in x, so the solve holds its accuracy down to eps = 1e-8 and below.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ class IgnitionWave:
     lam_minus: float
     x: np.ndarray          # ascending, x[0] = 0 (the normalization point)
     psi: np.ndarray
-    p: np.ndarray
 
     def evaluate(self, xq) -> np.ndarray:
         """psi at arbitrary abscissae: exact exponential tail for x <= 0,
@@ -185,19 +183,10 @@ def ignition_wave(params: SimParams, r_star: float,
                            f"estimate {error:.3g}: not resolved to SPEED_TOL "
                            f"= {SPEED_TOL:g} inside (0, {bound:.6g})")
 
-    # the Richardson profile on the h/2 nodes; its slope p is the left
-    # condition at x = 0, where psi''' jumps with f', a one-sided
-    # fourth-order stencil (psi[0] = 0) at the next node and central ones
-    # beyond, with two ghost nodes from the saddle asymptotics evaluate() uses
+    # the Richardson profile on the h/2 nodes
     h *= 2.0
     psi = np.concatenate(([0.0], (4.0 * fronts[2][1::2] - fronts[1]) / 3.0))
     lam = _lam_minus(speed, alpha)[0]
-    right = q - (q - psi[-1]) * np.exp(lam * h * np.array([1.0, 2.0]))
-    ext = np.concatenate((psi, right))
-    p = np.empty_like(psi)
-    p[0] = speed * epsilon
-    p[1] = (18.0 * psi[2] - 10.0 * psi[1] - 6.0 * psi[3] + psi[4]) / (12.0 * h)
-    p[2:] = (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) / (12 * h)
     # keep the front while it rises; the right-end condition drops f's
     # quadratic term at Q, a fraction (Q - psi)/Q of its linear one, and the
     # speed error that makes is of the order of that fraction squared
@@ -211,7 +200,7 @@ def ignition_wave(params: SimParams, r_star: float,
     return IgnitionWave(
         epsilon=epsilon, speed=speed, speed_error=error, right_level=q,
         speed_bound=bound, alpha=alpha, beta=beta, lam_minus=lam,
-        x=h * np.arange(n + 1), psi=psi[:n + 1], p=p[:n + 1])
+        x=h * np.arange(n + 1), psi=psi[:n + 1])
 
 
 def richardson_speed(params: SimParams, r_star: float):

@@ -93,8 +93,8 @@ class RunConfig:
     a tau, T, conv_window or tolerance that is not finite and positive;
     T < tau; a step that breaks the CFL condition tau/h^2 <= 1/2 (unless
     allow_unstable); a T or conv_window that is not an integer multiple of
-    tau; and a snapshot time outside [0, T], on the step of another or off
-    the tau grid.  A time is on the grid when it is within 1e-9 (relative
+    tau, or a conv_window shorter than one step; and a snapshot time
+    outside [0, T], on the step of another or off the tau grid.  A time is on the grid when it is within 1e-9 (relative
     past 1) of a multiple of tau.  ``n_steps`` and ``lag_steps`` are the
     steps to T and over the convergence window, and ``snapshot_steps`` maps
     each snapshot's step to its time; like ``Grid.M`` they are derived and
@@ -140,6 +140,10 @@ class RunConfig:
         object.__setattr__(self, "n_steps", round(self.T / self.tau))
         object.__setattr__(self, "lag_steps",
                            round(self.conv_window / self.tau))
+        if self.lag_steps < 1:      # on the grid as 0 tau: u against itself
+            raise ConfigError(f"conv_window = {self.conv_window!r} is "
+                              f"shorter than one step tau = {self.tau!r}",
+                              key="conv_window")
         steps = {}
         for t in self.snapshot_times:
             j = round(t / self.tau) if 0.0 <= t < math.inf else -1  # nan, inf

@@ -192,6 +192,9 @@ REFUSED = [
     ("simulate", "T", "2.0007", "T must be an integer multiple of tau"),
     ("simulate", "conv_window", "0.3333",
      "conv_window must be an integer multiple of tau"),
+    # on the tau grid as 0 steps: the run would compare u with itself
+    ("simulate", "conv_window", "1e-10",
+     "conv_window = 1e-10 is shorter than one step tau = 0.002"),
     ("simulate", "snapshot_times", "0, 1, 1.0004",
      "snapshot times 1.0 and 1.0004 fall on the same step 500"),
     ("simulate", "snapshot_times", "0, 1.0009",
@@ -309,7 +312,7 @@ def test_an_unrunnable_sweep_is_refused_before_it_writes(tmp_path):
     assert not out.exists()
     csv = tmp_path / "map.csv"
     with pytest.raises(ConfigError, match="T must be an integer multiple"):
-        sweep(SweepSpec.from_spec(spec), csv)
+        sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)), csv)
     assert not csv.exists()
 
 
@@ -523,10 +526,10 @@ def test_sweep_skips_ill_posed_points(tmp_path):
 # each axis reaches values SimParams refuses: a chi below 0, and (refused
 # like it, where it was skipped as b <= chi mu) a b of -1 and of 0
 PER_POINT_ERRORS = [
-    ("sweep_chi = -0.1, 0.1, 2", ["b = 1.0, c = 1.0, chi = -0.1"],
+    (("chi", (-0.1, 0.1, 2)), ["b = 1.0, c = 1.0, chi = -0.1"],
      "chi must be nonnegative"),
-    ("sweep_b = -1, 1, 3", ["b = -1.0, c = 1.0, chi = 0.1",
-                            "b = 0.0, c = 1.0, chi = 0.1"],
+    (("b", (-1.0, 1.0, 3)), ["b = -1.0, c = 1.0, chi = 0.1",
+                             "b = 0.0, c = 1.0, chi = 0.1"],
      "b must be positive"),
 ]
 
@@ -535,12 +538,13 @@ def test_sweep_records_per_point_errors(tmp_path, caplog, capsys):
     # the sweep must keep going past a refused point and record its row as
     # an error, and the CLI then exits 2
     for k, (axis, points, why) in enumerate(PER_POINT_ERRORS):
-        text = SWEEP_CFG + axis + "\n"
+        name, (lo, hi, count) = axis
+        text = SWEEP_CFG + f"sweep_{name} = {lo}, {hi}, {count}\n"
         spec = parse_config(text)
         caplog.clear()      # drop the parse's warning that T < conv_window
         with caplog.at_level(logging.WARNING, logger="kswave"):
-            rows = sweep(SweepSpec.from_spec(spec), tmp_path / f"map{k}.csv",
-                         workers=1)
+            rows = sweep(SweepSpec(base=spec, axes=(axis,)),
+                         tmp_path / f"map{k}.csv", workers=1)
         assert [r["outcome"] == "error" for r in rows] == \
             [True] * len(points) + [False]
         assert "error" in (tmp_path / f"map{k}.csv").read_text()
@@ -678,8 +682,8 @@ def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch,
 def test_sweep_rejects_workers_below_one(workers, tmp_path):
     spec = parse_config(SWEEP_CFG)
     with pytest.raises(ValueError, match="workers"):
-        sweep(SweepSpec.from_spec(spec), tmp_path / "map.csv",
-              workers=workers)
+        sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)),
+              tmp_path / "map.csv", workers=workers)
     assert not (tmp_path / "map.csv").exists()
     # through the CLI, workers is rejected before the bundle is started
     out = tmp_path / "o"
@@ -687,14 +691,6 @@ def test_sweep_rejects_workers_below_one(workers, tmp_path):
                      "--out", str(out), "--workers", str(workers)]) == 1
     assert not (out / "manifest.cfg").exists()
     assert not (out / "timestamp.txt").exists()
-
-
-def test_sweep_spec_from_spec_carries_axes_and_horizon():
-    spec = parse_config(SWEEP_CFG + "sweep_b = 1, 2, 2\nhorizon_scale = 0.4\n")
-    sw = SweepSpec.from_spec(spec)
-    assert sw.base is spec
-    assert sw.axes == (("b", (1.0, 2.0, 2)), ("c", (1.0, 1.0, 1)))
-    assert sw.horizon_scale == 0.4
 
 
 def test_sweep_runs_its_own_horizon(tmp_path, monkeypatch):
@@ -714,6 +710,89 @@ def test_sweep_runs_its_own_horizon(tmp_path, monkeypatch):
     short = run_experiment(replace(parse_config(MINI_CFG), T=0.1,
                                    snapshot_times=()), tmp_path / "short")
     assert rows[0]["outcome"] == short.tag.value
+
+
+def test_both_sweep_entries_build_once_and_write_the_same_map(tmp_path,
+                                                              monkeypatch):
+    spec = parse_config(SWEEP_CFG.replace("sweep_c = 1, 1, 1",
+                                          "sweep_c = 0.5, 1, 2"))
+    built = []
+    real_build = harness._build
+
+    def spy(spec):
+        built.append(spec.mode)
+        return real_build(spec)
+    monkeypatch.setattr(harness, "_build", spy)
+    run_experiment(spec, tmp_path / "o")
+    assert built == ["sweep"]
+    sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)),
+          tmp_path / "map.csv")
+    assert built == ["sweep", "sweep"]
+    assert (tmp_path / "o" / "regime_map.csv").read_bytes() == \
+        (tmp_path / "map.csv").read_bytes()
+
+
+# malformed sweeps as (axes, base edits, horizon_scale, refused key): the
+# config path to run_experiment and sweep(SweepSpec(...)) must refuse each
+# under the same key, and write nothing
+MALFORMED_SWEEPS = [
+    ((), {}, 1.0, "sweep_c"),                               # no axis
+    ((("C", (1.0, 2.0, 2)),), {}, 1.0, "sweep_C"),          # no such axis
+    ((("c", (1.0, 2.0, 2)), ("c", (0.5, 1.0, 2))), {}, 1.0,
+     "sweep_c"),                                            # one axis twice
+    ((("c", (1.0, 2.0, 0)),), {}, 1.0, "sweep_c"),          # no point
+    ((("c", (1.0, 2.0, 2)),), {"snapshot_times": (0.0, 0.3001)}, 1.0,
+     "snapshot_times"),                                     # off the tau grid
+    ((("c", (1.0, 2.0, 2)),), {}, 0.5001,
+     "horizon_scale"),                          # T = 0.5, T * 0.5001 off it
+]
+
+
+@pytest.mark.parametrize("axes, edits, horizon_scale, key", MALFORMED_SWEEPS,
+                         ids=["no-axis", "axis-C", "axis-twice", "count-0",
+                              "snapshot-off-grid", "horizon-off-grid"])
+def test_a_malformed_sweep_is_refused_alike_by_both_entries(
+        axes, edits, horizon_scale, key, tmp_path):
+    base = replace(parse_config(MINI_CFG), **edits)
+    text = render_manifest(replace(base, mode="sweep",
+                                   horizon_scale=horizon_scale)) + "".join(
+        f"sweep_{name} = {lo}, {hi}, {count}\n"
+        for name, (lo, hi, count) in axes)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(parse_config(text), tmp_path / "o")
+    assert exc.value.key == key
+    names = [name for name, _ in axes]
+    if len(set(names)) == len(names) and set(names) <= {"b", "c", "chi"}:
+        # a RunSpec can hold these axes: run_experiment refuses it itself
+        spec = replace(base, mode="sweep", horizon_scale=horizon_scale,
+                       **{f"sweep_{name}": axis for name, axis in axes})
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(spec, tmp_path / "o")
+        assert exc.value.key == key
+    with pytest.raises(ConfigError) as exc:
+        sweep(SweepSpec(base=base, axes=axes, horizon_scale=horizon_scale),
+              tmp_path / "map" / "regime_map.csv")
+    assert exc.value.key == key
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, MemoryError])
+def test_a_sweep_stopped_while_marching_writes_nothing(interrupt, tmp_path,
+                                                      monkeypatch):
+    # the sweep's files are written once every block is done, so a march
+    # that ends in an exception the rows do not absorb leaves no out_dir,
+    # as a failing run of any other mode does
+    def stop(cfg, runs, u0):
+        raise interrupt
+    monkeypatch.setattr(harness, "run_block", stop)
+    spec = parse_config(SWEEP_CFG.replace("sweep_c = 1, 1, 1",
+                                          "sweep_c = 0.5, 1, 2"))
+    with pytest.raises(interrupt):
+        run_experiment(spec, tmp_path / "o")
+    with pytest.raises(interrupt):
+        sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)),
+              tmp_path / "map" / "regime_map.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +1030,8 @@ def test_cli_sweep_goes_through_run_experiment(tmp_path, capsys):
         "manifest.cfg", "regime_map.csv", "timestamp.txt"]
     spec = parse_config(cfg.read_text())
     assert (out / "manifest.cfg").read_text() == render_manifest(spec)
-    sweep(SweepSpec.from_spec(spec), tmp_path / "direct.csv")
+    sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)),
+          tmp_path / "direct.csv")
     assert (out / "regime_map.csv").read_bytes() == \
         (tmp_path / "direct.csv").read_bytes()
 

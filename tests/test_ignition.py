@@ -51,15 +51,16 @@ def _reaction(psi, alpha, beta):
 
 def test_boundary_value_residual(wave):
     # an independent check that the stored profile solves the front
-    # equation: the sup residual of ct p - p' - f(psi) on the stored grid
-    # past x = 0, p' by a fourth-order central difference
-    x, psi, p = wave.x[1:], wave.psi[1:], wave.p[1:]
+    # equation: the sup residual of psi'' - ct psi' + f(psi) on the stored
+    # grid, both derivatives by fourth-order central differences at the
+    # nodes whose stencil stays clear of x = 0, where psi''' jumps
+    x, psi = wave.x[1:], wave.psi[1:]
     h = x[1] - x[0]
     np.testing.assert_allclose(np.diff(x), h, rtol=0, atol=1e-12)
-    dp = (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * h)
-    core = slice(2, -2)
-    res = (wave.speed * p[core] - dp
-           - _reaction(psi[core], wave.alpha, wave.beta))
+    m2, m1, c0, p1, p2 = (psi[k:psi.size - 4 + k] for k in range(5))
+    d1 = (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
+    d2 = (-m2 + 16.0 * m1 - 30.0 * c0 + 16.0 * p1 - p2) / (12.0 * h * h)
+    res = d2 - wave.speed * d1 + _reaction(c0, wave.alpha, wave.beta)
     assert np.max(np.abs(res)) <= 1e-6
 
 
