@@ -6,7 +6,7 @@ fixed-point iteration)."""
 
 from .chemical import ChemicalSolver, greens_psi, greens_psi_x
 from .envelopes import (CertificationReport, Envelope, EnvelopeError,
-                        EnvelopeKind, build_lower_envelope_case1,
+                        build_lower_envelope_case1,
                         build_lower_envelope_case2,
                         build_upper_envelope_case1,
                         build_upper_envelope_case2, certify_supersolution)

@@ -1,22 +1,24 @@
 """Analytic super/sub-solution envelopes and their numerical certification.
 
-Each upper envelope is the pointwise minimum of smooth branches, and each
-branch is one row (name, theta, x0, side) of a table:
+Both upper envelopes follow one rule.  Let K = r*/(b - chi mu) and let rbar
+be half the larger negative tail of r: r(-inf)/2 in CASE1 (separated
+habitat), max(r(-inf), r(+inf))/2 in CASE2 (bounded patch).  The envelope is
+the pointwise minimum of its branch rows (name, theta, x0, side), each
 
-    U(x) = K exp(theta * clip(x - x0)),      K = r*/(b - chi mu),
+    U(x) = K exp(theta * clip(x - x0)),
 
 with clip = min(., 0) on the left side (side -1) and max(., 0) on the right
-(side +1), so U' = theta U and U'' = theta^2 U off the kink.  The branches:
+(side +1), so U' = theta U and U'' = theta^2 U off the kink.  The rows:
 
-    flat       theta = 0                                 (everywhere)
-    left_exp   theta = theta1 | theta_bar,  x0 = x1 | x_bar,    side -1
-    right_exp  theta = -theta_tilde,        x0 = x_tilde,       side +1
+    flat       theta = 0                                (everywhere)
+    left_exp   theta = theta_bar,    x0 = x_bar,    side -1
+    right_exp  theta = -theta_tilde, x0 = x_tilde,  side +1   (CASE2 only)
 
-CASE1 (separated habitat) takes flat and left_exp; CASE2 (bounded patch)
-takes all three.  theta* are the positive roots of theta^2 +- c theta +
-r_neg = 0 and the junction abscissae are computed exactly from the
-piecewise-linear ramps.  Every branch is checked against the one stationary
-operator
+theta_bar and theta_tilde are the positive roots of theta^2 + c theta + rbar
+= 0 and theta^2 - c theta + rbar = 0; x_bar is where r first rises above
+rbar and x_tilde where it last falls below it, exact on the piecewise-linear
+ramps.  In CASE1, rbar is the paper's r1, x_bar its x1 and theta_bar its
+theta1.  Every branch is checked against the one stationary operator
 
     A_u(U) = U'' + (c - chi w_x) U' + (r - chi nu w - (b - chi mu) U) U,
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .stepper import ANALYSIS_CFL, make_run_config, run
 
 __all__ = [
     "EnvelopeError",
-    "EnvelopeKind",
     "Envelope",
     "CertificationReport",
     "build_upper_envelope_case1",
@@ -70,19 +70,17 @@ class EnvelopeError(RuntimeError):
     shift too fast for a wave), not a bad input."""
 
 
-class EnvelopeKind(Enum):
-    UPPER_CASE1 = "upper_case1"
-    UPPER_CASE2 = "upper_case2"
-    LOWER_CASE1 = "lower_case1"
-    LOWER_CASE2_NUMERIC = "lower_case2_numeric"
-
-
 @dataclass(frozen=True)
 class Envelope:
-    kind: EnvelopeKind
+    """An envelope's values on its grid.  An upper envelope also holds its
+    branch rows (name, theta, x0, side) in the order flat, left_exp and, in
+    CASE2, right_exp, with the constants {"rbar", "level"} they are built
+    from; a lower envelope has no rows."""
+
     values: np.ndarray
     constants: dict
     grid: Grid
+    branches: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -141,20 +139,6 @@ def _last_crossing(profile: GrowthProfile, level: float) -> float | None:
     return None
 
 
-def _branches(kind: EnvelopeKind, constants: dict):
-    """The (name, theta, x0, side) rows of an upper envelope's branch
-    table; see the module docstring."""
-    flat = ("flat", 0.0, 0.0, 0)
-    if kind is EnvelopeKind.UPPER_CASE1:
-        return (flat, ("left_exp", constants["theta1"], constants["x1"], -1))
-    if kind is EnvelopeKind.UPPER_CASE2:
-        return (flat,
-                ("left_exp", constants["theta_bar"], constants["xbar"], -1),
-                ("right_exp", -constants["theta_tilde"], constants["xtilde"],
-                 1))
-    raise ValueError(f"no analytic branches for {kind}")
-
-
 def _branch(K: float, theta: float, x0: float, side: int, x: np.ndarray,
             h: float):
     """One branch on the nodes x: (U, U', U'', region), with the analytic
@@ -171,47 +155,42 @@ def _branch(K: float, theta: float, x0: float, side: int, x: np.ndarray,
     return U, theta * U, theta * theta * U, region
 
 
-def _upper_envelope(kind: EnvelopeKind, constants: dict,
-                    grid: Grid) -> Envelope:
-    """The envelope as the pointwise minimum of its branches."""
+def _upper_envelope(habitat: HabitatClass, params: SimParams,
+                    profile: GrowthProfile, grid: Grid) -> Envelope:
+    """The upper envelope of a CASE1 or CASE2 profile, the pointwise
+    minimum of its branch rows; see the module docstring."""
+    if classify_profile(profile) is not habitat:
+        raise ValueError(f"upper {habitat.name} envelope requires a "
+                         f"{habitat.name} profile")
+    if not params.well_posed:
+        raise ValueError("requires b > chi*mu")
+    case2 = habitat is HabitatClass.CASE2
+    # each negative tail lies below rbar < 0 < r*, so r crosses rbar there
+    tails = ((profile.left_limit, profile.right_limit) if case2
+             else (profile.left_limit,))
+    rbar = 0.5 * max(tails)
+    branches = [("flat", 0.0, 0.0, 0),
+                ("left_exp", theta_root(params.c, rbar),
+                 _first_up_crossing(profile, rbar), -1)]
+    if case2:
+        branches.append(("right_exp", -theta_root(-params.c, rbar),
+                         _last_crossing(profile, rbar), 1))
+    level = profile.r_star / params.damping_gap
     values = np.minimum.reduce(
-        [_branch(constants["level"], theta, x0, side, grid.nodes, grid.h)[0]
-         for _, theta, x0, side in _branches(kind, constants)])
-    return Envelope(kind=kind, values=values, grid=grid, constants=constants)
+        [_branch(level, theta, x0, side, grid.nodes, grid.h)[0]
+         for _, theta, x0, side in branches])
+    return Envelope(values=values, grid=grid, branches=tuple(branches),
+                    constants={"rbar": rbar, "level": level})
 
 
 def build_upper_envelope_case1(params: SimParams, profile: GrowthProfile,
                                grid: Grid) -> Envelope:
-    if classify_profile(profile) is not HabitatClass.CASE1:
-        raise ValueError("upper CASE1 envelope requires a CASE1 profile")
-    if not params.well_posed:
-        raise ValueError("requires b > chi*mu")
-    # r(-inf) < r1 < 0 < r(+inf) for CASE1, so r crosses r1
-    r1 = 0.5 * profile.left_limit
-    x1 = _first_up_crossing(profile, r1)
-    theta1 = theta_root(params.c, r1)
-    constants = {"r1": r1, "x1": x1, "theta1": theta1,
-                 "level": profile.r_star / params.damping_gap}
-    return _upper_envelope(EnvelopeKind.UPPER_CASE1, constants, grid)
+    return _upper_envelope(HabitatClass.CASE1, params, profile, grid)
 
 
 def build_upper_envelope_case2(params: SimParams, profile: GrowthProfile,
                                grid: Grid) -> Envelope:
-    if classify_profile(profile) is not HabitatClass.CASE2:
-        raise ValueError("upper CASE2 envelope requires a CASE2 profile")
-    if not params.well_posed:
-        raise ValueError("requires b > chi*mu")
-    # max(r(-inf), r(+inf)) < rbar < 0 < r* for CASE2, so r crosses rbar
-    # on both sides
-    rbar = 0.5 * max(profile.left_limit, profile.right_limit)
-    xbar = _first_up_crossing(profile, rbar)
-    xtilde = _last_crossing(profile, rbar)
-    theta_bar = theta_root(params.c, rbar)
-    theta_tilde = theta_root(-params.c, rbar)
-    constants = {"rbar": rbar, "xbar": xbar, "xtilde": xtilde,
-                 "theta_bar": theta_bar, "theta_tilde": theta_tilde,
-                 "level": profile.r_star / params.damping_gap}
-    return _upper_envelope(EnvelopeKind.UPPER_CASE2, constants, grid)
+    return _upper_envelope(HabitatClass.CASE2, params, profile, grid)
 
 
 def build_lower_envelope_case1(profile: GrowthProfile, grid: Grid,
@@ -226,15 +205,13 @@ def build_lower_envelope_case1(profile: GrowthProfile, grid: Grid,
     if x0 is None or profile.right_limit < level:
         raise ValueError(
             f"no admissible translation: r(+inf) < r* - eps = {level!r}")
-    x1 = upper.constants["x1"]
+    _, _, x1, _ = upper.branches[1]     # the left_exp row
     if not x0 > x1:
         raise ValueError(f"translation x0 = {x0!r} does not exceed x1 = {x1!r}")
     values = np.maximum(wave.evaluate(grid.nodes - x0), 0.0)
     if not np.all(values < upper.values):
         raise EnvelopeError("lower envelope is not strictly below the upper one")
-    return Envelope(kind=EnvelopeKind.LOWER_CASE1, values=values, grid=grid,
-                    constants={"epsilon": eps, "x0": x0, "x1": x1,
-                               "speed": wave.speed})
+    return Envelope(values=values, grid=grid, constants={"x0": x0, "x1": x1})
 
 
 def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
@@ -258,9 +235,7 @@ def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
         raise EnvelopeError("numeric lower envelope is not positive inside")
     if not np.all(values < upper.values):
         raise EnvelopeError("numeric lower envelope exceeds the upper envelope")
-    return Envelope(kind=EnvelopeKind.LOWER_CASE2_NUMERIC, values=values,
-                    grid=grid, constants={
-                        "damping_scale": LOWER_DAMPING_SCALE, "T": LOWER_T})
+    return Envelope(values=values, grid=grid, constants={})
 
 
 def _residual(U, Ux, Uxx, w, w_x, r, params):
@@ -302,16 +277,21 @@ def certify_supersolution(envelope: Envelope, params: SimParams,
     Each branch's value and analytic derivatives do not depend on u, so
     they are evaluated on the grid once, before the sample loop; only the
     kernel fields are recomputed per sample.  Raises ValueError, before any
-    kernel call, unless n_samples >= 1: a certificate over no samples would
-    pass vacuously."""
-    if not n_samples >= 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    kernel call, for an envelope with no branch rows (a lower one) and
+    unless n_samples is an int (not a bool) of at least 1: a certificate
+    over no samples would pass vacuously."""
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, int)
+            or n_samples < 1):
+        raise ValueError(f"n_samples must be a whole number >= 1, got "
+                         f"{n_samples!r}")
+    if not envelope.branches:
+        raise ValueError("a lower envelope has no branch rows to certify")
     grid = envelope.grid
     x = grid.nodes
     r = np.asarray(profile(x), dtype=float)
-    con = envelope.constants
-    branches = [(name, *_branch(con["level"], theta, x0, side, x, grid.h))
-                for name, theta, x0, side in _branches(envelope.kind, con)]
+    level = envelope.constants["level"]
+    branches = [(name, *_branch(level, theta, x0, side, x, grid.h))
+                for name, theta, x0, side in envelope.branches]
     rng = np.random.default_rng(seed)
     worst = {name: (-math.inf, -1, math.nan) for name, *_ in branches}
     n_nodes = {name: int(mask.sum()) for name, *_, mask in branches}

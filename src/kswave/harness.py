@@ -10,7 +10,8 @@ owns its rule, naming its key; ``parse_config`` adds the key's line.
 ``run_experiment`` builds once, runs the mode and only then writes its
 bundle, so a run that is refused, fails or is interrupted writes nothing.
 ``sweep`` runs a ``SweepSpec`` as the sweep-mode spec it describes, through
-the same build and runner, and writes its ``regime_map.csv`` the same way.
+the same build and runner, logs the run warnings as ``parse_config`` does,
+and writes its ``regime_map.csv`` the same way.
 ``render_manifest`` writes back every effective value (defaults included), so
 ``parse_config(render_manifest(spec)) == spec`` and a manifest alone
 reproduces a run bitwise.  All CSV numbers use the shortest representation
@@ -267,6 +268,14 @@ def parse_config(text: str, mode: str | None = None,
         cfg, profile, _ = _build(spec)
     except ConfigError as exc:
         raise ConfigError(exc.reason, lines.get(exc.key), exc.key) from None
+    _warn(spec, cfg, profile)
+    return spec
+
+
+def _warn(spec: RunSpec, cfg: RunConfig, profile: GrowthProfile):
+    """Log what makes a built spec's run suspect, given what ``_build``
+    returned: b <= chi*mu, a CASE1 profile that is not monotone, and a run
+    (or sweep point) too short to settle."""
     if not cfg.params.well_posed:
         _log.warning("b = %g <= chi*mu = %g, solutions may blow up",
                      spec.b, spec.chi * spec.mu)
@@ -280,7 +289,11 @@ def parse_config(text: str, mode: str | None = None,
         _log.warning("horizon T = %g is shorter than conv_window = %g: "
                      "the run cannot settle, so it reads undetermined "
                      "unless extinct", cfg.T, cfg.conv_window)
-    return spec
+
+
+def _is_count(n) -> bool:
+    """A count as config text spells one: an int (not a bool) >= 1."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
 
 
 def _build(spec: RunSpec):
@@ -295,16 +308,18 @@ def _build(spec: RunSpec):
     for key in ("eig_tol", "eig_h", "horizon_scale"):
         if not getattr(spec, key) > 0.0:
             raise ConfigError("must be positive", key=key)
-    if spec.verify_samples < 1:
-        raise ConfigError("verify_samples must be >= 1", key="verify_samples")
+    if not _is_count(spec.verify_samples):
+        raise ConfigError("verify_samples must be >= 1 and an integer, got "
+                          f"{spec.verify_samples!r}", key="verify_samples")
     for eps in spec.verify_epsilons:
         if not eps > 0.0:
             raise ConfigError(f"epsilon must be positive, got {fmt(eps)}",
                               key="verify_epsilons")
     for key in ("sweep_b", "sweep_c", "sweep_chi"):
         axis = getattr(spec, key)
-        if axis is not None and not axis[2] >= 1:      # no point to run
-            raise ConfigError("axis needs count >= 1", key=key)
+        if axis is not None and not _is_count(axis[2]):
+            raise ConfigError("axis needs count >= 1 and an integer, got "
+                              f"{axis[2]!r}", key=key)
     # the run's config holds the params, profile, grid and step grid
     cfg = spec.run_config()
     profile = spec.growth_profile()
@@ -600,15 +615,17 @@ def _run_sweep(spec: RunSpec, cfg: RunConfig, u0, workers: int):
 def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     """Run ``sw`` as the sweep-mode spec it describes (its axes as sweep_b,
     sweep_c and sweep_chi, its horizon_scale) through the one build and
-    runner that ``run_experiment`` uses, and return the rows.  The CSV is
-    written to out_path once every point has run: a spec the sweep cannot
-    run raises its ConfigError, and a sweep that fails or is interrupted
-    writes nothing."""
+    runner that ``run_experiment`` uses, and return the rows.  The run
+    warnings are logged after the build, as ``parse_config`` logs them.
+    The CSV is written to out_path once every point has run: a spec the
+    sweep cannot run raises its ConfigError, and a sweep that fails or is
+    interrupted writes nothing."""
     axes = dict(sw.axes)
     spec = replace(sw.base, mode="sweep", horizon_scale=sw.horizon_scale,
                    sweep_b=axes.get("b"), sweep_c=axes.get("c"),
                    sweep_chi=axes.get("chi"))
-    cfg, _, u0 = _build(spec)
+    cfg, profile, u0 = _build(spec)
+    _warn(spec, cfg, profile)
     rows, regime_map = _run_sweep(spec, cfg, u0, workers)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

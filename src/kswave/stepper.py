@@ -94,11 +94,11 @@ class RunConfig:
     T < tau; a step that breaks the CFL condition tau/h^2 <= 1/2 (unless
     allow_unstable); a T or conv_window that is not an integer multiple of
     tau, or a conv_window shorter than one step; and a snapshot time
-    outside [0, T], on the step of another or off the tau grid.  A time is on the grid when it is within 1e-9 (relative
-    past 1) of a multiple of tau.  ``n_steps`` and ``lag_steps`` are the
-    steps to T and over the convergence window, and ``snapshot_steps`` maps
-    each snapshot's step to its time; like ``Grid.M`` they are derived and
-    cannot be set."""
+    outside [0, T], on the step of another or off the tau grid.  A time is
+    on the grid when it is within 1e-9 (relative past 1) of a multiple of
+    tau.  ``n_steps`` and ``lag_steps`` are the steps to T and over the
+    convergence window, and ``snapshot_steps`` maps each snapshot's step
+    to its time; like ``Grid.M`` they are derived and cannot be set."""
 
     params: SimParams
     grid: Grid

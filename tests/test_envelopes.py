@@ -5,15 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kswave import (EnvelopeKind, Grid, GrowthProfile, SimParams,
+from kswave import (Grid, GrowthProfile, SimParams,
                     build_lower_envelope_case1, build_lower_envelope_case2,
                     build_upper_envelope_case1, build_upper_envelope_case2,
                     certify_supersolution, check_regime, greens_psi,
                     greens_psi_x, ignition_wave, theta_root)
 from kswave import envelopes
-from kswave.envelopes import _branch, _branches, _residual
+from kswave.envelopes import _branch, _residual
 
 GRID = Grid(L=20.0, h=0.1)
+
+
+def rows(env):
+    """The envelope's branch rows by name: (theta, x0, side)."""
+    return {name: tuple(row) for name, *row in env.branches}
 
 
 def branch_residual(env, name, u, params, profile):
@@ -22,9 +27,8 @@ def branch_residual(env, name, u, params, profile):
     which the branch claims its sign."""
     grid = env.grid
     x = grid.nodes
-    [row] = [row for row in _branches(env.kind, env.constants)
-             if row[0] == name]
-    U, Ux, Uxx, region = _branch(env.constants["level"], *row[1:], x, grid.h)
+    U, Ux, Uxx, region = _branch(env.constants["level"], *rows(env)[name],
+                                 x, grid.h)
     psi = greens_psi(u, grid, params.nu, params.mu)
     psi_x = greens_psi_x(u, grid, params.nu, params.mu)
     return _residual(U, Ux, Uxx, psi, psi_x, profile(x), params), region
@@ -119,17 +123,19 @@ def test_last_crossing_at_a_breakpoint_on_negative_zero():
 def test_case1_envelope_constants(exp1_params, case1_profile):
     env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
     con = env.constants
-    # default r1 = r(-inf)/2 = -0.5; ramp inversion 11 x + 87 = -0.5
-    assert con["r1"] == -0.5
-    assert con["x1"] == pytest.approx(-87.5 / 11.0, abs=1e-12)
-    assert con["theta1"] == pytest.approx(theta_root(1.0, -0.5), abs=1e-15)
+    theta1, x1, _ = rows(env)["left_exp"]
+    # r1 = r(-inf)/2 = -0.5; ramp inversion 11 x + 87 = -0.5
+    assert con["rbar"] == -0.5
+    assert x1 == pytest.approx(-87.5 / 11.0, abs=1e-12)
+    assert theta1 == pytest.approx(theta_root(1.0, -0.5), abs=1e-15)
     assert con["level"] == pytest.approx(10.0 / 0.9, abs=1e-12)
 
 
 def test_case1_envelope_shape(exp1_params, case1_profile):
     env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
     x = GRID.nodes
-    K, x1, th = (env.constants[k] for k in ("level", "x1", "theta1"))
+    K = env.constants["level"]
+    th, x1, _ = rows(env)["left_exp"]
     # min of the two branches: exponential left of x1, flat right of it
     left = x < x1
     np.testing.assert_allclose(env.values[left],
@@ -140,10 +146,10 @@ def test_case1_envelope_shape(exp1_params, case1_profile):
 
 
 def test_case1_envelope_rejections(exp1_params, case1_profile, case2_profile):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a CASE1 profile"):
         build_upper_envelope_case1(exp1_params, case2_profile, GRID)
     heavy_chi = SimParams(chi=2.0, mu=1.0, nu=0.05, b=1.0, c=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="b > chi"):
         build_upper_envelope_case1(heavy_chi, case1_profile, GRID)
 
 
@@ -153,19 +159,31 @@ def test_case1_envelope_rejections(exp1_params, case1_profile, case2_profile):
 def test_case2_envelope_constants(case2_exp1_params, case2_profile):
     env = build_upper_envelope_case2(case2_exp1_params, case2_profile, GRID)
     con = env.constants
+    theta_bar, xbar, _ = rows(env)["left_exp"]
+    minus_theta_tilde, xtilde, _ = rows(env)["right_exp"]
     assert con["rbar"] == -0.5
-    assert con["xbar"] == pytest.approx(-87.5 / 11.0, abs=1e-12)
-    assert con["xtilde"] == pytest.approx(87.5 / 11.0, abs=1e-12)
+    assert xbar == pytest.approx(-87.5 / 11.0, abs=1e-12)
+    assert xtilde == pytest.approx(87.5 / 11.0, abs=1e-12)
     assert con["level"] == pytest.approx(10.0 / 0.4, abs=1e-12)
-    assert con["theta_bar"] == pytest.approx(theta_root(1.0, -0.5), abs=1e-15)
-    assert con["theta_tilde"] == pytest.approx(
+    assert theta_bar == pytest.approx(theta_root(1.0, -0.5), abs=1e-15)
+    assert -minus_theta_tilde == pytest.approx(
         theta_root(-1.0, -0.5), abs=1e-15)
+
+
+def test_case2_envelope_rejections(case2_exp1_params, case1_profile,
+                                   case2_profile):
+    with pytest.raises(ValueError, match="requires a CASE2 profile"):
+        build_upper_envelope_case2(case2_exp1_params, case1_profile, GRID)
+    # b = chi mu exactly: not well posed
+    at_gap = SimParams(chi=1.0, mu=1.0, nu=1.0, b=1.0, c=1.0)
+    with pytest.raises(ValueError, match="b > chi"):
+        build_upper_envelope_case2(at_gap, case2_profile, GRID)
 
 
 def test_case2_envelope_even_for_zero_speed(case2_profile):
     params = SimParams(chi=0.6, mu=1.0, nu=1.0, b=1.0, c=0.0)
     env = build_upper_envelope_case2(params, case2_profile, GRID)
-    assert env.constants["theta_bar"] == env.constants["theta_tilde"]
+    assert rows(env)["left_exp"][0] == -rows(env)["right_exp"][0]
     np.testing.assert_allclose(env.values, env.values[::-1], rtol=1e-12)
 
 
@@ -194,23 +212,32 @@ def test_branch_residual_exponential_region(exp1_params, case1_profile, rng):
         values, region = branch_residual(env, "left_exp", u, exp1_params,
                                          case1_profile)
         assert values[region].max() <= 1e-8
-        assert np.all(GRID.nodes[region] < env.constants["x1"] - 0.049)
+        assert np.all(GRID.nodes[region] < rows(env)["left_exp"][1] - 0.049)
 
 
-def test_branch_table_rows(exp1_params, case2_exp1_params, case1_profile,
-                           case2_profile):
-    # (name, theta, x0, side): flat, then the left and right exponentials
-    con1 = build_upper_envelope_case1(exp1_params, case1_profile,
-                                      GRID).constants
-    assert _branches(EnvelopeKind.UPPER_CASE1, con1) == (
-        ("flat", 0.0, 0.0, 0), ("left_exp", con1["theta1"], con1["x1"], -1))
-    con2 = build_upper_envelope_case2(case2_exp1_params, case2_profile,
-                                      GRID).constants
-    assert _branches(EnvelopeKind.UPPER_CASE2, con2)[1:] == (
-        ("left_exp", con2["theta_bar"], con2["xbar"], -1),
-        ("right_exp", -con2["theta_tilde"], con2["xtilde"], 1))
-    with pytest.raises(ValueError):
-        _branches(EnvelopeKind.LOWER_CASE1, con1)
+def test_branch_table_rows(exp1_params, case2_exp1_params, case1_profile):
+    # (name, theta, x0, side): flat, then the left and right exponentials,
+    # anchored where r crosses rbar, half the larger negative tail
+    env1 = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
+    r1 = 0.5 * case1_profile.left_limit
+    assert env1.constants["rbar"].hex() == r1.hex()
+    assert env1.branches == (
+        ("flat", 0.0, 0.0, 0),
+        ("left_exp", theta_root(exp1_params.c, r1),
+         envelopes._first_up_crossing(case1_profile, r1), -1))
+    # unequal tails: rbar is half the larger one, r(+inf) = -1
+    patch = GrowthProfile.from_breakpoints(
+        [(-8.0, -3.0), (-7.0, 10.0), (7.0, 10.0), (8.0, -1.0)])
+    env2 = build_upper_envelope_case2(case2_exp1_params, patch, GRID)
+    rbar = -0.5
+    assert env2.constants["rbar"] == rbar
+    c = case2_exp1_params.c
+    assert env2.branches == (
+        ("flat", 0.0, 0.0, 0),
+        ("left_exp", theta_root(c, rbar),
+         envelopes._first_up_crossing(patch, rbar), -1),
+        ("right_exp", -theta_root(-c, rbar),
+         envelopes._last_crossing(patch, rbar), 1))
 
 
 def test_flat_branch_is_exactly_level():
@@ -278,11 +305,14 @@ def test_regime_and_certificate_agree_on_the_damping_hypothesis(
         report.hypothesis_satisfied
 
 
-@pytest.mark.parametrize("kwargs", ({"n_samples": 0}, {"n_samples": -3}))
+@pytest.mark.parametrize("kwargs", ({"n_samples": 0}, {"n_samples": -3},
+                                    {"n_samples": 2.5},
+                                    {"n_samples": True}))
 def test_certify_refuses_a_vacuous_certificate(kwargs, exp1_params,
                                                case1_profile, monkeypatch):
-    # no samples passes every branch at -inf: refused before the kernel is
-    # ever evaluated
+    # no samples passes every branch at -inf, and a count that is not a
+    # whole number (True included) is no count: refused before the kernel
+    # is ever evaluated
     env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
 
     def unreachable(*args, **kw):
@@ -291,6 +321,23 @@ def test_certify_refuses_a_vacuous_certificate(kwargs, exp1_params,
     monkeypatch.setattr(envelopes, "greens_psi_x", unreachable)
     with pytest.raises(ValueError):
         certify_supersolution(env, exp1_params, case1_profile, **kwargs)
+
+
+def test_certify_refuses_a_lower_envelope(case2_exp1_params, case2_profile,
+                                          monkeypatch):
+    # a lower envelope has no branch rows, so its certificate would be
+    # vacuous: refused before the kernel is ever evaluated
+    up = build_upper_envelope_case2(case2_exp1_params, case2_profile, GRID)
+    low = build_lower_envelope_case2(case2_exp1_params, case2_profile, GRID,
+                                     upper=up)
+
+    def unreachable(*args, **kw):
+        pytest.fail("kernel evaluated for an envelope with no branches")
+    monkeypatch.setattr(envelopes, "greens_psi", unreachable)
+    monkeypatch.setattr(envelopes, "greens_psi_x", unreachable)
+    with pytest.raises(ValueError, match="no branch rows"):
+        certify_supersolution(low, case2_exp1_params, case2_profile,
+                              n_samples=5)
 
 
 # SHA-256 of the upper envelope's values and, per branch, (name, worst
@@ -391,7 +438,7 @@ def test_lower_case2_numeric(case2_exp1_params, case2_profile):
     up = build_upper_envelope_case2(case2_exp1_params, case2_profile, GRID)
     low = build_lower_envelope_case2(case2_exp1_params, case2_profile, GRID,
                                      upper=up)
-    assert low.kind is EnvelopeKind.LOWER_CASE2_NUMERIC
+    assert low.branches == ()
     inner = np.abs(GRID.nodes) <= GRID.L - 2.0
     assert np.all(low.values[inner] > 0.0)
     assert np.all(low.values < up.values)

@@ -548,8 +548,10 @@ def test_sweep_records_per_point_errors(tmp_path, caplog, capsys):
         assert [r["outcome"] == "error" for r in rows] == \
             [True] * len(points) + [False]
         assert "error" in (tmp_path / f"map{k}.csv").read_text()
-        # and the log says why, naming each point
-        records = [r for r in caplog.records if r.name == "kswave"]
+        # the sweep first logs, as the parse did, that T < conv_window, and
+        # then why each error row reads error, naming its point
+        horizon, *records = [r for r in caplog.records if r.name == "kswave"]
+        assert "shorter than conv_window" in horizon.getMessage()
         assert len(records) == len(points)
         for record, point in zip(records, points):
             assert record.levelno == logging.WARNING
@@ -741,6 +743,8 @@ MALFORMED_SWEEPS = [
     ((("c", (1.0, 2.0, 2)), ("c", (0.5, 1.0, 2))), {}, 1.0,
      "sweep_c"),                                            # one axis twice
     ((("c", (1.0, 2.0, 0)),), {}, 1.0, "sweep_c"),          # no point
+    ((("c", (1.0, 2.0, 2.5)),), {}, 1.0, "sweep_c"),        # no whole count
+    ((("chi", (0.1, 0.2, True)),), {}, 1.0, "sweep_chi"),   # a bool count
     ((("c", (1.0, 2.0, 2)),), {"snapshot_times": (0.0, 0.3001)}, 1.0,
      "snapshot_times"),                                     # off the tau grid
     ((("c", (1.0, 2.0, 2)),), {}, 0.5001,
@@ -750,7 +754,8 @@ MALFORMED_SWEEPS = [
 
 @pytest.mark.parametrize("axes, edits, horizon_scale, key", MALFORMED_SWEEPS,
                          ids=["no-axis", "axis-C", "axis-twice", "count-0",
-                              "snapshot-off-grid", "horizon-off-grid"])
+                              "count-2.5", "count-True", "snapshot-off-grid",
+                              "horizon-off-grid"])
 def test_a_malformed_sweep_is_refused_alike_by_both_entries(
         axes, edits, horizon_scale, key, tmp_path):
     base = replace(parse_config(MINI_CFG), **edits)
@@ -774,6 +779,50 @@ def test_a_malformed_sweep_is_refused_alike_by_both_entries(
               tmp_path / "map" / "regime_map.csv")
     assert exc.value.key == key
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", [2.5, True])
+def test_a_verify_samples_that_is_no_count_is_refused_by_every_entry(
+        count, tmp_path):
+    # config text cannot spell 2.5 or True as an integer; a spec built in
+    # code is refused under the same key before anything is written
+    spec = replace(parse_config((EXPERIMENTS / "case1_exp1.cfg").read_text(),
+                                mode="verify"), verify_samples=count)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(spec, tmp_path / "o")
+    assert exc.value.key == "verify_samples"
+    base = replace(parse_config(MINI_CFG), verify_samples=count)
+    with pytest.raises(ConfigError) as exc:
+        sweep(SweepSpec(base=base, axes=(("c", (1.0, 2.0, 3)),)),
+              tmp_path / "map.csv")
+    assert exc.value.key == "verify_samples"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sweep_too_short_to_settle_warns_once(tmp_path, caplog):
+    # T = 2 swept at horizon_scale = 0.05 marches each point to 0.1, less
+    # than the window of 0.5: every row reads undetermined, and the sweep
+    # says why once, as the parse of the same sweep does
+    base = replace(parse_config(MINI_CFG), T=2.0, conv_window=0.5)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="kswave"):
+        rows = sweep(SweepSpec(base=base, axes=(("c", (0.5, 1.0, 2)),),
+                               horizon_scale=0.05), tmp_path / "map.csv")
+    assert [r["outcome"] for r in rows] == ["undetermined"] * 2
+    [record] = [r for r in caplog.records if r.name == "kswave"]
+    assert "horizon T = 0.1 is shorter than conv_window = 0.5" in \
+        record.getMessage()
+
+
+def test_the_cli_logs_each_parse_warning_once(tmp_path, caplog):
+    # the CLI parses and then runs: only the parse logs the run warnings
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(MINI_CFG + "horizon_scale = 0.2\nsweep_c = 1, 2, 2\n")
+    with caplog.at_level(logging.WARNING, logger="kswave"):
+        assert cli_main(["sweep", str(cfg), "--out",
+                         str(tmp_path / "o")]) == 0
+    [record] = [r for r in caplog.records if r.name == "kswave"]
+    assert "shorter than conv_window" in record.getMessage()
 
 
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, MemoryError])
