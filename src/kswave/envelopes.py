@@ -18,20 +18,25 @@ theta_bar and theta_tilde are the positive roots of theta^2 + c theta + rbar
 = 0 and theta^2 - c theta + rbar = 0; x_bar is where r first rises above
 rbar and x_tilde where it last falls below it, exact on the piecewise-linear
 ramps.  In CASE1, rbar is the paper's r1, x_bar its x1 and theta_bar its
-theta1.  Every branch is checked against the one stationary operator
+theta1.  Every branch is checked against the one stationary operator of
+``kswave.stationary``
 
     A_u(U) = U'' + (c - chi w_x) U' + (r - chi nu w - (b - chi mu) U) U,
 
 with w the chemical field of a frozen u: the whole-line kernel fields
 during certification (``certify_supersolution`` draws random u below the
 envelope and checks the claimed sign of A_u on each branch region), the
-boundary-closed solve in ``fixedpoint.stationary_residual``.
+boundary-closed solve in ``stationary.stationary_residual`` and the u rows
+of the Newton solve.
 
 The CASE1 lower envelope is the ignition traveling wave translated so that
 its zero sits at the first point x0 beyond which r stays above r* - eps.
-The CASE2 lower envelope is obtained numerically: the terminal profile of a
-long cut-off run with the damping enlarged to 4b, kept strictly inside the
-CASE2 upper envelope.
+The CASE2 lower envelope is obtained numerically: the steady state of the
+CASE2-closed scheme with the damping enlarged to 4b, solved for directly by
+``stationary.newton``.  It is refused unless Newton converges, the state is
+positive inside and it lies strictly below the CASE2 upper envelope; past
+the scheme's speed threshold the only steady state left is zero, so a shift
+too fast for a wave is refused rather than answered with a decaying profile.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ import numpy as np
 from .chemical import greens_psi, greens_psi_x
 from .ignition import IgnitionWave
 from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
-                    InitialCondition, SimParams, classify_profile, theta_root)
-from .stepper import ANALYSIS_CFL, make_run_config, run
+                    SimParams, classify_profile, theta_root)
+from .stationary import _residual, newton
 
 __all__ = [
     "EnvelopeError",
@@ -58,16 +63,16 @@ __all__ = [
     "certify_supersolution",
 ]
 
-LOWER_DAMPING_SCALE = 4.0   # the CASE2 lower run's damping, in units of b
-LOWER_T = 30.0              # the CASE2 lower run's horizon, on tau = 0.4 h^2
+LOWER_DAMPING_SCALE = 4.0   # the CASE2 lower state's damping, in units of b
 CERTIFY_TOL = 1e-8          # the largest A_u(branch) a certificate passes
 
 
 class EnvelopeError(RuntimeError):
-    """A built lower envelope failed its checks: the CASE2 run is not
-    positive inside, or a lower envelope is not strictly below the upper
-    one.  This is a numerical outcome of the parameters (for example a
-    shift too fast for a wave), not a bad input."""
+    """A built lower envelope failed its checks: the CASE2 Newton solve did
+    not converge or its state is not positive inside, or a lower envelope is
+    not strictly below the upper one.  This is a numerical outcome of the
+    parameters (for example a shift too fast for a wave), not a bad
+    input."""
 
 
 @dataclass(frozen=True)
@@ -216,34 +221,30 @@ def build_lower_envelope_case1(profile: GrowthProfile, grid: Grid,
 
 def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
                                grid: Grid, upper: Envelope) -> Envelope:
-    """Numeric CASE2 lower envelope: terminal profile of a cut-off run to
-    LOWER_T with the damping enlarged to LOWER_DAMPING_SCALE * b, checked
-    positive inside and strictly below the CASE2 ``upper`` envelope."""
+    """Numeric CASE2 lower envelope: the CASE2-closed steady state with the
+    damping enlarged to LOWER_DAMPING_SCALE * b, by Newton from
+    clip(r, 0)/(LOWER_DAMPING_SCALE * b).  EnvelopeError when Newton does
+    not converge within ``stationary.MAX_NEWTON`` iterations (a solve that
+    falls to the zero state does not), when the state is not positive on
+    |x| <= L - 2, or when it is not strictly below the CASE2 ``upper``
+    envelope."""
     heavy = SimParams(chi=params.chi, mu=params.mu, nu=params.nu,
                       b=LOWER_DAMPING_SCALE * params.b, c=params.c)
-    n = max(1, round(LOWER_T / (ANALYSIS_CFL * grid.h * grid.h)))
-    tau = LOWER_T / n
-    # only u_final is read, so the convergence window is the whole run: a
-    # fixed window of 1.0 need not divide the adjusted tau = T/n
-    cfg = make_run_config(heavy, profile, grid, BoundaryCase.CASE2, tau,
-                          LOWER_T, conv_window=LOWER_T)
-    u0 = InitialCondition(bump=(-1.0, 1.0))(grid.nodes)
-    # run returns its own copy of u, and the CASE2 closure zeroes both ends
-    values = run(cfg, u0)[0].u_final
+    r = np.asarray(profile(grid.nodes), dtype=float)
+    state = newton(heavy, r, grid, BoundaryCase.CASE2,
+                   np.maximum(r, 0.0) / heavy.b)
+    values = state.u
+    if not state.converged:
+        raise EnvelopeError(
+            f"numeric lower envelope: Newton did not converge in "
+            f"{state.iterations} iterations (sup|F| = {state.residual:.3e}, "
+            f"sup u = {float(np.max(values)):.3e})")
     inner = np.abs(grid.nodes) <= grid.L - 2.0
     if not np.all(values[inner] > 0.0):
         raise EnvelopeError("numeric lower envelope is not positive inside")
     if not np.all(values < upper.values):
         raise EnvelopeError("numeric lower envelope exceeds the upper envelope")
     return Envelope(values=values, grid=grid, constants={})
-
-
-def _residual(U, Ux, Uxx, w, w_x, r, params):
-    """A_u(U) = U'' + (c - chi w_x) U' + (r - chi nu w - (b - chi mu) U) U,
-    with w, w_x the chemical field of the frozen u and its slope."""
-    drift = params.c - params.chi * w_x
-    growth = r - params.chi * params.nu * w - params.damping_gap * U
-    return Uxx + drift * Ux + growth * U
 
 
 def _sample_in_eplus(rng, envelope: Envelope, i: int) -> np.ndarray:

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chemical import ChemicalSolver
-from .envelopes import (Envelope, _residual, build_lower_envelope_case1,
+from .envelopes import (Envelope, build_lower_envelope_case1,
                         build_upper_envelope_case1)
 from .ignition import ignition_wave
 from .model import BoundaryCase, Grid, GrowthProfile, SimParams
+from .stationary import stationary_residual
 from .stepper import (ANALYSIS_CFL, RunConfig, _LagMonitor, _march,
                       make_run_config)
 
@@ -135,21 +136,3 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
                             outer_diffs=tuple(diffs),
                             monotone_slack=worst_slack,
                             upper=upper, lower=lower)
-
-
-def stationary_residual(u_star: np.ndarray, params: SimParams,
-                        profile: GrowthProfile, grid: Grid) -> float:
-    """Sup norm over the interior nodes of the stationary operator A_u(u)
-    (``envelopes._residual``) at u = u_star, with central differences for
-    u', u'' and v' and the chemical field recomputed from u_star itself
-    through the same CASE1-closed solve the flow used."""
-    v = ChemicalSolver(grid, params.nu, params.mu,
-                       BoundaryCase.CASE1).solve(u_star)
-    r = np.asarray(profile(grid.nodes), dtype=float)
-    h = grid.h
-    u = np.asarray(u_star, dtype=float)
-    ux = (u[2:] - u[:-2]) / (2.0 * h)
-    uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
-    vx = (v[2:] - v[:-2]) / (2.0 * h)
-    res = _residual(u[1:-1], ux, uxx, v[1:-1], vx, r[1:-1], params)
-    return float(np.max(np.abs(res)))

@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e6
-ANALYSIS_CFL = 0.4      # tau/h^2 of the frozen flow and the CASE2 lower run
+ANALYSIS_CFL = 0.4      # tau/h^2 of the frozen flow
 
 
 class BlowUpError(RuntimeError):

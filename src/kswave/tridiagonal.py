@@ -1,6 +1,6 @@
 """kswave's one binding to LAPACK: tridiagonal systems factored once and
-solved many times, and the largest eigenvalue of a symmetric tridiagonal
-matrix.
+solved many times, banded systems solved once, and the largest eigenvalue
+of a symmetric tridiagonal matrix.
 
 LAPACK ``dgttrf`` computes the LU factorization of a tridiagonal matrix with
 partial pivoting, and ``dgttrs`` then solves against it in O(n) per
@@ -25,9 +25,13 @@ speed, or a continuation parameter) and one equation to fix it.  It is one
 ``dgtsv`` call with two right-hand sides, the system's own and the border
 column, and then one scalar elimination for the border row.
 
+:func:`solve_banded` is one ``dgbsv`` call (banded LU with partial
+pivoting, then the substitution): the Newton step of ``kswave.stationary``,
+whose Jacobian changes every step and so is factored once per solve.
+
 The ``dgttrf`` wrapper rejects systems of fewer than three unknowns, so those
-are solved from scratch on each call, as ``solve_banded`` solves them: by
-``dgtsv`` for two unknowns and by one division for one.
+are solved from scratch on each call, as scipy's ``solve_banded`` solves
+them: by ``dgtsv`` for two unknowns and by one division for one.
 
 :func:`largest_eigenvalue` is the ``dstebz`` call (Sturm-sequence bisection
 to an absolute tolerance) that ``scipy.linalg.eigvalsh_tridiagonal`` makes for
@@ -53,7 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["TridiagonalLU", "largest_eigenvalue", "solve_bordered"]
+__all__ = ["TridiagonalLU", "largest_eigenvalue", "solve_banded",
+           "solve_bordered"]
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -82,8 +87,9 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgtsv, dgttrf, dgttrs, dstebz = (_flapack.dgtsv, _flapack.dgttrf,
-                                 _flapack.dgttrs, _flapack.dstebz)
+dgbsv, dgtsv, dgttrf, dgttrs, dstebz = (
+    _flapack.dgbsv, _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs,
+    _flapack.dstebz)
 
 
 class TridiagonalLU:
@@ -148,6 +154,20 @@ def solve_bordered(dl, d, du, col, row, corner: float, rhs, rhs_end: float):
         raise RuntimeError("bordered system is singular")
     s = float((rhs_end - ry) / (corner - rz))
     return yz[:, 0] - s * yz[:, 1], s
+
+
+def solve_banded(kl: int, ku: int, ab: np.ndarray, b: np.ndarray):
+    """Solution x of A x = b for the n x n matrix A with ``kl`` sub- and
+    ``ku`` superdiagonals, by LU with partial pivoting in one ``dgbsv``
+    call.  ``ab`` holds A in LAPACK band storage, shape (2 kl + ku + 1, n):
+    A[i, j] is ab[kl + ku + i - j, j], and the first kl rows are left for
+    the fill-in of the pivoting.  A Fortran-order float ``ab`` is
+    overwritten by the factors, and ``b``, of shape (n,) or (n, k), by x.
+    A zero pivot raises RuntimeError."""
+    *_, x, info = dgbsv(kl, ku, ab, b, overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise RuntimeError(f"banded solve failed (info={info})")
+    return x
 
 
 def largest_eigenvalue(d, e, tol: float) -> float:

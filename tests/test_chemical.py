@@ -61,6 +61,37 @@ def test_bordered_solve_refuses_singular_schur_complement():
                                    2.0, one, 1.0)
 
 
+def _band_to_dense(ab, kl, ku):
+    """The n x n matrix whose LAPACK band storage is ab."""
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - ku), min(n, j + kl + 1)):
+            dense[i, j] = ab[kl + ku + i - j, j]
+    return dense
+
+
+@pytest.mark.parametrize("n", (1, 4, 40))
+def test_banded_solve_matches_dense_solve(n, rng):
+    # a random diagonally dominant (2, 3)-banded matrix in LAPACK band
+    # storage, its first two rows left for the fill-in
+    ab = np.zeros((8, n), order="F")
+    ab[2:] = rng.uniform(-1.0, 1.0, (6, n))
+    ab[5] = rng.choice((-1.0, 1.0), n) * rng.uniform(6.0, 8.0, n)
+    dense = _band_to_dense(ab, 2, 3)
+    b = rng.uniform(-1.0, 1.0, n)
+    want = np.linalg.solve(dense, b)
+    x = tridiagonal.solve_banded(2, 3, ab, b.copy())
+    np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-14)
+
+
+def test_banded_solve_refuses_a_singular_band():
+    ab = np.zeros((8, 5), order="F")
+    ab[5] = (1.0, 2.0, 0.0, 1.0, 1.0)      # a zero column
+    with pytest.raises(RuntimeError, match="banded solve failed"):
+        tridiagonal.solve_banded(2, 3, ab, np.ones(5))
+
+
 def test_three_node_elimination_oracle():
     # M = 2, h = 1, nu = mu = 1, CASE2, u = (0,1,0):
     # (v1 - 2 v2 + v3) - v2 + 1 = 0 with v1 = v3 = 0  =>  v2 = 1/3

@@ -5,13 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kswave import (Grid, GrowthProfile, SimParams,
-                    build_lower_envelope_case1, build_lower_envelope_case2,
-                    build_upper_envelope_case1, build_upper_envelope_case2,
-                    certify_supersolution, check_regime, greens_psi,
-                    greens_psi_x, ignition_wave, theta_root)
-from kswave import envelopes
-from kswave.envelopes import _branch, _residual
+from kswave import (BoundaryCase, EnvelopeError, Grid, GrowthProfile,
+                    InitialCondition, SimParams, build_lower_envelope_case1,
+                    build_lower_envelope_case2, build_upper_envelope_case1,
+                    build_upper_envelope_case2, certify_supersolution,
+                    check_regime, greens_psi, greens_psi_x, ignition_wave,
+                    make_run_config, run, theta_root)
+from kswave import envelopes, stationary
+from kswave.envelopes import _branch
+from kswave.stationary import _residual
+from kswave.stepper import ANALYSIS_CFL
 
 GRID = Grid(L=20.0, h=0.1)
 
@@ -434,6 +437,23 @@ def test_lower_case1_rejects_profiles_without_translation(exp1_params,
         build_lower_envelope_case1(bumpy, GRID, exp1_wave, up)
 
 
+def _heavy(params):
+    return SimParams(chi=params.chi, mu=params.mu, nu=params.nu,
+                     b=envelopes.LOWER_DAMPING_SCALE * params.b, c=params.c)
+
+
+def _march_lower_case2(params, profile, grid, T=30.0):
+    """The CASE2 lower envelope as a cut-off march builds it, kept as the
+    oracle of the Newton solve: the terminal profile of a run to T with the
+    damping enlarged to 4b, from a bump, on tau = 0.4 h^2 adjusted to
+    divide T (the run reads only u_final, so no convergence window has to
+    divide the adjusted step)."""
+    n = max(1, round(T / (ANALYSIS_CFL * grid.h * grid.h)))
+    cfg = make_run_config(_heavy(params), profile, grid, BoundaryCase.CASE2,
+                          T / n, T, conv_window=T)
+    return run(cfg, InitialCondition(bump=(-1.0, 1.0))(grid.nodes))[0].u_final
+
+
 def test_lower_case2_numeric(case2_exp1_params, case2_profile):
     up = build_upper_envelope_case2(case2_exp1_params, case2_profile, GRID)
     low = build_lower_envelope_case2(case2_exp1_params, case2_profile, GRID,
@@ -443,13 +463,13 @@ def test_lower_case2_numeric(case2_exp1_params, case2_profile):
     assert np.all(low.values[inner] > 0.0)
     assert np.all(low.values < up.values)
     assert low.values[0] == 0.0 and low.values[-1] == 0.0
+    oracle = _march_lower_case2(case2_exp1_params, case2_profile, GRID)
+    assert np.max(np.abs(low.values - oracle)) <= 1e-12
 
 
 @pytest.mark.parametrize("L, h", ((20.0, 0.05), (21.0, 0.15), (20.0, 0.2)))
 def test_lower_case2_numeric_on_other_grids(L, h, case2_exp1_params,
                                             case2_profile):
-    # tau = 0.4 h^2 is adjusted to divide T; the run reads only u_final, so
-    # no convergence window has to divide the adjusted step
     grid = Grid(L=L, h=h)
     up = build_upper_envelope_case2(case2_exp1_params, case2_profile, grid)
     low = build_lower_envelope_case2(case2_exp1_params, case2_profile, grid,
@@ -457,6 +477,56 @@ def test_lower_case2_numeric_on_other_grids(L, h, case2_exp1_params,
     inner = np.abs(grid.nodes) <= grid.L - 2.0
     assert np.all(low.values[inner] > 0.0)
     assert np.all(low.values < up.values)
+    oracle = _march_lower_case2(case2_exp1_params, case2_profile, grid)
+    assert np.max(np.abs(low.values - oracle)) <= 1e-12
+
+
+def test_lower_case2_is_the_long_time_limit(case2_exp1_params, case2_profile):
+    # at c = 6.0 the T = 30 march is still 0.49 from its limit; Newton's
+    # state is the limit, which the T = 300 march reaches
+    params = replace(case2_exp1_params, c=6.0)
+    up = build_upper_envelope_case2(params, case2_profile, GRID)
+    low = build_lower_envelope_case2(params, case2_profile, GRID, upper=up)
+    oracle = _march_lower_case2(params, case2_profile, GRID, T=300.0)
+    assert np.max(np.abs(low.values - oracle)) <= 1e-10
+
+
+def test_lower_case2_is_a_fixed_point_of_the_stepper(case2_exp1_params,
+                                                     case2_profile):
+    up = build_upper_envelope_case2(case2_exp1_params, case2_profile, GRID)
+    low = build_lower_envelope_case2(case2_exp1_params, case2_profile, GRID,
+                                     upper=up)
+    tau = ANALYSIS_CFL * GRID.h * GRID.h
+    cfg = make_run_config(_heavy(case2_exp1_params), case2_profile, GRID,
+                          BoundaryCase.CASE2, tau, round(1.0 / tau) * tau)
+    traj, _ = run(cfg, low.values)
+    assert np.max(np.abs(traj.u_final - low.values)) <= 1e-10
+
+
+@pytest.mark.parametrize("c", (6.3, 6.5))
+def test_lower_case2_refuses_a_shift_too_fast_for_a_wave(c, case2_exp1_params,
+                                                         case2_profile):
+    # past the scheme's threshold 6.2327 the heavy-damped population dies
+    # out; the T = 30 march still holds a decaying transient that passes
+    # both checks, while the only steady state left is zero
+    params = replace(case2_exp1_params, c=c)
+    up = build_upper_envelope_case2(params, case2_profile, GRID)
+    transient = _march_lower_case2(params, case2_profile, GRID)
+    inner = np.abs(GRID.nodes) <= GRID.L - 2.0
+    assert np.all(transient[inner] > 0.0) and np.all(transient < up.values)
+    with pytest.raises(EnvelopeError):
+        build_lower_envelope_case2(params, case2_profile, GRID, upper=up)
+
+
+def test_lower_case2_refuses_an_unconverged_newton(case2_exp1_params,
+                                                   case2_profile,
+                                                   monkeypatch):
+    up = build_upper_envelope_case2(case2_exp1_params, case2_profile, GRID)
+    monkeypatch.setattr(stationary, "MAX_NEWTON", 2)
+    with pytest.raises(EnvelopeError, match=r"did not converge in 2 "
+                       r"iterations \(sup\|F\| = \d"):
+        build_lower_envelope_case2(case2_exp1_params, case2_profile, GRID,
+                                   upper=up)
 
 
 # ---------------------------------------------------------------------------
