@@ -18,12 +18,13 @@ for the coupled scheme.  The inner flow is one call of the coupled
 stepper's own march, given the frozen v: it loads v once (the v-stage),
 then runs only the u-stage, with its blow-up guard and no chemical solve,
 and the stepper's lag monitor decides when it has settled; the march calls
-back only at the snapshot and lag-check steps.  Its config, with
-tau = ANALYSIS_CFL h^2 = 0.4 h^2, is built on the tau grid: INNER_T and
-the unit convergence window are rounded to whole steps, and the flow
-marches by the config's own step counts.  Every
-inner evolution is checked for pointwise monotone decay, and every outer
-iterate must stay inside the envelope sandwich U1- <= u <= U1+.
+back only at its lag checks.  Its config, with tau = ANALYSIS_CFL h^2 =
+0.4 h^2, is built on the tau grid: INNER_T and the unit convergence window
+are rounded to whole steps, and the flow marches by the config's own step
+counts.  Every inner evolution is checked for pointwise monotone decay on
+the monitor's copies, every outer iterate must stay inside the envelope
+sandwich U1- <= u <= U1+, and the iteration converges only when its last
+flow settled before INNER_T.
 """
 
 from __future__ import annotations
@@ -39,18 +40,17 @@ from .envelopes import (Envelope, build_lower_envelope_case1,
 from .ignition import ignition_wave
 from .model import BoundaryCase, Grid, GrowthProfile, SimParams
 from .stationary import stationary_residual
-from .stepper import (ANALYSIS_CFL, RunConfig, _LagMonitor, _march,
-                      make_run_config)
+from .stepper import RunConfig, _LagMonitor, _march, make_run_config
 
 __all__ = ["SandwichError", "FixedPointResult", "frozen_flow_fixed_point",
            "stationary_residual"]
 
 MAX_OUTER = 30          # outer iterations before giving up
+ANALYSIS_CFL = 0.4      # tau/h^2 of the frozen flow
 INNER_T = 50.0          # horizon of one frozen flow
 OUTER_TOL = 1e-4        # sup change between outer iterates that converges
 INNER_TOL = 1e-4        # lag over the unit window that settles a flow
 WAVE_EPSILON = 0.05     # cutoff of the ignition wave under the lower envelope
-SNAPSHOT_DT = 0.5       # spacing of the monotone-decay comparisons
 
 
 class SandwichError(RuntimeError):
@@ -73,33 +73,33 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray):
     """March the frozen flow, v loaded once and no chemical solve, until the
     sup change over the trailing cfg.lag_steps steps drops below
     cfg.conv_tol (or cfg.n_steps steps are taken); both counts are the
-    config's own.  Returns the terminal profile and the worst pointwise
-    increase between consecutive snapshots, SNAPSHOT_DT apart (monotone
-    decay means it stays at round-off)."""
+    config's own.  Returns the terminal profile, the worst pointwise
+    increase between consecutive lag checks, a tenth of the window apart
+    (monotone decay means it stays at round-off), and whether the last lag
+    check settled the flow."""
     monitor = _LagMonitor(cfg.lag_steps)
-    snap_every = max(1, round(SNAPSHOT_DT / cfg.tau))
-    steps = range(0, cfg.n_steps + 1)
-    prev_snap = None
+    cadence, kept = monitor.cadence, monitor.kept
     worst_increase = -math.inf
+    settled = False
 
     def settle(j, u, v, m):
-        nonlocal prev_snap, worst_increase
-        if j % snap_every == 0:
-            if j:
-                worst_increase = max(worst_increase,
-                                     float(np.max(u - prev_snap)))
-            prev_snap = u.copy()
-        return j % monitor.cadence == 0 and monitor.push(j, u) < cfg.conv_tol
+        nonlocal worst_increase, settled
+        settled = monitor.push(j, u) < cfg.conv_tol
+        if j:
+            worst_increase = max(worst_increase,
+                                 float(np.max(kept[j] - kept[j - cadence])))
+        return settled
 
     u, *_ = _march(cfg, [cfg.params], u_init.copy(), v, on_step=settle,
-                   hooks={*steps[::snap_every], *steps[::monitor.cadence]})
-    return u, worst_increase
+                   hooks=range(cadence, cfg.n_steps + 1, cadence))
+    return u, worst_increase, settled
 
 
 def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
                             grid: Grid) -> FixedPointResult:
     """Iterate u_{n+1} = U*(.;u_n) from u_0 = U1+ until the outer sup change
-    falls below OUTER_TOL, for at most MAX_OUTER iterations.  Aborts with
+    falls below OUTER_TOL, for at most MAX_OUTER iterations; converged also
+    needs the flow that gave u_star to have settled.  Aborts with
     SandwichError if an iterate leaves [U1- - 1e-8, U1+ + 1e-8]."""
     upper = build_upper_envelope_case1(params, profile, grid)
     wave = ignition_wave(params, profile.r_star, WAVE_EPSILON)
@@ -111,11 +111,12 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
                           conv_tol=INNER_TOL)
     solver = ChemicalSolver(grid, params.nu, params.mu, BoundaryCase.CASE1)
 
-    u = upper.values.copy()
+    u = upper.values
     diffs = []
     worst_slack = -math.inf
     for n_outer in range(1, MAX_OUTER + 1):
-        u_next, slack = _evolve_frozen(cfg, upper.values, solver.solve(u))
+        v = solver.solve(u)
+        u_next, slack, settled = _evolve_frozen(cfg, upper.values, v)
         worst_slack = max(worst_slack, slack)
         low_viol = float(np.max(lower.values - u_next))
         high_viol = float(np.max(u_next - upper.values))
@@ -132,7 +133,7 @@ def frozen_flow_fixed_point(params: SimParams, profile: GrowthProfile,
         if diff < OUTER_TOL:
             break
     return FixedPointResult(u_star=u, n_outer=n_outer,
-                            converged=diff < OUTER_TOL,
+                            converged=diff < OUTER_TOL and settled,
                             outer_diffs=tuple(diffs),
                             monotone_slack=worst_slack,
                             upper=upper, lower=lower)

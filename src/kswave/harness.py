@@ -43,9 +43,16 @@ from .stepper import (BlowUpError, RunConfig, initial_state, make_run_config,
 __all__ = ["ConfigError", "RunSpec", "SweepSpec", "parse_config",
            "render_manifest", "config_help", "run_experiment", "sweep", "fmt"]
 
-MODES = ("simulate", "eig", "regime", "verify", "sweep")
-
 _log = logging.getLogger("kswave")
+
+# each mode, in the order of the CLI's subcommands, and the artifacts that
+# summarize its result, in the order the CLI prints them
+SUMMARIES = {"simulate": ("outcome.txt",),
+             "eig": ("eigenvalues.csv", "lambda_infinity.txt"),
+             "regime": ("regime.txt",),
+             "verify": ("certification.csv", "ignition.csv"),
+             "sweep": ("regime_map.csv",)}
+MODES = tuple(SUMMARIES)
 
 
 @dataclass(frozen=True)
@@ -265,22 +272,22 @@ def parse_config(text: str, mode: str | None = None,
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     spec = RunSpec(**values)
     try:
-        cfg, profile, _ = _build(spec)
+        cfg, _ = _build(spec)
     except ConfigError as exc:
         raise ConfigError(exc.reason, lines.get(exc.key), exc.key) from None
-    _warn(spec, cfg, profile)
+    _warn(spec, cfg)
     return spec
 
 
-def _warn(spec: RunSpec, cfg: RunConfig, profile: GrowthProfile):
-    """Log what makes a built spec's run suspect, given what ``_build``
-    returned: b <= chi*mu, a CASE1 profile that is not monotone, and a run
-    (or sweep point) too short to settle."""
+def _warn(spec: RunSpec, cfg: RunConfig):
+    """Log what makes a built spec's run suspect, given the config that
+    ``_build`` returned: b <= chi*mu, a CASE1 profile that is not monotone,
+    and a run (or sweep point) too short to settle."""
     if not cfg.params.well_posed:
         _log.warning("b = %g <= chi*mu = %g, solutions may blow up",
                      spec.b, spec.chi * spec.mu)
-    if (classify_profile(profile) is HabitatClass.CASE1
-            and not profile.is_monotone_case1()):
+    if (classify_profile(cfg.profile) is HabitatClass.CASE1
+            and not cfg.profile.is_monotone_case1()):
         _log.warning("profile is CASE1 by its limits but not monotone "
                      "between them")
     # a run (or sweep point) shorter than its window has no profile one
@@ -298,11 +305,11 @@ def _is_count(n) -> bool:
 
 def _build(spec: RunSpec):
     """Check and build everything the spec's mode runs, refusing a bad
-    value with a ConfigError under its key.  Returns (cfg, profile, own):
-    the run's config (in sweep mode that of its points), the growth profile
-    and the mode's own input, which is the closed initial profile for
-    simulate and sweep, the ``check_regime`` report for regime, the habitat
-    (CASE1 or CASE2) for verify and None for eig."""
+    value with a ConfigError under its key.  Returns (cfg, own): the run's
+    config (in sweep mode that of its points), which holds its params,
+    profile and grid, and the mode's own input, which is the closed initial
+    profile for simulate and sweep, the ``check_regime`` report for regime,
+    the habitat (CASE1 or CASE2) for verify and None for eig."""
     if spec.mode not in MODES:
         raise ConfigError(f"unknown mode {spec.mode!r}", key="mode")
     for key in ("eig_tol", "eig_h", "horizon_scale"):
@@ -322,7 +329,6 @@ def _build(spec: RunSpec):
                               f"{axis[2]!r}", key=key)
     # the run's config holds the params, profile, grid and step grid
     cfg = spec.run_config()
-    profile = spec.growth_profile()
     own = None
     if spec.mode == "sweep":
         if not any((spec.sweep_b, spec.sweep_c, spec.sweep_chi)):
@@ -347,15 +353,15 @@ def _build(spec: RunSpec):
                               else "u0_bump") from None
     if spec.mode in ("regime", "verify"):
         # refuses b <= chi*mu and a profile with no favorable region
-        own = check_regime(cfg.params, profile)
+        own = check_regime(cfg.params, cfg.profile)
     if spec.mode == "verify":
-        own = classify_profile(profile)
+        own = classify_profile(cfg.profile)
         if own is HabitatClass.UNCLASSIFIED:
             raise ConfigError("verify mode needs a CASE1 or CASE2 profile",
                               key="profile")
     if spec.mode in ("eig", "regime"):
-        _first_L(profile, spec.eig_h)
-    return cfg, profile, own
+        _first_L(cfg.profile, spec.eig_h)
+    return cfg, own
 
 
 def render_manifest(spec: RunSpec) -> str:
@@ -417,7 +423,7 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     raises NotADirectoryError; ``workers`` (sweep mode only) must be >= 1.
     Every mode finishes its work before it writes anything, so a run that
     fails or is interrupted leaves no bundle."""
-    cfg, profile, own = _build(spec)
+    cfg, own = _build(spec)
     out = Path(out_dir)
     # the nearest existing path decides: mkdir makes the missing ones
     for path in (out, *out.parents):
@@ -433,13 +439,13 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
         result, regime_map = _run_sweep(spec, cfg, own, workers)
         files = {"regime_map.csv": regime_map}
     else:
-        result, files = _RUNNERS[spec.mode](spec, cfg, profile, own)
+        result, files = _RUNNERS[spec.mode](spec, cfg, own)
     _write_bundle(out, {"manifest.cfg": render_manifest(spec),
                         "timestamp.txt": started, **files})
     return result
 
 
-def _run_simulate(spec: RunSpec, cfg: RunConfig, profile, u0):
+def _run_simulate(spec: RunSpec, cfg: RunConfig, u0):
     traj, outcome = run(cfg, u0)
     return outcome, {
         "snapshots.csv": _snapshot_csv(cfg.grid.nodes, traj.snapshots),
@@ -447,8 +453,8 @@ def _run_simulate(spec: RunSpec, cfg: RunConfig, profile, u0):
         "outcome.txt": _text(_outcome_lines(outcome))}
 
 
-def _run_eig(spec: RunSpec, cfg: RunConfig, profile, _):
-    res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
+def _run_eig(spec: RunSpec, cfg: RunConfig, _):
+    res = lambda_infinity(cfg.profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
     rows = ["L,h,lambda"]
     for L, h, lam in res.table:
         rows.append(f"{fmt(L)},{fmt(h)},{fmt(lam)}")
@@ -463,8 +469,8 @@ def _run_eig(spec: RunSpec, cfg: RunConfig, profile, _):
                  "lambda_infinity.txt": _text(cert)}
 
 
-def _run_regime(spec: RunSpec, cfg: RunConfig, profile, report):
-    res = lambda_infinity(profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
+def _run_regime(spec: RunSpec, cfg: RunConfig, report):
+    res = lambda_infinity(cfg.profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
     thr = "undefined" if report.h1_threshold is None \
         else fmt(report.h1_threshold)
     lines = [
@@ -477,8 +483,8 @@ def _run_regime(spec: RunSpec, cfg: RunConfig, profile, report):
     return report, {"regime.txt": _text(lines)}
 
 
-def _run_verify(spec: RunSpec, cfg: RunConfig, profile, habitat):
-    params, grid = cfg.params, cfg.grid
+def _run_verify(spec: RunSpec, cfg: RunConfig, habitat):
+    params, profile, grid = cfg.params, cfg.profile, cfg.grid
     build = (build_upper_envelope_case1 if habitat is HabitatClass.CASE1
              else build_upper_envelope_case2)
     envelope = build(params, profile, grid)
@@ -513,18 +519,10 @@ def _run_verify(spec: RunSpec, cfg: RunConfig, profile, habitat):
                              "ignition.csv": _text(ign_rows)}
 
 
-# runner(spec, cfg, profile, own), the last three from _build, returns the
-# mode's result and its artifacts; sweep mode's is _run_sweep below
+# runner(spec, cfg, own), the last two from _build, returns the mode's
+# result and its artifacts; sweep mode's is _run_sweep below
 _RUNNERS = {"simulate": _run_simulate, "eig": _run_eig,
             "regime": _run_regime, "verify": _run_verify}
-
-# the artifacts of each mode that summarize its result, in the order the CLI
-# prints them
-SUMMARIES = {"simulate": ("outcome.txt",),
-             "eig": ("eigenvalues.csv", "lambda_infinity.txt"),
-             "regime": ("regime.txt",),
-             "verify": ("certification.csv", "ignition.csv"),
-             "sweep": ("regime_map.csv",)}
 
 
 # --------------------------------------------------------------------------
@@ -624,8 +622,8 @@ def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     spec = replace(sw.base, mode="sweep", horizon_scale=sw.horizon_scale,
                    sweep_b=axes.get("b"), sweep_c=axes.get("c"),
                    sweep_chi=axes.get("chi"))
-    cfg, profile, u0 = _build(spec)
-    _warn(spec, cfg, profile)
+    cfg, u0 = _build(spec)
+    _warn(spec, cfg)
     rows, regime_map = _run_sweep(spec, cfg, u0, workers)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

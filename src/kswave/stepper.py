@@ -14,12 +14,13 @@ tridiagonal solve, then the interior update reads (1-based i = 2..M)
 followed by the boundary closure (u_1 = 0 always; u_{M+1} = u_M in CASE1,
 u_{M+1} = 0 in CASE2).  Stability requires the usual tau/h^2 <= 1/2.
 
-``RunConfig`` is the one gate that decides whether a run is well-formed
-(its docstring lists what it refuses, each by its config key; the config
-parser builds one, so those mistakes are refused at parse time).  It is
-all a march needs besides its runs and u: ``_march(cfg, runs, u)`` builds
-the coefficients, the buffers and the one chemical solver from it and
-marches cfg.n_steps steps, for ``run``, ``run_block`` and the frozen flow.
+``RunConfig``, built from the growth profile, says what a run is and is the
+one gate that decides whether it is well-formed (its docstring lists what
+it refuses, each by its config key; the config parser builds one, so those
+mistakes are refused at parse time).  It is all a march needs besides its
+runs and u: ``_march(cfg, runs, u)`` builds the coefficients, the buffers
+and the one chemical solver from it and marches cfg.n_steps steps, for
+``run``, ``run_block`` and the frozen flow.
 
 Everything in the update that does not depend on u or v (tau/h^2, the
 array 1 - 2 tau/h^2 + tau r_i, tau chi nu, tau (b - chi mu), tau/(2h) and
@@ -39,14 +40,15 @@ diagnosis serves a run (raised) and each block row (returned), tracks the
 largest sup, and calls its hook only at step 0 and the steps its caller
 names: ``run`` its cadence steps, the final step, that step's lag partner
 and the snapshot steps, ``run_block`` the lag step, and the frozen flow
-its snapshot and lag-check steps.  ``run_block`` marches one config's
-runs, one ``SimParams`` per row that differ from the config's only in
-(b, c, chi), as one block: they share the grid, tau, r, nu and mu, and so
-one chemical matrix; the kernel steps the runs laid end to end as one line
-of nodes, the chemical solve takes all rows in one LAPACK call, and every
-row gets the bits its own ``run`` would.  The frozen-chemotaxis flow of
+its lag-check steps.  ``run_block`` marches one config's runs, one
+``SimParams`` per row that differ from the config's only in (b, c, chi),
+as one block: they share the grid, tau, r, nu and mu, and so one chemical
+matrix; the kernel steps the runs laid end to end as one line of nodes,
+the chemical solve takes all rows in one LAPACK call, and every row gets
+the bits its own ``run`` would.  The frozen-chemotaxis flow of
 ``kswave.fixedpoint`` loads its fixed v once and marches without a solve.
-``run`` and the frozen flow judge convergence with one lag monitor.
+``run`` and the frozen flow judge convergence with one lag monitor, and
+keep no copy of u but its own.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from enum import Enum
 import numpy as np
 
 from .chemical import ChemicalSolver
-from .model import BoundaryCase, ConfigError, Grid, SimParams
+from .model import BoundaryCase, ConfigError, Grid, GrowthProfile, SimParams
 
 __all__ = [
     "BlowUpError",
@@ -75,7 +77,6 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e6
-ANALYSIS_CFL = 0.4      # tau/h^2 of the frozen flow
 
 
 class BlowUpError(RuntimeError):
@@ -96,22 +97,24 @@ class RunConfig:
     tau, or a conv_window shorter than one step; and a snapshot time
     outside [0, T], on the step of another or off the tau grid.  A time is
     on the grid when it is within 1e-9 (relative past 1) of a multiple of
-    tau.  ``n_steps`` and ``lag_steps`` are the steps to T and over the
-    convergence window, and ``snapshot_steps`` maps each snapshot's step
-    to its time; like ``Grid.M`` they are derived and cannot be set."""
+    tau.  ``r_samples`` is the profile on the grid nodes, ``n_steps`` and
+    ``lag_steps`` the steps to T and over the convergence window, and
+    ``snapshot_steps`` maps each snapshot's step to its time; like
+    ``Grid.M`` they are derived (so r is never stale) and cannot be set."""
 
     params: SimParams
+    profile: GrowthProfile
     grid: Grid
     bc: BoundaryCase
     tau: float
     T: float
-    r_samples: np.ndarray
     snapshot_times: tuple[float, ...] = ()
     conv_window: float = 1.0
     conv_tol: float = 1e-3
     extinct_tol: float = 1e-3
     plateau_rel_tol: float = 0.02
     allow_unstable: bool = False
+    r_samples: np.ndarray = field(init=False, repr=False, compare=False)
     n_steps: int = field(init=False)
     lag_steps: int = field(init=False)
     snapshot_steps: dict[int, float] = field(init=False)
@@ -124,8 +127,6 @@ class RunConfig:
                                   key=name)
         if self.T < self.tau:
             raise ConfigError("need T >= tau", key="T")
-        if len(self.r_samples) != self.grid.M + 1:
-            raise ConfigError("r_samples must be sampled on the grid nodes")
         ratio = self.tau / (self.grid.h * self.grid.h)
         if not (self.allow_unstable or ratio <= 0.5):
             raise ConfigError(
@@ -137,6 +138,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer multiple of "
                                   f"tau ({name} = {t!r}, tau = {self.tau!r})",
                                   key=name)
+        object.__setattr__(self, "r_samples", np.asarray(
+            self.profile(self.grid.nodes), dtype=float))
         object.__setattr__(self, "n_steps", round(self.T / self.tau))
         object.__setattr__(self, "lag_steps",
                            round(self.conv_window / self.tau))
@@ -165,9 +168,7 @@ class RunConfig:
 
 
 def make_run_config(params, profile, grid, bc, tau, T, **kwargs) -> RunConfig:
-    return RunConfig(params=params, grid=grid, bc=bc, tau=tau, T=T,
-                     r_samples=np.asarray(profile(grid.nodes), dtype=float),
-                     **kwargs)
+    return RunConfig(params, profile, grid, bc, tau, T, **kwargs)
 
 
 class OutcomeTag(Enum):
@@ -420,14 +421,14 @@ def run(cfg: RunConfig, u0: np.ndarray):
         sup_us.append(float(m))
         u_rights.append(float(u[-1]))
         if j in snap_steps:
-            snapshots.append((snap_steps[j], u.copy(), v.copy()))
+            snapshots.append((snap_steps[j], monitor.kept[j], v.copy()))
 
     u, v, _, top = _march(cfg, [cfg.params], initial_state(cfg, u0),
                           on_step=record, hooks=hooks)
     traj = Trajectory(
         times=np.array(times), sup_diff=np.array(sup_diffs),
         sup_u=np.array(sup_us), u_at_right=np.array(u_rights),
-        snapshots=snapshots, u_final=u.copy(), v_final=v.copy(),
+        snapshots=snapshots, u_final=u, v_final=v,
         u_lag=monitor.kept.get(n_steps - lag_steps), max_sup_u=float(top))
     return traj, detect_outcome(traj.u_final, traj.u_lag, cfg)
 

@@ -13,8 +13,8 @@ from kswave import (BoundaryCase, EnvelopeError, Grid, GrowthProfile,
                     make_run_config, run, theta_root)
 from kswave import envelopes, stationary
 from kswave.envelopes import _branch
+from kswave.fixedpoint import ANALYSIS_CFL
 from kswave.stationary import _residual
-from kswave.stepper import ANALYSIS_CFL
 
 GRID = Grid(L=20.0, h=0.1)
 

@@ -6,7 +6,9 @@ import pytest
 from kswave import (BoundaryCase, ChemicalSolver, Grid, SimParams,
                     frozen_flow_fixed_point, initial_state, make_run_config,
                     run, stationary_residual)
-from kswave.fixedpoint import _evolve_frozen
+from kswave import fixedpoint
+from kswave.fixedpoint import (ANALYSIS_CFL, INNER_T, INNER_TOL,
+                               _evolve_frozen)
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +19,7 @@ def fp(exp1_params, case1_profile):
 
 def test_outer_iteration_converges(fp):
     _, res = fp
-    assert res.converged
+    assert res.converged is True
     assert res.n_outer <= 30
     assert res.outer_diffs[-1] < 1e-4
     # contraction: the outer differences decrease
@@ -37,6 +39,32 @@ def test_fixed_point_bits_are_pinned(fp):
 def test_inner_flows_pointwise_nonincreasing(fp):
     _, res = fp
     assert res.monotone_slack <= 1e-10
+
+
+def test_monotone_check_sees_a_rising_flow(fp, exp1_params, case1_profile):
+    # from half of U1+, with v frozen at v(.;U1+), the flow rises toward
+    # its limit: consecutive lag-check copies differ, and the slack says so
+    grid, res = fp
+    tau = ANALYSIS_CFL * grid.h * grid.h
+    cfg = make_run_config(exp1_params, case1_profile, grid,
+                          BoundaryCase.CASE1, tau, round(INNER_T / tau) * tau,
+                          conv_window=round(1.0 / tau) * tau,
+                          conv_tol=INNER_TOL)
+    v = ChemicalSolver(grid, exp1_params.nu, exp1_params.mu,
+                       BoundaryCase.CASE1).solve(res.upper.values)
+    _, slack, _ = _evolve_frozen(cfg, 0.5 * res.upper.values, v)
+    assert slack > 1e-3
+
+
+def test_unsettled_inner_flow_is_not_converged(monkeypatch, exp1_params,
+                                               case1_profile):
+    # with a horizon of 2 no inner flow settles: the outer differences still
+    # fall below OUTER_TOL, but u_star is not the frozen flow's limit
+    monkeypatch.setattr(fixedpoint, "INNER_T", 2.0)
+    res = frozen_flow_fixed_point(exp1_params, case1_profile,
+                                  Grid(L=20.0, h=0.1))
+    assert res.outer_diffs[-1] < 1e-4
+    assert res.converged is False
 
 
 def test_fixed_point_in_sandwich(fp):
@@ -84,7 +112,7 @@ def test_frozen_step_is_the_coupled_step(exp1_params, case1_profile,
     u0 = initial_state(cfg, case1_u0(grid.nodes))
     v = ChemicalSolver(grid, exp1_params.nu, exp1_params.mu,
                        BoundaryCase.CASE1).solve(u0)
-    frozen, _ = _evolve_frozen(cfg, u0, v)
+    frozen, _, _ = _evolve_frozen(cfg, u0, v)
     traj, _ = run(cfg, u0)
     assert not np.array_equal(frozen, u0)
     assert np.array_equal(frozen, traj.u_final)

@@ -272,6 +272,19 @@ def test_run_alignment_validation():
         tiny_cfg(snapshot_times=(2.0,))   # beyond T
 
 
+def test_config_derives_r_from_its_own_grid():
+    # L = 40, h = 0.2 has the M = 400 of case1_exp1's L = 20, h = 0.1, so
+    # only r sampled on the new nodes tells the two grids apart
+    spec = harness.parse_config((EXPERIMENTS / "case1_exp1.cfg").read_text())
+    cfg = spec.run_config()
+    grid = Grid(L=40.0, h=0.2)
+    moved = replace(cfg, grid=grid, tau=0.004, T=10.0, snapshot_times=())
+    assert grid.M == cfg.grid.M
+    assert np.array_equal(moved.r_samples,
+                          spec.growth_profile()(grid.nodes))
+    assert not np.array_equal(moved.r_samples, cfg.r_samples)
+
+
 def test_extinction_from_zero_initial_data():
     cfg = tiny_cfg(T=2.0)
     traj, outcome = run(cfg, np.zeros(cfg.grid.M + 1))
