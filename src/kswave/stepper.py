@@ -48,7 +48,7 @@ the chemical solve takes all rows in one LAPACK call, and every row gets
 the bits its own ``run`` would.  The frozen-chemotaxis flow of
 ``kswave.fixedpoint`` loads its fixed v once and marches without a solve.
 ``run`` and the frozen flow judge convergence with one lag monitor, and
-keep no copy of u but its own.
+keep no copy of u at a step but its own.
 """
 
 from __future__ import annotations
