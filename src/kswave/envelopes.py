@@ -49,8 +49,8 @@ import numpy as np
 from .chemical import greens_psi, greens_psi_x
 from .ignition import IgnitionWave
 from .model import (BoundaryCase, Grid, GrowthProfile, HabitatClass,
-                    SimParams, classify_profile, theta_root)
-from .stationary import _residual, newton
+                    SimParams, classify_profile, is_count, theta_root)
+from .stationary import NEWTON_TOL, _residual, newton
 
 __all__ = [
     "EnvelopeError",
@@ -224,21 +224,25 @@ def build_lower_envelope_case2(params: SimParams, profile: GrowthProfile,
     """Numeric CASE2 lower envelope: the CASE2-closed steady state with the
     damping enlarged to LOWER_DAMPING_SCALE * b, by Newton from
     clip(r, 0)/(LOWER_DAMPING_SCALE * b).  EnvelopeError when Newton does
-    not converge within ``stationary.MAX_NEWTON`` iterations (a solve that
-    falls to the zero state does not), when the state is not positive on
-    |x| <= L - 2, or when it is not strictly below the CASE2 ``upper``
-    envelope."""
+    not converge within ``stationary.MAX_NEWTON`` iterations (named a fall
+    to the zero state when sup u ends below NEWTON_TOL times its start),
+    when the state is not positive on |x| <= L - 2, or when it is not
+    strictly below the CASE2 ``upper`` envelope."""
     heavy = SimParams(chi=params.chi, mu=params.mu, nu=params.nu,
                       b=LOWER_DAMPING_SCALE * params.b, c=params.c)
     r = np.asarray(profile(grid.nodes), dtype=float)
-    state = newton(heavy, r, grid, BoundaryCase.CASE2,
-                   np.maximum(r, 0.0) / heavy.b)
+    start = np.maximum(r, 0.0) / heavy.b
+    state = newton(heavy, r, grid, BoundaryCase.CASE2, start)
     values = state.u
     if not state.converged:
+        sup_u = float(np.max(values))
+        fell = sup_u < NEWTON_TOL * float(np.max(start))
+        why = (f"fell to the zero state (the {LOWER_DAMPING_SCALE:g}b-damped "
+               "problem has no positive steady state)" if fell
+               else "did not converge")
         raise EnvelopeError(
-            f"numeric lower envelope: Newton did not converge in "
-            f"{state.iterations} iterations (sup|F| = {state.residual:.3e}, "
-            f"sup u = {float(np.max(values)):.3e})")
+            f"numeric lower envelope: Newton {why} in {state.iterations} "
+            f"iterations (sup|F| = {state.residual:.3e}, sup u = {sup_u:.3e})")
     inner = np.abs(grid.nodes) <= grid.L - 2.0
     if not np.all(values[inner] > 0.0):
         raise EnvelopeError("numeric lower envelope is not positive inside")
@@ -279,10 +283,9 @@ def certify_supersolution(envelope: Envelope, params: SimParams,
     they are evaluated on the grid once, before the sample loop; only the
     kernel fields are recomputed per sample.  Raises ValueError, before any
     kernel call, for an envelope with no branch rows (a lower one) and
-    unless n_samples is an int (not a bool) of at least 1: a certificate
+    unless n_samples is a count (``model.is_count``): a certificate
     over no samples would pass vacuously."""
-    if (isinstance(n_samples, bool) or not isinstance(n_samples, int)
-            or n_samples < 1):
+    if not is_count(n_samples):
         raise ValueError(f"n_samples must be a whole number >= 1, got "
                          f"{n_samples!r}")
     if not envelope.branches:
@@ -311,7 +314,7 @@ def certify_supersolution(envelope: Envelope, params: SimParams,
 
     return CertificationReport(
         hypothesis_satisfied=params.damping_hypothesis,
-        n_samples=n_samples, tol=CERTIFY_TOL,
+        n_samples=int(n_samples), tol=CERTIFY_TOL,
         branches=tuple(
             BranchWorst(branch=name, worst_residual=worst[name][0],
                         worst_sample=worst[name][1], worst_x=worst[name][2],

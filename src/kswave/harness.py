@@ -35,7 +35,7 @@ from .envelopes import (build_lower_envelope_case2, build_upper_envelope_case1,
 from .ignition import RICHARDSON_EPSILONS, BracketError, ignition_wave
 from .model import (BoundaryCase, ConfigError, Grid, GrowthProfile,
                     HabitatClass, InitialCondition, SimParams, check_regime,
-                    classify_profile)
+                    classify_profile, is_count)
 from .spectral import DOUBLING_H, DOUBLING_TOL, _first_L, lambda_infinity
 from .stepper import (BlowUpError, RunConfig, initial_state, make_run_config,
                       run, run_block)
@@ -298,11 +298,6 @@ def _warn(spec: RunSpec, cfg: RunConfig):
                      "unless extinct", cfg.T, cfg.conv_window)
 
 
-def _is_count(n) -> bool:
-    """A count as config text spells one: an int (not a bool) >= 1."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
-
-
 def _build(spec: RunSpec):
     """Check and build everything the spec's mode runs, refusing a bad
     value with a ConfigError under its key.  Returns (cfg, own): the run's
@@ -315,7 +310,7 @@ def _build(spec: RunSpec):
     for key in ("eig_tol", "eig_h", "horizon_scale"):
         if not getattr(spec, key) > 0.0:
             raise ConfigError("must be positive", key=key)
-    if not _is_count(spec.verify_samples):
+    if not is_count(spec.verify_samples):
         raise ConfigError("verify_samples must be >= 1 and an integer, got "
                           f"{spec.verify_samples!r}", key="verify_samples")
     for eps in spec.verify_epsilons:
@@ -324,7 +319,7 @@ def _build(spec: RunSpec):
                               key="verify_epsilons")
     for key in ("sweep_b", "sweep_c", "sweep_chi"):
         axis = getattr(spec, key)
-        if axis is not None and not _is_count(axis[2]):
+        if axis is not None and not is_count(axis[2]):
             raise ConfigError("axis needs count >= 1 and an integer, got "
                               f"{axis[2]!r}", key=key)
     # the run's config holds the params, profile, grid and step grid
@@ -368,7 +363,7 @@ def render_manifest(spec: RunSpec) -> str:
     out = ["# manifest: every effective input, parse_config-compatible"]
     for f in fields(RunSpec):
         value = getattr(spec, f.name)
-        if value is None or (value == () and f.default == ()):
+        if value is None or (f.default == () and value == ()):
             continue
         out.append(f"{f.name} = {_SCHEMA[f.name].render(value)}")
     out.append("# deterministic: no seeds; reruns are bitwise identical")

@@ -25,9 +25,11 @@ systems", IMA J. Numer. Anal. 10 (1990)):
   x <= 0; the ghost node comes from the equation at x = 0, where f = 0;
 * right end: the projective condition psi' = lam_minus(ct) (psi - Q), the
   stable direction of the saddle (Q, 0);
-* one Newton step is one bordered tridiagonal solve
-  (:func:`kswave.tridiagonal.solve_bordered`): the tridiagonal Jacobian in
-  psi_1..psi_N, the ct column and the left-end row.
+* one Newton step solves the tridiagonal Jacobian in psi_1..psi_N bordered
+  by the ct column and the left-end row: one
+  :func:`kswave.tridiagonal.solve_tridiagonal` call for the residual and
+  the ct column together, then one scalar elimination, since the left-end
+  row holds only psi_1 and ct.
 
 The meshes are MESH, MESH/2 and MESH/4, each Newton started from the coarser
 solution.  The speed is the Richardson value of the (h/2, h/4) pair, and its
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SimParams, speed_limit
-from .tridiagonal import solve_bordered
+from .tridiagonal import solve_tridiagonal
 
 __all__ = ["BracketError", "IgnitionWave", "ignition_wave",
            "richardson_speed"]
@@ -101,6 +103,18 @@ def _lam_minus(ct: float, alpha: float):
     return 0.5 * (ct - root), 0.5 * (1.0 - ct / root)
 
 
+def _newton_step(sub, diag, sup, col, corner, res, left):
+    """Solution (dpsi, dct) of [J col; e_1^T corner] [dpsi; dct] = -[res;
+    left], J the tridiagonal Jacobian (``sub``, ``diag``, ``sup``): J [y z] =
+    [-res col] in one solve, then dct = (-left - y_1) / (corner - z_1) and
+    dpsi = y - dct z.  A zero pivot or Schur complement raises RuntimeError."""
+    y, z = solve_tridiagonal(sub, diag, sup, np.array([-res, col]).T).T
+    if corner == z[0]:
+        raise RuntimeError("bordered system is singular")
+    dct = float((-left - y[0]) / (corner - z[0]))
+    return y - dct * z, dct
+
+
 def _newton(psi, ct, h, epsilon, alpha, beta, bound):
     """Newton's method on the front equations at mesh h from the guess
     (psi_1..psi_N, ct).  Row k = 1..N is h^2 times the central-difference
@@ -110,8 +124,6 @@ def _newton(psi, ct, h, epsilon, alpha, beta, bound):
     Returns the converged (psi, ct), or raises BracketError."""
     q = alpha / beta
     ext = np.zeros(psi.size + 2)        # psi_0 = 0, psi_1..psi_N, ghost
-    row = np.zeros(psi.size)
-    row[0] = 1.0
     for _ in range(_NEWTON_ITERS):
         lam, dlam = _lam_minus(ct, alpha)
         gap = psi[-1] - q
@@ -129,8 +141,8 @@ def _newton(psi, ct, h, epsilon, alpha, beta, bound):
         col = -0.5 * h * rise
         col[-1] = gap * h * (2.0 * dlam - h * (lam + ct * dlam))
         left = psi[0] - epsilon * (ct * h + 0.5 * (ct * h) ** 2)
-        dpsi, dct = solve_bordered(sub, diag, sup, col, row,
-                                   -epsilon * h * (1.0 + ct * h), -res, -left)
+        dpsi, dct = _newton_step(sub, diag, sup, col,
+                                 -epsilon * h * (1.0 + ct * h), res, left)
         psi = psi + dpsi
         ct += dct
         if not math.isfinite(ct):

@@ -32,6 +32,7 @@ __all__ = [
     "BoundaryCase",
     "HabitatClass",
     "RegimeReport",
+    "is_count",
     "theta_root",
     "speed_limit",
     "classify_profile",
@@ -50,6 +51,12 @@ class ConfigError(ValueError):
         self.reason = message
         self.line = line
         self.key = key
+
+
+def is_count(n) -> bool:
+    """A count: an integer of at least 1, Python or numpy, not a bool."""
+    return (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and n >= 1)
 
 
 @dataclass(frozen=True)

@@ -19,19 +19,15 @@ right-hand side by ``dgttrs`` on the stored factors.  For 799 unknowns on a
 for 4 and 11 columns against 45 and 127 us: slower up to two columns,
 faster from four.  A sweep's block has one row per point.
 
-:func:`solve_bordered` solves a tridiagonal matrix bordered by one column and
-one row, the Jacobian of a banded system with one scalar unknown added (a
-speed, or a continuation parameter) and one equation to fix it.  It is one
-``dgtsv`` call with two right-hand sides, the system's own and the border
-column, and then one scalar elimination for the border row.
+:func:`solve_tridiagonal` is the one ``dgtsv`` call.  It solves the blocks
+of :class:`TridiagonalLU` and its systems of two unknowns, which the
+``dgttrf`` wrapper rejects (one unknown is one division, as in scipy's
+``solve_banded``), and the bordered Newton step of ``kswave.ignition``,
+which eliminates its border row itself.
 
 :func:`solve_banded` is one ``dgbsv`` call (banded LU with partial
 pivoting, then the substitution): the Newton step of ``kswave.stationary``,
 whose Jacobian changes every step and so is factored once per solve.
-
-The ``dgttrf`` wrapper rejects systems of fewer than three unknowns, so those
-are solved from scratch on each call, as scipy's ``solve_banded`` solves
-them: by ``dgtsv`` for two unknowns and by one division for one.
 
 :func:`largest_eigenvalue` is the ``dstebz`` call (Sturm-sequence bisection
 to an absolute tolerance) that ``scipy.linalg.eigvalsh_tridiagonal`` makes for
@@ -58,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["TridiagonalLU", "largest_eigenvalue", "solve_banded",
-           "solve_bordered"]
+           "solve_tridiagonal"]
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -117,43 +113,27 @@ class TridiagonalLU:
         the bits a solve of that column alone would).  A contiguous float
         ``b`` (Fortran order when 2-D) is overwritten by x and returned; use
         the return value in any case."""
-        if self._n >= 3 and b.ndim == 1:
-            x, info = dgttrs(*self._factors, b, overwrite_b=True)
-        elif self._n >= 2:
-            # dgtsv overwrites copies of the stored matrix, not the matrix
-            *_, x, info = dgtsv(*self._matrix, b, overwrite_b=True)
-        else:
-            x = np.divide(b, self._matrix[1][0], out=b)
-            info = 0
+        if self._n < 2:
+            return np.divide(b, self._matrix[1][0], out=b)
+        if self._n == 2 or b.ndim == 2:
+            return solve_tridiagonal(*self._matrix, b)
+        x, info = dgttrs(*self._factors, b, overwrite_b=True)
         if info != 0:
             raise RuntimeError(f"tridiagonal solve failed (info={info})")
         return x
 
 
-def solve_bordered(dl, d, du, col, row, corner: float, rhs, rhs_end: float):
-    """Solution (x, s) of the (n + 1) x (n + 1) system
-
-        [ A      col    ] [x]   [rhs    ]
-        [ row^T  corner ] [s] = [rhs_end]
-
-    with A the n x n tridiagonal matrix (``dl``, ``d``, ``du``), n >= 2, and
-    ``col``, ``row`` and ``rhs`` of length n: A [y z] = [rhs col] in one
-    ``dgtsv`` call, then s = (rhs_end - row.y) / (corner - row.z) and
-    x = y - s z.  Block elimination needs A itself nonsingular.  A zero pivot
-    of A or a zero Schur complement raises RuntimeError."""
-    b = np.empty((np.size(rhs), 2), order="F")
-    b[:, 0] = rhs
-    b[:, 1] = col
-    *_, yz, info = dgtsv(dl, d, du, b, overwrite_b=True)
+def solve_tridiagonal(dl, d, du, b: np.ndarray) -> np.ndarray:
+    """Solution x of A x = b for the n x n tridiagonal matrix A with
+    subdiagonal ``dl``, diagonal ``d`` and superdiagonal ``du``, n >= 2, and
+    ``b`` of shape (n,) or (n, k): one ``dgtsv`` call (LU with partial
+    pivoting), which leaves A's arrays as they are.  A contiguous float
+    ``b`` (Fortran order when 2-D) is overwritten by x.  A zero pivot
+    raises RuntimeError."""
+    *_, x, info = dgtsv(dl, d, du, b, overwrite_b=True)
     if info != 0:
         raise RuntimeError(f"tridiagonal solve failed (info={info})")
-    # einsum, not a BLAS dot: OpenBLAS threads a long dot, and its threads
-    # then spin on the processor after the call returns
-    ry, rz = np.einsum("i,ij->j", row, yz)
-    if corner == rz:
-        raise RuntimeError("bordered system is singular")
-    s = float((rhs_end - ry) / (corner - rz))
-    return yz[:, 0] - s * yz[:, 1], s
+    return x
 
 
 def solve_banded(kl: int, ku: int, ab: np.ndarray, b: np.ndarray):

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import hypothesis
@@ -48,10 +49,13 @@ def case2_u0():
 @pytest.fixture(scope="session")
 def sweep_case1_c(tmp_path_factory):
     """The T = 140 c-sweep of experiments/sweep_case1_c.cfg, run once for
-    the session: its rows and the path of the regime_map.csv it wrote."""
+    the session: its rows and the path of the regime_map.csv it wrote.  It
+    runs on two workers when two CPUs are usable; the rows are the same
+    bytes for any worker count, so the recorded digest checks the pool."""
     out = tmp_path_factory.mktemp("sweep_case1_c")
     spec = parse_config((EXPERIMENTS / "sweep_case1_c.cfg").read_text())
-    return run_experiment(spec, out), out / "regime_map.csv"
+    workers = min(2, len(os.sched_getaffinity(0)))
+    return run_experiment(spec, out, workers=workers), out / "regime_map.csv"
 
 
 @pytest.fixture

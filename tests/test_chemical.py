@@ -34,33 +34,6 @@ def test_missing_lapack_extension_is_an_import_error(tmp_path, monkeypatch):
         tridiagonal._load_flapack()
 
 
-@pytest.mark.parametrize("n", (2, 3, 12))
-def test_bordered_solve_matches_dense_solve(n, rng):
-    # a diagonally dominant tridiagonal block bordered by a random column,
-    # row and corner, against the dense (n + 1) x (n + 1) solve
-    dl, du = rng.uniform(-1.0, 1.0, (2, n - 1))
-    d = rng.choice((-1.0, 1.0), n) * rng.uniform(2.5, 4.0, n)
-    col, row, rhs = rng.uniform(-1.0, 1.0, (3, n))
-    corner, rhs_end = rng.uniform(-1.0, 1.0, 2) + (5.0, 0.0)
-    dense = np.zeros((n + 1, n + 1))
-    dense[:n, :n] = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
-    dense[:n, n], dense[n, :n], dense[n, n] = col, row, corner
-    want = np.linalg.solve(dense, np.append(rhs, rhs_end))
-    arrays = (dl, d, du, col, row, rhs)
-    kept = [a.copy() for a in arrays]
-    x, s = tridiagonal.solve_bordered(*arrays[:5], corner, rhs, rhs_end)
-    np.testing.assert_allclose(np.append(x, s), want, rtol=1e-12, atol=1e-13)
-    assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))
-
-
-def test_bordered_solve_refuses_singular_schur_complement():
-    # A = I, col = row = (1, 1): the Schur complement corner - row.col is 0
-    one = np.ones(2)
-    with pytest.raises(RuntimeError, match="singular"):
-        tridiagonal.solve_bordered(np.zeros(1), one, np.zeros(1), one, one,
-                                   2.0, one, 1.0)
-
-
 def _band_to_dense(ab, kl, ku):
     """The n x n matrix whose LAPACK band storage is ab."""
     n = ab.shape[1]

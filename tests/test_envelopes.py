@@ -310,7 +310,8 @@ def test_regime_and_certificate_agree_on_the_damping_hypothesis(
 
 @pytest.mark.parametrize("kwargs", ({"n_samples": 0}, {"n_samples": -3},
                                     {"n_samples": 2.5},
-                                    {"n_samples": True}))
+                                    {"n_samples": True},
+                                    {"n_samples": np.bool_(True)}))
 def test_certify_refuses_a_vacuous_certificate(kwargs, exp1_params,
                                                case1_profile, monkeypatch):
     # no samples passes every branch at -inf, and a count that is not a
@@ -324,6 +325,14 @@ def test_certify_refuses_a_vacuous_certificate(kwargs, exp1_params,
     monkeypatch.setattr(envelopes, "greens_psi_x", unreachable)
     with pytest.raises(ValueError):
         certify_supersolution(env, exp1_params, case1_profile, **kwargs)
+
+
+def test_certify_takes_a_numpy_integer_count(exp1_params, case1_profile):
+    env = build_upper_envelope_case1(exp1_params, case1_profile, GRID)
+    want = certify_supersolution(env, exp1_params, case1_profile, n_samples=3)
+    got = certify_supersolution(env, exp1_params, case1_profile,
+                                n_samples=np.int64(3))
+    assert repr(got) == repr(want) and type(got.n_samples) is int
 
 
 def test_certify_refuses_a_lower_envelope(case2_exp1_params, case2_profile,
@@ -514,7 +523,7 @@ def test_lower_case2_refuses_a_shift_too_fast_for_a_wave(c, case2_exp1_params,
     transient = _march_lower_case2(params, case2_profile, GRID)
     inner = np.abs(GRID.nodes) <= GRID.L - 2.0
     assert np.all(transient[inner] > 0.0) and np.all(transient < up.values)
-    with pytest.raises(EnvelopeError):
+    with pytest.raises(EnvelopeError, match="zero state"):
         build_lower_envelope_case2(params, case2_profile, GRID, upper=up)
 
 

@@ -485,6 +485,24 @@ def test_verify_logs_a_violated_damping_hypothesis(tmp_path, caplog):
                    for r in caplog.records)
 
 
+@pytest.mark.parametrize("entry", ["sweep", "verify"])
+def test_a_numpy_integer_count_runs_as_its_int(entry, tmp_path):
+    # counts built in code may be numpy integers: a sweep axis count and
+    # verify_samples each give the bytes their int gives
+    base = parse_config(MINI_CFG)
+    for name, count in (("int", 3), ("np", np.int64(3))):
+        if entry == "sweep":
+            sweep(SweepSpec(base=base, axes=(("c", (1.0, 2.0, count)),)),
+                  tmp_path / name / "regime_map.csv")
+        else:
+            run_experiment(replace(base, mode="verify", verify_samples=count,
+                                   verify_epsilons=()), tmp_path / name)
+    for path in sorted((tmp_path / "int").rglob("*.*")):
+        if path.name != "timestamp.txt":
+            twin = tmp_path / "np" / path.relative_to(tmp_path / "int")
+            assert twin.read_bytes() == path.read_bytes(), path.name
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -745,6 +763,8 @@ MALFORMED_SWEEPS = [
     ((("c", (1.0, 2.0, 0)),), {}, 1.0, "sweep_c"),          # no point
     ((("c", (1.0, 2.0, 2.5)),), {}, 1.0, "sweep_c"),        # no whole count
     ((("chi", (0.1, 0.2, True)),), {}, 1.0, "sweep_chi"),   # a bool count
+    ((("chi", (0.1, 0.2, np.bool_(True))),), {}, 1.0,
+     "sweep_chi"),                                          # a numpy bool
     ((("c", (1.0, 2.0, 2)),), {"snapshot_times": (0.0, 0.3001)}, 1.0,
      "snapshot_times"),                                     # off the tau grid
     ((("c", (1.0, 2.0, 2)),), {}, 0.5001,
@@ -754,7 +774,8 @@ MALFORMED_SWEEPS = [
 
 @pytest.mark.parametrize("axes, edits, horizon_scale, key", MALFORMED_SWEEPS,
                          ids=["no-axis", "axis-C", "axis-twice", "count-0",
-                              "count-2.5", "count-True", "snapshot-off-grid",
+                              "count-2.5", "count-True", "count-np-True",
+                              "snapshot-off-grid",
                               "horizon-off-grid"])
 def test_a_malformed_sweep_is_refused_alike_by_both_entries(
         axes, edits, horizon_scale, key, tmp_path):
@@ -781,7 +802,7 @@ def test_a_malformed_sweep_is_refused_alike_by_both_entries(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("count", [2.5, True])
+@pytest.mark.parametrize("count", [2.5, True, np.bool_(True), 0])
 def test_a_verify_samples_that_is_no_count_is_refused_by_every_entry(
         count, tmp_path):
     # config text cannot spell 2.5 or True as an integer; a spec built in

@@ -146,6 +146,35 @@ def test_speed_error_over_tol_is_refused(monkeypatch):
         ignition_wave(PARAMS, 10.0, 0.05)
 
 
+@pytest.mark.parametrize("n", (2, 3, 12))
+def test_bordered_newton_step_matches_dense_solve(n, rng):
+    # a diagonally dominant tridiagonal Jacobian bordered by a random column
+    # and the left-end row e_1, against the dense (n + 1) x (n + 1) solve
+    sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
+    diag = rng.choice((-1.0, 1.0), n) * rng.uniform(2.5, 4.0, n)
+    col, res = rng.uniform(-1.0, 1.0, (2, n))
+    corner, left = rng.uniform(-1.0, 1.0, 2) + (5.0, 0.0)
+    dense = np.zeros((n + 1, n + 1))
+    dense[:n, :n] = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+    dense[:n, n], dense[n, 0], dense[n, n] = col, 1.0, corner
+    want = np.linalg.solve(dense, -np.append(res, left))
+    arrays = (sub, diag, sup, col, res)
+    kept = [a.copy() for a in arrays]
+    dpsi, dct = ignition._newton_step(sub, diag, sup, col, corner, res, left)
+    assert type(dct) is float
+    np.testing.assert_allclose(np.append(dpsi, dct), want, rtol=1e-12,
+                               atol=1e-13)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))
+
+
+def test_bordered_newton_step_refuses_singular_schur_complement():
+    # J = I and col = e_1: the Schur complement corner - col_1 is 0
+    one, e1 = np.ones(2), np.array([1.0, 0.0])
+    with pytest.raises(RuntimeError, match="singular"):
+        ignition._newton_step(np.zeros(1), one, np.zeros(1), e1, 1.0, one,
+                              1.0)
+
+
 def test_newton_without_convergence_is_refused(monkeypatch):
     monkeypatch.setattr(ignition, "_NEWTON_ITERS", 2)
     with pytest.raises(BracketError, match="did not converge"):
