@@ -84,7 +84,7 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray):
 
     def settle(j, u, v, m):
         nonlocal worst_increase, settled
-        settled = monitor.push(j, u) < cfg.conv_tol
+        settled = bool(monitor.push(j, u) < cfg.conv_tol)
         if j:
             worst_increase = max(worst_increase,
                                  float(np.max(kept[j] - kept[j - cadence])))

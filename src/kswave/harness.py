@@ -415,9 +415,10 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     Returns the mode's principal result object (in sweep mode, the rows).
     Before any work, the one ``_build`` call refuses a spec its mode cannot
     run, and an out_dir that is, or lies under, an existing non-directory
-    raises NotADirectoryError; ``workers`` (sweep mode only) must be >= 1.
-    Every mode finishes its work before it writes anything, so a run that
-    fails or is interrupted leaves no bundle."""
+    raises NotADirectoryError; ``workers`` (sweep mode's only) must be a
+    count in every mode.  Every mode finishes its work before it writes
+    anything, so a run that fails or is interrupted leaves no bundle."""
+    _check_workers(workers)
     cfg, own = _build(spec)
     out = Path(out_dir)
     # the nearest existing path decides: mkdir makes the missing ones
@@ -566,12 +567,18 @@ def _sweep_block(args):
         if isinstance(result, BlowUpError):
             _log_error(row, result)
             continue
-        u_final, _, _, outcome = result
+        u_final, _, outcome = result
         row["outcome"] = outcome.tag.value
         if outcome.plateau is not None:
             row["plateau"] = outcome.plateau
         row["final_sup_u"] = float(u_final.max())
     return rows
+
+
+def _check_workers(workers):
+    if not is_count(workers):
+        raise ValueError(f"workers must be >= 1 and an integer, got "
+                         f"{workers!r}")
 
 
 def _log_error(row, why):
@@ -585,8 +592,6 @@ def _run_sweep(spec: RunSpec, cfg: RunConfig, u0, workers: int):
     points.  The sorted points are cut into ``min(workers, points)``
     contiguous blocks, each marched as one array; with more than one block,
     each runs in its own worker process."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     points = _points(spec)
     n = len(points)
     n_proc = min(workers, n)
@@ -613,6 +618,7 @@ def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     The CSV is written to out_path once every point has run: a spec the
     sweep cannot run raises its ConfigError, and a sweep that fails or is
     interrupted writes nothing."""
+    _check_workers(workers)
     axes = dict(sw.axes)
     spec = replace(sw.base, mode="sweep", horizon_scale=sw.horizon_scale,
                    sweep_b=axes.get("b"), sweep_c=axes.get("c"),

@@ -36,19 +36,20 @@ and runs both stages itself: the two u buffers and the v buffer are
 allocated once, and every view of them the stages read or write is bound
 before the loop, so a step slices nothing and allocates no array; the
 chemical solve writes v in place.  It holds the blow-up guard, whose one
-diagnosis serves a run (raised) and each block row (returned), tracks the
-largest sup, and calls its hook only at step 0 and the steps its caller
-names: ``run`` its cadence steps, the final step, that step's lag partner
-and the snapshot steps, ``run_block`` the lag step, and the frozen flow
-its lag-check steps.  ``run_block`` marches one config's runs, one
-``SimParams`` per row that differ from the config's only in (b, c, chi),
-as one block: they share the grid, tau, r, nu and mu, and so one chemical
-matrix; the kernel steps the runs laid end to end as one line of nodes,
-the chemical solve takes all rows in one LAPACK call, and every row gets
-the bits its own ``run`` would.  The frozen-chemotaxis flow of
+diagnosis serves a run (raised) and each block row (returned), tracks
+one run's largest sup, and calls its hook only at step 0 and the steps
+its caller names: ``run`` its cadence steps, the final step, that step's
+lag partner and the snapshot steps, ``run_block`` the final step and its
+lag partner, and the frozen flow its lag-check steps.  ``run_block``
+marches one config's runs, one ``SimParams`` per row that differ from the
+config's only in (b, c, chi), as one block: they share the grid, tau, r,
+nu and mu, and so one chemical matrix; the kernel steps the runs laid end
+to end as one line of nodes, the chemical solve takes all rows in one
+LAPACK call, and every row gets the bits its own ``run`` would.  The frozen-chemotaxis flow of
 ``kswave.fixedpoint`` loads its fixed v once and marches without a solve.
-``run`` and the frozen flow judge convergence with one lag monitor, and
-keep no copy of u at a step but its own.
+``run``, ``run_block`` and the frozen flow judge convergence with one lag
+monitor, which owns the lag partner and the lag difference of each row;
+its copies are the only copies of u a march keeps.
 """
 
 from __future__ import annotations
@@ -193,9 +194,9 @@ class Outcome:
 @dataclass
 class Trajectory:
     """Recorded series of a run.  ``times`` etc. are sampled on a coarse
-    cadence (a tenth of the convergence window); snapshots hold full (u, v)
-    profiles at the requested times; ``u_lag`` is u(T - conv_window), None
-    when T is shorter than the window."""
+    cadence (a tenth of the convergence window) and at the final step;
+    ``sup_diff`` is the lag monitor's difference, nan within the first
+    window; snapshots hold full (u, v) profiles at the requested times."""
 
     times: np.ndarray
     sup_diff: np.ndarray
@@ -204,7 +205,6 @@ class Trajectory:
     snapshots: list
     u_final: np.ndarray
     v_final: np.ndarray
-    u_lag: np.ndarray | None
     max_sup_u: float
 
 
@@ -215,9 +215,11 @@ def _line(a: np.ndarray) -> np.ndarray:
 
 
 class _LagMonitor:
-    """The convergence check over a lag of ``lag`` steps: ``push`` keeps a
-    copy of step j in ``kept``, drops the copies older than the lag and
-    returns sup|u_j - u_{j-lag}| (nan if step j - lag was not pushed)."""
+    """The convergence check of a run, a block or the frozen flow over a
+    lag of ``lag`` steps: ``push`` keeps a copy of step j in ``kept``,
+    drops the copies older than the lag and returns sup|u_j - u_{j-lag}|
+    of each row, a scalar for a run, an array for a block (nan if step
+    j - lag was not pushed)."""
 
     def __init__(self, lag: int):
         self.lag = lag
@@ -226,12 +228,12 @@ class _LagMonitor:
         self.cadence = math.gcd(max(1, lag // 10), lag)
         self.kept: dict[int, np.ndarray] = {}
 
-    def push(self, j: int, u: np.ndarray) -> float:
+    def push(self, j: int, u: np.ndarray):
         self.kept[j] = u.copy()
-        old = self.kept.get(j - self.lag)
+        old = self.kept.get(j - self.lag, math.nan)
         for k in [k for k in self.kept if k < j - self.lag]:
             del self.kept[k]
-        return math.nan if old is None else float(np.max(np.abs(u - old)))
+        return np.max(np.abs(u - old), axis=-1)
 
 
 def initial_state(cfg: RunConfig, u0: np.ndarray) -> np.ndarray:
@@ -266,7 +268,7 @@ def _march(cfg: RunConfig, runs: Sequence[SimParams], u: np.ndarray,
     flow) and m the sup of each row, sees step 0 and the steps j in
     ``hooks`` (empty without a hook), and no other; the march stops when it
     returns True.  Returns the last (u, v), each row's BlowUpError or None,
-    and the largest sup of each row over the march.
+    and the largest sup of one run over the march (None for a block).
 
     A block is stepped as one line of B (M+1) nodes, the runs end to end,
     so every array operation runs over contiguous memory.  An interior
@@ -328,8 +330,7 @@ def _march(cfg: RunConfig, runs: Sequence[SimParams], u: np.ndarray,
     block = u.ndim > 1
     m0 = np.maximum.reduce(u, axis=-1)
     errors = [None] * len(runs)
-    # the largest sup of steps 1.. (of each row of a block)
-    top = np.zeros(u.shape[:-1]) if block else 0.0
+    top = 0.0       # the largest sup of one run's steps 1..
     n_steps = cfg.n_steps
     if on_step is not None and on_step(0, u, v, m0):
         n_steps = 0
@@ -386,7 +387,6 @@ def _march(cfg: RunConfig, runs: Sequence[SimParams], u: np.ndarray,
         # is checked only when it passes the largest so far, which the
         # guard has already passed
         if block:
-            maximum(top, m, out=top)
             less_equal(m, BLOWUP_LIMIT, ok)
             if not ok.all():
                 for k in np.flatnonzero(~ok):
@@ -400,87 +400,78 @@ def _march(cfg: RunConfig, runs: Sequence[SimParams], u: np.ndarray,
             solve(u, v)
         if j in hooks and on_step(j, u, v, m):
             break
-    return u, v, errors, np.maximum(top, m0)
+    return u, v, errors, None if block else np.maximum(top, m0)
 
 
 def run(cfg: RunConfig, u0: np.ndarray):
-    """March to t = T, recording the convergence series at the cadence
-    steps, the final step, its lag partner and the snapshot steps, then
-    classify the outcome.  Returns (Trajectory, Outcome)."""
-    n_steps, lag_steps = cfg.n_steps, cfg.lag_steps
-    snap_steps = cfg.snapshot_steps
+    """March to t = T, pushing the cadence steps, the final step, its lag
+    partner and the snapshot steps to the lag monitor, record the series at
+    the cadence steps and the final step, and classify the outcome from the
+    final difference.  Returns (Trajectory, Outcome)."""
+    n_steps, snap_steps = cfg.n_steps, cfg.snapshot_steps
     times, sup_diffs, sup_us, u_rights = [], [], [], []
     snapshots = []
-    monitor = _LagMonitor(lag_steps)
+    monitor = _LagMonitor(cfg.lag_steps)
     hooks = {*range(0, n_steps + 1, monitor.cadence), n_steps,
-             n_steps - lag_steps, *snap_steps}
+             n_steps - cfg.lag_steps, *snap_steps}
 
     def record(j, u, v, m):
-        times.append(j * cfg.tau)
-        sup_diffs.append(monitor.push(j, u))
-        sup_us.append(float(m))
-        u_rights.append(float(u[-1]))
+        sup_diff = monitor.push(j, u)
         if j in snap_steps:
             snapshots.append((snap_steps[j], monitor.kept[j], v.copy()))
+        if j % monitor.cadence == 0 or j == n_steps:
+            times.append(j * cfg.tau)
+            sup_diffs.append(sup_diff)
+            sup_us.append(float(m))
+            u_rights.append(float(u[-1]))
 
     u, v, _, top = _march(cfg, [cfg.params], initial_state(cfg, u0),
                           on_step=record, hooks=hooks)
     traj = Trajectory(
         times=np.array(times), sup_diff=np.array(sup_diffs),
         sup_u=np.array(sup_us), u_at_right=np.array(u_rights),
-        snapshots=snapshots, u_final=u, v_final=v,
-        u_lag=monitor.kept.get(n_steps - lag_steps), max_sup_u=float(top))
-    return traj, detect_outcome(traj.u_final, traj.u_lag, cfg)
+        snapshots=snapshots, u_final=u, v_final=v, max_sup_u=float(top))
+    return traj, detect_outcome(u, sup_diffs[-1], cfg)
 
 
 def run_block(cfg: RunConfig, runs: Sequence[SimParams], u0: np.ndarray):
     """March ``cfg`` for each of ``runs``, parameters that differ from
     ``cfg.params`` only in (b, c, chi), from one u0 as one (B, M+1) block,
-    with ``run``'s kernel and chemical solve, and classify each row.  Row k
-    reads (u_final, v_final, u_lag, outcome), bitwise the final (u, v), lag
-    profile and outcome of ``run(replace(cfg, params=runs[k]), u0)`` (u_lag
-    None when T is shorter than the convergence window); no series or
-    snapshots are kept.  A row whose nu or mu differs from cfg's is refused
-    with ValueError, as the rows share one chemical matrix.  A row whose sup
+    with ``run``'s kernel, chemical solve and lag monitor, and classify
+    each row from its final difference.  Row k reads (u_final, v_final,
+    outcome), bitwise the final (u, v) and outcome of
+    ``run(replace(cfg, params=runs[k]), u0)``; no series or snapshots are
+    kept.  A row whose nu or mu differs from cfg's is refused with
+    ValueError, as the rows share one chemical matrix.  A row whose sup
     passes the blow-up guard is zeroed, which the scheme keeps at zero, and
     reads the BlowUpError its own ``run`` raises, with the same text."""
-    lag_step = cfg.n_steps - cfg.lag_steps
-    u_lag = None
-
-    def keep_lag(j, u, v, m):
-        nonlocal u_lag
-        if j == lag_step:
-            u_lag = u.copy()
-
-    u, v, errors, _ = _march(cfg, runs,
-                             np.tile(initial_state(cfg, u0), (len(runs), 1)),
-                             on_step=keep_lag, hooks={lag_step})
-    results = []
-    for k, (params, error) in enumerate(zip(runs, errors)):
-        lag = None if u_lag is None else u_lag[k]
-        results.append(error or (u[k], v[k], lag, detect_outcome(
-            u[k], lag, replace(cfg, params=params))))
-    return results
+    monitor = _LagMonitor(cfg.lag_steps)
+    sup_diffs = []
+    u, v, errors, _ = _march(
+        cfg, runs, np.tile(initial_state(cfg, u0), (len(runs), 1)),
+        on_step=lambda j, u, v, m: sup_diffs.append(monitor.push(j, u)),
+        hooks={cfg.n_steps - cfg.lag_steps, cfg.n_steps})
+    return [error or (u[k], v[k], detect_outcome(
+                u[k], sup_diffs[-1][k], replace(cfg, params=params)))
+            for k, (params, error) in enumerate(zip(runs, errors))]
 
 
-def detect_outcome(u: np.ndarray, u_lag: np.ndarray | None,
+def detect_outcome(u: np.ndarray, sup_diff: float,
                    cfg: RunConfig) -> Outcome:
-    """Classify the terminal window from the final profile u and the
-    profile u_lag one convergence window earlier (None when the run is
-    shorter than the window, which leaves final_sup_diff nan and a
-    non-extinct run undetermined): extinction when the terminal sup norm
-    falls below extinct_tol; a settled run (sup change over the trailing
-    window below conv_tol) is a forced wave when it matches the expected
-    shape for its boundary case (a CASE1 plateau at r*/b, which needs
-    r* > 0); anything else is undetermined."""
+    """Classify the terminal window from the final profile u and the lag
+    monitor's final difference sup_diff, the sup change over the trailing
+    convergence window (nan when the run is shorter than the window, which
+    leaves a non-extinct run undetermined): extinction when the terminal
+    sup norm falls below extinct_tol; a settled run (sup_diff below
+    conv_tol) is a forced wave when it matches the expected shape for its
+    boundary case (a CASE1 plateau at r*/b, which needs r* > 0); anything
+    else is undetermined."""
     sup_u = float(u.max())
-    sup_diff = math.nan
-    if u_lag is not None:
-        sup_diff = float(np.max(np.abs(u - u_lag)))
+    sup_diff = float(sup_diff)
     if sup_u < cfg.extinct_tol:
         return Outcome(tag=OutcomeTag.EXTINCTION, final_sup_diff=sup_diff)
     r_star = float(np.max(cfg.r_samples))
-    if not math.isnan(sup_diff) and sup_diff < cfg.conv_tol:
+    if sup_diff < cfg.conv_tol:        # nan < conv_tol is False
         if cfg.bc is BoundaryCase.CASE1:
             plateau = float(u[-1])
             if r_star > 0.0 and (abs(plateau * cfg.params.b / r_star - 1.0)

@@ -698,13 +698,22 @@ def test_sweep_blocks_match_per_point_runs(workers, tmp_path, monkeypatch,
     assert [r["outcome"] for r in rows].count("skipped") == 2
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("workers", [0, -1, 2.5, True, np.bool_(True)])
 def test_sweep_rejects_workers_below_one(workers, tmp_path):
+    # workers is a count (not a bool) in every entry and every mode,
+    # refused before any work or file
     spec = parse_config(SWEEP_CFG)
     with pytest.raises(ValueError, match="workers"):
         sweep(SweepSpec(base=spec, axes=(("c", spec.sweep_c),)),
               tmp_path / "map.csv", workers=workers)
     assert not (tmp_path / "map.csv").exists()
+    for mode_spec in (spec, parse_config(MINI_CFG)):
+        out = tmp_path / mode_spec.mode
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(mode_spec, out, workers=workers)
+        assert not out.exists()
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        return      # argparse reads --workers as an int
     # through the CLI, workers is rejected before the bundle is started
     out = tmp_path / "o"
     assert cli_main(["sweep", str(EXPERIMENTS / "sweep_case1_c.cfg"),

@@ -328,25 +328,49 @@ def block_u0(bc):
     ("chi", (0.0, 0.6, 0.3)),
 ])
 def test_block_rows_equal_serial_runs_bitwise(axis, values, bc):
-    cfg = block_cfg(bc)
+    # T = 1 equals the convergence window, so the lag partner is step 0;
+    # T = 0.5 is shorter, so the difference is nan and no row settles
     runs = block_runs(axis, values)
     u0 = block_u0(bc)
-    rows = run_block(cfg, runs, u0)
-    assert len(rows) == len(runs)
-    blown = 0
-    for params, row in zip(runs, rows):
-        try:
-            traj, outcome = run(replace(cfg, params=params), u0)
-        except BlowUpError as exc:
-            assert isinstance(row, BlowUpError) and str(row) == str(exc)
-            blown += 1
-            continue
-        u_final, v_final, u_lag, block_outcome = row
-        assert u_final.tobytes() == traj.u_final.tobytes()
-        assert v_final.tobytes() == traj.v_final.tobytes()
-        assert u_lag.tobytes() == traj.u_lag.tobytes()
-        assert block_outcome == outcome
-    assert blown == (axis == "b")
+    for T in (2.0, 1.0, 0.5):
+        cfg = block_cfg(bc, T=T)
+        rows = run_block(cfg, runs, u0)
+        assert len(rows) == len(runs)
+        blown = 0
+        for params, row in zip(runs, rows):
+            try:
+                traj, outcome = run(replace(cfg, params=params), u0)
+            except BlowUpError as exc:
+                assert isinstance(row, BlowUpError) and str(row) == str(exc)
+                blown += 1
+                continue
+            u_final, v_final, block_outcome = row
+            assert u_final.tobytes() == traj.u_final.tobytes()
+            assert v_final.tobytes() == traj.v_final.tobytes()
+            # by bits, as nan != nan
+            assert type(block_outcome.final_sup_diff) is float
+            assert (np.float64(block_outcome.final_sup_diff).tobytes()
+                    == np.float64(outcome.final_sup_diff).tobytes())
+            assert (replace(block_outcome, final_sup_diff=0.0)
+                    == replace(outcome, final_sup_diff=0.0))
+            assert math.isnan(outcome.final_sup_diff) == (T < 1.0)
+            if T < 1.0:
+                assert outcome.tag is OutcomeTag.UNDETERMINED
+        # the b = 1e-7 row passes the guard only past t = 1.1
+        assert blown == (axis == "b" and T > 1.1)
+
+
+def test_series_has_no_nan_row_past_the_first_window():
+    # a snapshot step off the cadence grid, and the lag partner of a final
+    # step off it, are pushed to the monitor but write no series row
+    for over in ({"snapshot_times": (0.0, 1.55, 2.0)}, {"T": 2.05}):
+        cfg = block_cfg(**over)
+        traj, _ = run(cfg, block_u0(cfg.bc))
+        steps = np.round(traj.times / cfg.tau)
+        assert not np.isnan(traj.sup_diff[steps >= cfg.lag_steps]).any()
+        assert np.isnan(traj.sup_diff[steps < cfg.lag_steps]).all()
+        assert steps[-1] == cfg.n_steps
+        assert [t for t, _, _ in traj.snapshots] == list(cfg.snapshot_times)
 
 
 def test_block_keeps_the_run_checks():
@@ -371,38 +395,38 @@ def test_detect_outcome_synthetic_cases(case1_profile, exp1_params):
     cfg = make_run_config(exp1_params, case1_profile, grid,
                           BoundaryCase.CASE1, 0.002, 10.0)
     settled = np.where(grid.nodes > -7.0, 10.0, 0.0)
-    out = detect_outcome(settled, settled.copy(), cfg)
+    out = detect_outcome(settled, 0.0, cfg)
     assert out.tag is OutcomeTag.FORCED_WAVE_CASE1
     assert out.plateau == pytest.approx(10.0)
 
     zero = np.zeros(grid.M + 1)
-    out = detect_outcome(zero, zero.copy(), cfg)
+    out = detect_outcome(zero, 0.0, cfg)
     assert out.tag is OutcomeTag.EXTINCTION
 
-    moving = detect_outcome(settled, 0.5 * settled, cfg)
+    moving = detect_outcome(settled, 5.0, cfg)
     assert moving.tag is OutcomeTag.UNDETERMINED
 
     # settled but plateau far from r*/b: not a recognized wave shape
-    bad = detect_outcome(0.5 * settled, 0.5 * settled.copy(), cfg)
+    bad = detect_outcome(0.5 * settled, 0.0, cfg)
     assert bad.tag is OutcomeTag.UNDETERMINED
 
     # sup r = 0 leaves no plateau r*/b > 0 to match
     r_max_zero = GrowthProfile.from_breakpoints([(-8.0, -1.0), (-7.0, 0.0)])
     no_growth = make_run_config(exp1_params, r_max_zero, grid,
                                 BoundaryCase.CASE1, 0.002, 10.0)
-    out = detect_outcome(settled, settled.copy(), no_growth)
+    out = detect_outcome(settled, 0.0, no_growth)
     assert out.tag is OutcomeTag.UNDETERMINED
 
 
 def test_detect_outcome_without_lag_is_undetermined(case1_profile,
                                                     exp1_params):
-    # a run shorter than its convergence window has no lag partner: the
-    # settled shape is not judged, and the sup change reads nan
+    # a run shorter than its convergence window has no lag partner, so its
+    # difference is nan: the settled shape is not judged
     grid = Grid(L=20.0, h=0.1)
     cfg = make_run_config(exp1_params, case1_profile, grid,
                           BoundaryCase.CASE1, 0.002, 10.0)
     settled = np.where(grid.nodes > -7.0, 10.0, 0.0)
-    out = detect_outcome(settled, None, cfg)
+    out = detect_outcome(settled, math.nan, cfg)
     assert out.tag is OutcomeTag.UNDETERMINED
     assert math.isnan(out.final_sup_diff)
 
@@ -413,7 +437,7 @@ def test_detect_outcome_case2_peak(case2_profile, case2_exp1_params):
                           BoundaryCase.CASE2, 0.002, 10.0)
     hump = 8.0 * np.exp(-0.5 * (grid.nodes + 6.0) ** 2)
     hump[0] = hump[-1] = 0.0
-    out = detect_outcome(hump, hump.copy(), cfg)
+    out = detect_outcome(hump, 0.0, cfg)
     assert out.tag is OutcomeTag.FORCED_WAVE_CASE2
     peak_val, peak_x = out.peak
     assert peak_val == pytest.approx(8.0, rel=1e-6)
