@@ -82,7 +82,7 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray):
     worst_increase = -math.inf
     settled = False
 
-    def settle(j, u, v, m):
+    def settle(j, u, v):
         nonlocal worst_increase, settled
         settled = bool(monitor.push(j, u) < cfg.conv_tol)
         if j:
@@ -90,8 +90,10 @@ def _evolve_frozen(cfg: RunConfig, u_init: np.ndarray, v: np.ndarray):
                                  float(np.max(kept[j] - kept[j - cadence])))
         return settled
 
-    u, *_ = _march(cfg, [cfg.params], u_init.copy(), v, on_step=settle,
-                   hooks=range(cadence, cfg.n_steps + 1, cadence))
+    u, _, [error], _ = _march(cfg, [cfg.params], u_init.copy(), v, settle,
+                              range(cadence, cfg.n_steps + 1, cadence))
+    if error:
+        raise error
     return u, worst_increase, settled
 
 

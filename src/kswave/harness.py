@@ -308,8 +308,8 @@ def _build(spec: RunSpec):
     if spec.mode not in MODES:
         raise ConfigError(f"unknown mode {spec.mode!r}", key="mode")
     for key in ("eig_tol", "eig_h", "horizon_scale"):
-        if not getattr(spec, key) > 0.0:
-            raise ConfigError("must be positive", key=key)
+        if not 0.0 < getattr(spec, key) < math.inf:     # refuses nan
+            raise ConfigError("must be positive and finite", key=key)
     if not is_count(spec.verify_samples):
         raise ConfigError("verify_samples must be >= 1 and an integer, got "
                           f"{spec.verify_samples!r}", key="verify_samples")

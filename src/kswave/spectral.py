@@ -100,7 +100,10 @@ def lambda_infinity(profile: GrowthProfile, c: float,
     successive values differ by less than tol, at most MAX_DOUBLINGS times
     (tol and h default as eig_tol and eig_h do).  Each lambda_L is one LAPACK
     ``dstebz`` bisection with absolute tolerance ``EIG_TOL``, so a step may
-    drop by round-off of that size; a drop beyond 10 ``EIG_TOL`` is refused."""
+    drop by round-off of that size; a drop beyond 10 ``EIG_TOL`` is refused.
+    A tol that is not finite and positive is refused with ValueError."""
+    if not 0.0 < tol < math.inf:        # refuses nan
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     L = _first_L(profile, h)
     upper = profile.r_star - 0.25 * c * c
 

@@ -30,14 +30,16 @@ the results are bitwise those of the plain array expression.
 
 The update is one kernel with a v-stage (the three bracketed stencil
 factors from v) and a u-stage (the rest, then the closure, the clamp and
-the sup of each row), for one run (u of shape (M+1,)) or a block of runs
+one sup over all rows), for one run (u of shape (M+1,)) or a block of runs
 (u of shape (B, M+1), one run per row).  ``_march`` is the one step loop
 and runs both stages itself: the two u buffers and the v buffer are
 allocated once, and every view of them the stages read or write is bound
 before the loop, so a step slices nothing and allocates no array; the
-chemical solve writes v in place.  It holds the blow-up guard, whose one
-diagnosis serves a run (raised) and each block row (returned), tracks
-one run's largest sup, and calls its hook only at step 0 and the steps
+chemical solve writes v in place.  Its blow-up guard is one path for a
+run, a block and the frozen flow: each blown row gets its diagnosis and is
+zeroed, and the march stops once every row has blown (``run`` and the
+frozen flow raise their row's error, ``run_block`` returns each row's).
+It tracks the largest sup and calls its hook only at step 0 and the steps
 its caller names: ``run`` its cadence steps, the final step, that step's
 lag partner and the snapshot steps, ``run_block`` the final step and its
 lag partner, and the frozen flow its lag-check steps.  ``run_block``
@@ -45,11 +47,11 @@ marches one config's runs, one ``SimParams`` per row that differ from the
 config's only in (b, c, chi), as one block: they share the grid, tau, r,
 nu and mu, and so one chemical matrix; the kernel steps the runs laid end
 to end as one line of nodes, the chemical solve takes all rows in one
-LAPACK call, and every row gets the bits its own ``run`` would.  The frozen-chemotaxis flow of
-``kswave.fixedpoint`` loads its fixed v once and marches without a solve.
-``run``, ``run_block`` and the frozen flow judge convergence with one lag
-monitor, which owns the lag partner and the lag difference of each row;
-its copies are the only copies of u a march keeps.
+LAPACK call, and every row gets the bits its own ``run`` would.  The
+frozen-chemotaxis flow of ``kswave.fixedpoint`` loads its fixed v once and
+marches without a solve.  ``run``, ``run_block`` and the frozen flow judge
+convergence with one lag monitor, which owns the lag partner and the lag
+difference of each row; its copies are the only copies of u a march keeps.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class BlowUpError(RuntimeError):
     """Raised when the solution exceeds the blow-up guard, which signals a
     violated stability condition (tau/h^2 > 1/2, or a cell Peclet number
     |c - chi v_x| h above 2) or b <= chi*mu; the message names all three
-    for the failing step.  A blown row of ``run_block`` reads this error,
-    with the text its own ``run`` raises."""
+    for the failing step.  ``run`` and the frozen flow raise it, and a blown
+    row of ``run_block`` reads it, with the text and step of its own run."""
 
 
 @dataclass(frozen=True)
@@ -208,12 +210,6 @@ class Trajectory:
     max_sup_u: float
 
 
-def _line(a: np.ndarray) -> np.ndarray:
-    """The nodes of one run, or of a C-order block's runs laid end to end,
-    as one contiguous 1-D view (never a copy)."""
-    return a if a.ndim == 1 else a.reshape(-1, copy=False)
-
-
 class _LagMonitor:
     """The convergence check of a run, a block or the frozen flow over a
     lag of ``lag`` steps: ``push`` keeps a copy of step j in ``kept``,
@@ -261,14 +257,14 @@ def _march(cfg: RunConfig, runs: Sequence[SimParams], u: np.ndarray,
     solver, which the runs share (one whose nu or mu differs from cfg's is
     refused with ValueError), and reloads the v-stage from u every step
     (the coupled flow); with one it loads the factors once from the given
-    v and solves nothing (the frozen flow).  One run past the blow-up guard
-    raises its BlowUpError; a block row past it is zeroed, which the scheme
-    keeps at zero, and reads the error its own run would raise.
-    ``on_step(j, u, v, m)``, v the field of u (the given v in the frozen
-    flow) and m the sup of each row, sees step 0 and the steps j in
-    ``hooks`` (empty without a hook), and no other; the march stops when it
-    returns True.  Returns the last (u, v), each row's BlowUpError or None,
-    and the largest sup of one run over the march (None for a block).
+    v and solves nothing (the frozen flow).  A row whose sup passes the
+    blow-up guard gets its BlowUpError and is zeroed, which the scheme
+    keeps at zero; the march stops once every row has blown, and raises
+    nothing.  ``on_step(j, u, v)``, v the field of u (the given v in the
+    frozen flow), sees step 0 and the steps j in ``hooks`` (empty without a
+    hook), and no other; the march stops when it returns True.  Returns the
+    last (u, v), each row's BlowUpError or None, and the largest sup over
+    the march, a sup past the guard aside.
 
     A block is stepped as one line of B (M+1) nodes, the runs end to end,
     so every array operation runs over contiguous memory.  An interior
@@ -327,29 +323,25 @@ def _march(cfg: RunConfig, runs: Sequence[SimParams], u: np.ndarray,
         solve = ChemicalSolver(cfg.grid, cfg.params.nu, cfg.params.mu,
                                cfg.bc).solve
         v = solve(u, np.empty_like(u))
-    block = u.ndim > 1
-    m0 = np.maximum.reduce(u, axis=-1)
+    m0 = u.max()
     errors = [None] * len(runs)
-    top = 0.0       # the largest sup of one run's steps 1..
+    top = 0.0       # the largest sup of steps 1.. that the guard passed
     n_steps = cfg.n_steps
-    if on_step is not None and on_step(0, u, v, m0):
+    if on_step is not None and on_step(0, u, v):
         n_steps = 0
 
     def views(a):
-        line = _line(a)
-        return a, line[:-2], line[1:-1], line[2:], cfg.bc.closer(a)
+        line = a.reshape(-1, copy=False)
+        return a, line, line[:-2], line[1:-1], line[2:], cfg.bc.closer(a)
     here, there = views(u), views(np.empty_like(u))
-    line_v = _line(v)
-    v_west, v_mid, v_east = line_v[:-2], line_v[1:-1], line_v[2:]
+    _, _, v_west, v_mid, v_east, _ = views(v)
     coef = east
     zero = np.array(0.0)
-    ok = np.empty(u.shape[:-1], dtype=bool) if block else None
-    sup = np.empty(u.shape[:-1]) if block else None
     # ufuncs bound to local names and called with a positional out, which
     # numpy dispatches faster than a global lookup and an out= keyword
     add, subtract, multiply, divide, maximum = (
         np.add, np.subtract, np.multiply, np.divide, np.maximum)
-    reduce_max, less_equal = np.maximum.reduce, np.less_equal
+    reduce_max = np.maximum.reduce
     load = True
     for j in range(1, n_steps + 1):
         if load:
@@ -367,8 +359,8 @@ def _march(cfg: RunConfig, runs: Sequence[SimParams], u: np.ndarray,
             load = coupled
         # u-stage:
         # ((west u_{i-1} + mid u_i) - tau (b - chi mu) u_i^2) + east u_{i+1}
-        _, u_west, u_mid, u_east, _ = here
-        u, _, inner, _, close = there
+        _, _, u_west, u_mid, u_east, _ = here
+        u, line, _, inner, _, close = there
         here, there = there, here
         multiply(west, u_west, inner)
         multiply(mid, u_mid, work)
@@ -382,25 +374,26 @@ def _march(cfg: RunConfig, runs: Sequence[SimParams], u: np.ndarray,
         # round-off negatives are clamped so the quadratic term and the
         # chemical solve stay in the physical regime
         maximum(u, zero, out=u)     # np.maximum deprecates a positional out
-        m = reduce_max(u, -1, None, sup)
-        # the guard catches nan too (nan <= limit is False); one run's sup
-        # is checked only when it passes the largest so far, which the
-        # guard has already passed
-        if block:
-            less_equal(m, BLOWUP_LIMIT, ok)
-            if not ok.all():
-                for k in np.flatnonzero(~ok):
-                    errors[k] = blow_up(j, k, m[k])
-                u[~ok] = 0.0
-        elif not m <= top:
+        # one sup over the line, checked only when it passes the largest so
+        # far, which the guard has already passed (nan <= limit is False);
+        # only a sup past the limit is taken row by row
+        m = reduce_max(line)
+        if not m <= top:
             if not m <= BLOWUP_LIMIT:
-                raise blow_up(j, 0, m)
-            top = m
+                rows = line.reshape(len(runs), nodes)
+                sups = reduce_max(rows, -1)
+                for k in np.flatnonzero(~(sups <= BLOWUP_LIMIT)):
+                    errors[k] = blow_up(j, k, sups[k])
+                    rows[k] = 0.0
+                if None not in errors:
+                    break
+                m = reduce_max(line)
+            top = max(top, m)
         if coupled:
             solve(u, v)
-        if j in hooks and on_step(j, u, v, m):
+        if j in hooks and on_step(j, u, v):
             break
-    return u, v, errors, None if block else np.maximum(top, m0)
+    return u, v, errors, np.maximum(top, m0)
 
 
 def run(cfg: RunConfig, u0: np.ndarray):
@@ -415,18 +408,20 @@ def run(cfg: RunConfig, u0: np.ndarray):
     hooks = {*range(0, n_steps + 1, monitor.cadence), n_steps,
              n_steps - cfg.lag_steps, *snap_steps}
 
-    def record(j, u, v, m):
+    def record(j, u, v):
         sup_diff = monitor.push(j, u)
         if j in snap_steps:
             snapshots.append((snap_steps[j], monitor.kept[j], v.copy()))
         if j % monitor.cadence == 0 or j == n_steps:
             times.append(j * cfg.tau)
             sup_diffs.append(sup_diff)
-            sup_us.append(float(m))
+            sup_us.append(float(u.max()))
             u_rights.append(float(u[-1]))
 
-    u, v, _, top = _march(cfg, [cfg.params], initial_state(cfg, u0),
-                          on_step=record, hooks=hooks)
+    u, v, [error], top = _march(cfg, [cfg.params], initial_state(cfg, u0),
+                                on_step=record, hooks=hooks)
+    if error:
+        raise error
     traj = Trajectory(
         times=np.array(times), sup_diff=np.array(sup_diffs),
         sup_u=np.array(sup_us), u_at_right=np.array(u_rights),
@@ -442,14 +437,13 @@ def run_block(cfg: RunConfig, runs: Sequence[SimParams], u0: np.ndarray):
     outcome), bitwise the final (u, v) and outcome of
     ``run(replace(cfg, params=runs[k]), u0)``; no series or snapshots are
     kept.  A row whose nu or mu differs from cfg's is refused with
-    ValueError, as the rows share one chemical matrix.  A row whose sup
-    passes the blow-up guard is zeroed, which the scheme keeps at zero, and
-    reads the BlowUpError its own ``run`` raises, with the same text."""
+    ValueError, as the rows share one chemical matrix.  A row past the
+    blow-up guard reads the BlowUpError its own ``run`` raises."""
     monitor = _LagMonitor(cfg.lag_steps)
     sup_diffs = []
     u, v, errors, _ = _march(
         cfg, runs, np.tile(initial_state(cfg, u0), (len(runs), 1)),
-        on_step=lambda j, u, v, m: sup_diffs.append(monitor.push(j, u)),
+        on_step=lambda j, u, v: sup_diffs.append(monitor.push(j, u)),
         hooks={cfg.n_steps - cfg.lag_steps, cfg.n_steps})
     return [error or (u[k], v[k], detect_outcome(
                 u[k], sup_diffs[-1][k], replace(cfg, params=params)))

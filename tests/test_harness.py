@@ -423,6 +423,21 @@ def test_eig_and_regime_modes(tmp_path):
     assert math.isfinite(float(lam.split(" = ")[1]))
 
 
+@pytest.mark.parametrize("key", ("eig_tol", "eig_h", "horizon_scale"))
+def test_a_spec_built_in_code_refuses_an_infinite_number(key, tmp_path):
+    # the parser refuses the text inf; a spec built in code is refused by
+    # the same build, before anything is written (an infinite eig_tol once
+    # wrote converged = true after two rows of the doubling)
+    spec = parse_config((EXPERIMENTS / "case2_exp1.cfg").read_text(),
+                        mode="eig")
+    out = tmp_path / "eig"
+    with pytest.raises(ConfigError, match="must be positive and finite") \
+            as exc:
+        run_experiment(replace(spec, **{key: math.inf}), out)
+    assert exc.value.key == key
+    assert not out.exists()
+
+
 # eig-mode tables of the shipped configs as the pure-Python Sturm bisection
 # computed them before the LAPACK switch: rows (L, h, lambda_L)
 GOLDEN_EIG = {

@@ -113,6 +113,16 @@ def test_lambda_infinity_fast_shift_negative(case2_profile):
     assert not res.positive
 
 
+@pytest.mark.parametrize("tol", (math.inf, 0.0, -1.0, math.nan))
+def test_lambda_infinity_refuses_a_tolerance_it_cannot_honour(tol,
+                                                              case2_profile):
+    # inf would read converged after the second row, whatever the
+    # difference; no difference is below 0, -1 or nan, so those would
+    # double L to 4608 and read not converged
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        lambda_infinity(case2_profile, 1.0, tol=tol)
+
+
 def test_lambda_infinity_constant_negative_habitat():
     prof = GrowthProfile.from_breakpoints([(-1.0, -1.0), (1.0, -1.0)])
     res = lambda_infinity(prof, 0.0)

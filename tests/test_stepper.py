@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from kswave import (BlowUpError, BoundaryCase, ChemicalSolver, ConfigError,
                     OutcomeTag, SimParams, detect_outcome, harness,
                     initial_state, make_run_config, run, run_block)
 from kswave.fixedpoint import _evolve_frozen
-from kswave.stepper import _march
+from kswave.stepper import BLOWUP_LIMIT, _march
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
@@ -189,16 +190,15 @@ def test_march_calls_its_hook_only_at_the_named_steps():
     cfg = march_cfg()
     seen = []
 
-    def hook(j, u, v, m):
+    def hook(j, u, v):
         seen.append(j)
         assert v.tobytes() == ChemicalSolver(
             cfg.grid, cfg.params.nu, cfg.params.mu, cfg.bc).solve(u).tobytes()
-        assert m == u.max()
 
     u, v, blown, top = march(cfg, 25, hook, {3, 7, 20, 25, 30, -1})
     assert seen == [0, 3, 7, 20, 25]
     # a True return stops the march at that step, with that step's state
-    stop = march(cfg, 25, lambda j, u, v, m: j == 7, {3, 7, 20})
+    stop = march(cfg, 25, lambda j, u, v: j == 7, {3, 7, 20})
     seven = march(cfg, 7, None, ())
     for a, b in zip(stop, seven):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -209,13 +209,47 @@ def test_max_sup_is_the_largest_sup_of_every_step():
     # does not see as well
     cfg = march_cfg()
     sups = []
-    march(cfg, cfg.n_steps, lambda j, u, v, m: sups.append(m),
+    march(cfg, cfg.n_steps, lambda j, u, v: sups.append(u.max()),
           range(cfg.n_steps + 1))
     peak = int(np.argmax(sups))
     assert peak % (cfg.lag_steps // 10) != 0 and 0 < peak < cfg.n_steps
     traj, _ = run(cfg, block_u0(cfg.bc))
     assert np.float64(traj.max_sup_u).tobytes() == max(sups).tobytes()
     assert traj.max_sup_u > traj.sup_u.max()
+
+
+def test_a_u0_above_the_guard_trips_it_at_step_1():
+    # the largest sup starts at 0, not at step 0's, so step 1 is checked
+    cfg = replace(block_cfg(), params=replace(BLOCK_PARAMS, b=1e-7))
+    u0 = np.full(cfg.grid.M + 1, 2.0 * BLOWUP_LIMIT)
+    u0[0] = 0.0
+    with pytest.raises(BlowUpError, match=r"at step 1 \(t = 0.002\)") as exc:
+        run(cfg, u0)
+    [row] = run_block(cfg, [cfg.params], u0)
+    assert str(row) == str(exc.value)
+
+
+@pytest.mark.parametrize("rows", (1, 11))
+def test_march_allocates_nothing_per_step(rows):
+    # the peak traced memory of a march of case1_exp1 does not grow with
+    # its length, for one run and for a block
+    spec = harness.parse_config((EXPERIMENTS / "case1_exp1.cfg")
+                                .read_text())
+    base = spec.run_config()
+    runs = [replace(base.params, c=base.params.c + 0.1 * k)
+            for k in range(rows)]
+    u0 = initial_state(base, spec.initial_condition()(base.grid.nodes))
+    peaks = []
+    for n_steps in (200, 2000):
+        cfg = replace(base, T=n_steps * base.tau, snapshot_times=())
+        u = np.tile(u0, (rows, 1)) if rows > 1 else u0.copy()
+        tracemalloc.start()
+        try:
+            _march(cfg, runs, u)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 1024, peaks
 
 
 def test_nonnegativity_and_apriori_bound(case1_profile, exp1_params,
@@ -358,6 +392,29 @@ def test_block_rows_equal_serial_runs_bitwise(axis, values, bc):
                 assert outcome.tag is OutcomeTag.UNDETERMINED
         # the b = 1e-7 row passes the guard only past t = 1.1
         assert blown == (axis == "b" and T > 1.1)
+
+
+def test_a_block_whose_every_row_blows_up_stops_at_that_step():
+    # chi = 0 and b = 1e-7: each row passes the guard near t = 1.1; the
+    # march stops at the step its last row blows, and each row reads the
+    # error of its own run
+    cfg = block_cfg()
+    runs = block_runs("c", (1.0, -3.0, 0.5, 6.0))
+    runs = [replace(p, b=1e-7) for p in runs]
+    u0 = block_u0(cfg.bc)
+    seen = []
+    u, _, errors, _ = _march(
+        cfg, runs, np.tile(initial_state(cfg, u0), (len(runs), 1)),
+        on_step=lambda j, *_: seen.append(j),
+        hooks=range(cfg.n_steps + 1))
+    steps = [int(re.search(r"at step (\d+) ", str(e)).group(1))
+             for e in errors]
+    assert seen == list(range(max(steps))) and max(steps) < cfg.n_steps
+    assert not u.any()
+    for error, row, params in zip(errors, run_block(cfg, runs, u0), runs):
+        with pytest.raises(BlowUpError) as exc:
+            run(replace(cfg, params=params), u0)
+        assert str(error) == str(row) == str(exc.value)
 
 
 def test_series_has_no_nan_row_past_the_first_window():
