@@ -2,21 +2,21 @@
 
 Configs are flat ``key = value`` text: ``#`` starts a comment, breakpoint
 lists are comma-separated ``x:r`` pairs, plain lists are comma-separated.
-One table, ``_SCHEMA``, says how each ``RunSpec`` field is parsed, written
-back and shown in the CLI help.  Unknown keys and malformed or non-finite
-numbers are rejected with their line number.  ``_build`` builds what a
-spec's mode runs, and a value the run cannot use is refused by the type that
-owns its rule, naming its key; ``parse_config`` adds the key's line.
-``run_experiment`` builds once, runs the mode and only then writes its
-bundle, so a run that is refused, fails or is interrupted writes nothing.
-``sweep`` runs a ``SweepSpec`` as the sweep-mode spec it describes, through
-the same build and runner, logs the run warnings as ``parse_config`` does,
-and writes its ``regime_map.csv`` the same way.
-``render_manifest`` writes back every effective value (defaults included), so
-``parse_config(render_manifest(spec)) == spec`` and a manifest alone
-reproduces a run bitwise.  All CSV numbers use the shortest representation
-that round-trips a double exactly.
-"""
+One table, ``_SCHEMA``, holds each ``RunSpec`` field's syntax and bound: it
+parses the field, writes it back, shows both in the CLI help and checks
+both on the text (unknown keys and malformed, non-finite or out-of-bound
+numbers are rejected with their line number) and, first in ``_build``, on
+a spec, so a spec built in code is refused as its text would be.  ``_build``
+then builds what the mode runs; a value the run cannot use is refused by
+the type that owns its rule, naming its key, and ``parse_config`` adds the
+key's line.  ``run_experiment`` builds once, runs the mode and only then
+writes its bundle, so a run that is refused, fails or is interrupted writes
+nothing.  ``sweep`` runs a ``SweepSpec`` as the sweep-mode spec it
+describes, through the same build and runner, logs the run warnings as
+``parse_config`` does and writes its ``regime_map.csv`` the same way.
+``render_manifest`` writes back every effective value (defaults included),
+so ``parse_config(render_manifest(spec)) == spec`` and a manifest alone
+reproduces a run bitwise; CSV numbers are shortest round-trip doubles."""
 
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .envelopes import (build_lower_envelope_case2, build_upper_envelope_case1,
                         build_upper_envelope_case2, certify_supersolution)
-from .ignition import RICHARDSON_EPSILONS, BracketError, ignition_wave
+from .ignition import RICHARDSON_EPSILONS, ignition_wave
 from .model import (BoundaryCase, ConfigError, Grid, GrowthProfile,
                     HabitatClass, InitialCondition, SimParams, check_regime,
                     classify_profile, is_count)
@@ -135,11 +135,19 @@ class SweepSpec:
 
 def fmt(x) -> str:
     """Shortest round-trip representation of a double (repr of float)."""
+    if isinstance(x, (bool, np.bool_)):     # True would read back as 1.0
+        raise TypeError(f"expected a number, got {x!r}")
     return repr(float(x))
 
 
 # --------------------------------------------------------------------------
 # configs: one schema table drives parsing, the manifest and the CLI help
+
+class _Kind(NamedTuple):
+    parse: Callable[[str], object]      # raises ValueError on bad text
+    render: Callable[[object], str]     # parse(render(v)) == v
+    syntax: str                         # shown by `kswave --help`
+
 
 def _number(raw: str) -> float:
     try:
@@ -151,39 +159,35 @@ def _number(raw: str) -> float:
     return x
 
 
-def _numbers(raw: str) -> tuple[float, ...]:
-    return tuple(_number(v) for v in raw.split(",") if v.strip())
+def _positive(raw: str) -> float:
+    if not _number(raw) > 0.0:
+        raise ValueError(f"must be positive, got {raw.strip()!r}")
+    return float(raw)
 
 
-def _pairs(raw: str) -> tuple[tuple[float, float], ...]:
-    items = [item.split(":") for item in raw.split(",") if item.strip()]
-    if any(len(parts) != 2 for parts in items):
-        raise ValueError("expected x:value pairs")
-    return tuple((_number(x), _number(y)) for x, y in items)
+def _count(raw: str) -> int:
+    # digits only: "3.0" is refused, so a float count built in code is too
+    if not (_number(raw) >= 1 and raw.strip().isdigit()):
+        raise ValueError(f"must be a whole count >= 1, got {raw.strip()!r}")
+    return int(raw)
 
 
-def _bump(raw: str) -> tuple[float, float]:
-    vals = _numbers(raw)
-    if len(vals) != 2:
-        raise ValueError("u0_bump needs exactly xl,xr")
-    return vals
+def _list(item: _Kind, syntax: str) -> _Kind:
+    """Comma-separated values of one kind, any number of them."""
+    return _Kind(
+        lambda raw: tuple(item.parse(v) for v in raw.split(",") if v.strip()),
+        lambda values: ", ".join(item.render(v) for v in values), syntax)
 
 
-def _axis(raw: str) -> tuple[float, float, int]:
-    vals = _numbers(raw)
-    if len(vals) != 3 or vals[2] != int(vals[2]):
-        raise ValueError("axis needs min,max,count with a whole count")
-    return (vals[0], vals[1], int(vals[2]))
-
-
-def _join(values) -> str:
-    return ", ".join(fmt(v) for v in values)
-
-
-class _Kind(NamedTuple):
-    parse: Callable[[str], object]      # raises ValueError on bad text
-    render: Callable[[object], str]     # parse(render(v)) == v
-    syntax: str                         # shown by `kswave --help`
+def _tuple(join: str, syntax: str, *items: _Kind) -> _Kind:
+    """One value of each kind in ``items``, in order, joined by ``join``."""
+    def parse(raw: str):
+        parts = raw.split(join.strip())
+        if len(parts) != len(items):
+            raise ValueError(f"expected {syntax}")
+        return tuple(item.parse(part) for item, part in zip(items, parts))
+    return _Kind(parse, lambda values: join.join(
+        item.render(v) for item, v in zip(items, values)), syntax)
 
 
 def _choice(options: tuple[str, ...], convert=str, render=str) -> _Kind:
@@ -195,24 +199,25 @@ def _choice(options: tuple[str, ...], convert=str, render=str) -> _Kind:
 
 
 _NUMBER = _Kind(_number, fmt, "number")
-_NUMBERS = _Kind(_numbers, _join, "n1, n2, ...")
-_PAIRS = _Kind(_pairs, lambda v: ", ".join(f"{fmt(x)}:{fmt(y)}" for x, y in v),
-               "x:y, x:y, ...")
-_AXIS = _Kind(_axis, lambda v: f"{fmt(v[0])}, {fmt(v[1])}, {v[2]}",
-              "min, max, count")
+_POSITIVE = _Kind(_positive, fmt, "number > 0")
+_COUNT = _Kind(_count, str, "integer >= 1")
+_PAIRS = _list(_tuple(":", "x:y", _NUMBER, _NUMBER), "x:y, x:y, ...")
+_AXIS = _tuple(", ", "min, max, count >= 1", _NUMBER, _NUMBER, _COUNT)
 _SCHEMA = {
     "mode": _choice(MODES),
     "bc": _choice(("case1", "case2"), BoundaryCase, lambda bc: bc.value),
-    "profile": _PAIRS, "u0": _PAIRS, "u0_bump": _Kind(_bump, _join, "xl, xr"),
-    "snapshot_times": _NUMBERS, "verify_epsilons": _NUMBERS,
+    "profile": _PAIRS, "u0": _PAIRS,
+    "u0_bump": _tuple(", ", "xl, xr", _NUMBER, _NUMBER),
+    "snapshot_times": _list(_NUMBER, "n1, n2, ..."),
+    "verify_epsilons": _list(_POSITIVE, "n1, n2, ... each > 0"),
     "allow_unstable": _choice(("true", "false"), lambda raw: raw == "true",
                               lambda v: str(v).lower()),
-    "verify_samples": _Kind(int, str, "integer"),
+    "verify_samples": _COUNT,
     "sweep_b": _AXIS, "sweep_c": _AXIS, "sweep_chi": _AXIS,
     **dict.fromkeys(("chi", "mu", "nu", "b", "c", "L", "h", "tau", "T",
                      "conv_window", "conv_tol", "extinct_tol",
-                     "plateau_rel_tol", "eig_h", "eig_tol", "horizon_scale"),
-                    _NUMBER),
+                     "plateau_rel_tol"), _NUMBER),
+    **dict.fromkeys(("eig_h", "eig_tol", "horizon_scale"), _POSITIVE),
 }
 
 
@@ -227,14 +232,15 @@ def _parse_value(key: str, raw: str, line: int | None):
 
 def config_help() -> str:
     """A table of the config keys but mode (the CLI subcommand sets it):
-    each key's value syntax and its default, or ``required``."""
-    rows = [f"  {'key':<17}{'value':<17}default"]
+    each key's value syntax, bound included, and its default, or
+    ``required``."""
+    rows = [f"  {'key':<17}{'value':<22}default"]
     for f in fields(RunSpec)[1:]:       # [0] is mode
         kind = _SCHEMA[f.name]
         default = ("required" if f.default is MISSING
                    else "none" if f.default in (None, ())
                    else kind.render(f.default))
-        rows.append(f"  {f.name:<17}{kind.syntax:<17}{default}")
+        rows.append(f"  {f.name:<17}{kind.syntax:<22}{default}")
     return "\n".join(rows)
 
 
@@ -300,28 +306,27 @@ def _warn(spec: RunSpec, cfg: RunConfig):
 
 def _build(spec: RunSpec):
     """Check and build everything the spec's mode runs, refusing a bad
-    value with a ConfigError under its key.  Returns (cfg, own): the run's
+    value with a ConfigError under its key.  Every set field must first be
+    a value its schema kind writes and reads back unchanged, so a spec
+    built in code meets each key's syntax and bound as a parsed one does;
+    the types then apply their own rules.  Returns (cfg, own): the run's
     config (in sweep mode that of its points), which holds its params,
     profile and grid, and the mode's own input, which is the closed initial
     profile for simulate and sweep, the ``check_regime`` report for regime,
     the habitat (CASE1 or CASE2) for verify and None for eig."""
-    if spec.mode not in MODES:
-        raise ConfigError(f"unknown mode {spec.mode!r}", key="mode")
-    for key in ("eig_tol", "eig_h", "horizon_scale"):
-        if not 0.0 < getattr(spec, key) < math.inf:     # refuses nan
-            raise ConfigError("must be positive and finite", key=key)
-    if not is_count(spec.verify_samples):
-        raise ConfigError("verify_samples must be >= 1 and an integer, got "
-                          f"{spec.verify_samples!r}", key="verify_samples")
-    for eps in spec.verify_epsilons:
-        if not eps > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {fmt(eps)}",
-                              key="verify_epsilons")
-    for key in ("sweep_b", "sweep_c", "sweep_chi"):
-        axis = getattr(spec, key)
-        if axis is not None and not is_count(axis[2]):
-            raise ConfigError("axis needs count >= 1 and an integer, got "
-                              f"{axis[2]!r}", key=key)
+    for f in fields(RunSpec):
+        value, kind = getattr(spec, f.name), _SCHEMA[f.name]
+        if value is None and f.default is None:
+            continue
+        try:
+            text = kind.render(value)
+        except Exception:       # say, a str where a BoundaryCase belongs
+            text = None
+        # a parse error names what the text breaks; a value that renders to
+        # no text, or to text that parses to another value, its type
+        if text is None or _parse_value(f.name, text, None) != value:
+            raise ConfigError(f"expected {kind.syntax}, got "
+                              f"{type(value).__name__} {value!r}", key=f.name)
     # the run's config holds the params, profile, grid and step grid
     cfg = spec.run_config()
     own = None
@@ -431,11 +436,9 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     # the wall-clock start time lives in its own file so every other
     # artifact is byte-identical across reruns
     started = datetime.datetime.now().isoformat() + "\n"
-    if spec.mode == "sweep":
-        result, regime_map = _run_sweep(spec, cfg, own, workers)
-        files = {"regime_map.csv": regime_map}
-    else:
-        result, files = _RUNNERS[spec.mode](spec, cfg, own)
+    result, files = (_run_sweep(spec, cfg, own, workers)
+                     if spec.mode == "sweep"
+                     else _RUNNERS[spec.mode](spec, cfg, own))
     _write_bundle(out, {"manifest.cfg": render_manifest(spec),
                         "timestamp.txt": started, **files})
     return result
@@ -499,11 +502,7 @@ def _run_verify(spec: RunSpec, cfg: RunConfig, habitat):
     waves = []
     if params.strongly_damped:
         for eps in spec.verify_epsilons:
-            try:
-                w = ignition_wave(params, profile.r_star, eps)
-            except BracketError as exc:
-                _log.warning("ignition eps=%g: %s", eps, exc)
-                continue
+            w = ignition_wave(params, profile.r_star, eps)
             waves.append(w)
             ign_rows.append(f"{fmt(eps)},{fmt(w.speed)},{fmt(w.speed_bound)}")
     else:
@@ -555,8 +554,6 @@ def _sweep_block(args):
             continue
         runs.append(params)
         marched.append(row)
-    if not runs:
-        return rows
     try:
         results = run_block(cfg, runs, u0)
     except (ValueError, RuntimeError) as exc:
@@ -587,11 +584,11 @@ def _log_error(row, why):
 
 
 def _run_sweep(spec: RunSpec, cfg: RunConfig, u0, workers: int):
-    """The rows of a sweep-mode spec's points and their regime_map.csv
-    text, given the config and initial profile that ``_build`` made for its
-    points.  The sorted points are cut into ``min(workers, points)``
-    contiguous blocks, each marched as one array; with more than one block,
-    each runs in its own worker process."""
+    """The rows of a sweep-mode spec's points and its artifact, the
+    regime_map.csv text, given the config and initial profile that
+    ``_build`` made for its points.  The sorted points are cut into
+    ``min(workers, points)`` contiguous blocks, each marched as one array;
+    with more than one block, each runs in its own worker process."""
     points = _points(spec)
     n = len(points)
     n_proc = min(workers, n)
@@ -605,9 +602,10 @@ def _run_sweep(spec: RunSpec, cfg: RunConfig, u0, workers: int):
     else:
         blocks = map(_sweep_block, jobs)
     rows = [row for block in blocks for row in block]
-    return rows, _text(["b,c,chi,outcome,plateau,final_sup_u"] + [
-        f"{fmt(r['b'])},{fmt(r['c'])},{fmt(r['chi'])},{r['outcome']},"
-        f"{fmt(r['plateau'])},{fmt(r['final_sup_u'])}" for r in rows])
+    return rows, {"regime_map.csv": _text(
+        ["b,c,chi,outcome,plateau,final_sup_u"] + [
+            f"{fmt(r['b'])},{fmt(r['c'])},{fmt(r['chi'])},{r['outcome']},"
+            f"{fmt(r['plateau'])},{fmt(r['final_sup_u'])}" for r in rows])}
 
 
 def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
@@ -625,8 +623,8 @@ def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
                    sweep_chi=axes.get("chi"))
     cfg, u0 = _build(spec)
     _warn(spec, cfg)
-    rows, regime_map = _run_sweep(spec, cfg, u0, workers)
+    rows, files = _run_sweep(spec, cfg, u0, workers)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(regime_map)
+    out_path.write_text(files["regime_map.csv"])
     return rows

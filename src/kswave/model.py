@@ -126,8 +126,6 @@ class GrowthProfile:
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ConfigError("breakpoint abscissae must be strictly increasing",
                               key="profile")
-        if not (math.isfinite(self.left_limit) and math.isfinite(self.right_limit)):
-            raise ConfigError("limits must be finite", key="profile")
         if not np.isfinite(self.breakpoints).all():
             raise ConfigError("breakpoints must be finite", key="profile")
 
@@ -180,8 +178,9 @@ class InitialCondition:
                     or not np.isfinite(self.breakpoints).all()):
                 raise ConfigError("need >= 2 strictly increasing, finite "
                                   "breakpoints", key="u0")
-        if self.bump is not None and not self.bump[0] < self.bump[1]:
-            raise ConfigError("bump requires xl < xr", key="u0_bump")
+        if self.bump is not None and not (-math.inf < self.bump[0]
+                                          < self.bump[1] < math.inf):
+            raise ConfigError("bump requires finite xl < xr", key="u0_bump")
 
     def __call__(self, x):
         if self.breakpoints is not None:

@@ -95,11 +95,11 @@ class RunConfig:
     """One run's inputs, and the one gate that decides whether a run is
     well-formed.  It refuses, with a ConfigError naming the config key:
     a tau, T, conv_window or tolerance that is not finite and positive;
-    T < tau; a step that breaks the CFL condition tau/h^2 <= 1/2 (unless
-    allow_unstable); a T or conv_window that is not an integer multiple of
-    tau, or a conv_window shorter than one step; and a snapshot time
-    outside [0, T], on the step of another or off the tau grid.  A time is
-    on the grid when it is within 1e-9 (relative past 1) of a multiple of
+    T < tau or T/tau = inf; a step that breaks the CFL bound tau/h^2 <= 1/2
+    (unless allow_unstable); a T or conv_window that is not an integer
+    multiple of tau, or a conv_window shorter than one step; and a snapshot
+    time outside [0, T], on the step of another or off the tau grid.  A time
+    is on the grid when it is within 1e-9 (relative past 1) of a multiple of
     tau.  ``r_samples`` is the profile on the grid nodes, ``n_steps`` and
     ``lag_steps`` the steps to T and over the convergence window, and
     ``snapshot_steps`` maps each snapshot's step to its time; like
@@ -128,8 +128,8 @@ class RunConfig:
             if not 0.0 < getattr(self, name) < math.inf:    # refuses nan
                 raise ConfigError(f"{name} must be finite and positive",
                                   key=name)
-        if self.T < self.tau:
-            raise ConfigError("need T >= tau", key="T")
+        if not 1.0 <= self.T / self.tau < math.inf:    # inf: tau subnormal
+            raise ConfigError("need T >= tau and T/tau finite", key="T")
         ratio = self.tau / (self.grid.h * self.grid.h)
         if not (self.allow_unstable or ratio <= 0.5):
             raise ConfigError(
@@ -436,9 +436,11 @@ def run_block(cfg: RunConfig, runs: Sequence[SimParams], u0: np.ndarray):
     each row from its final difference.  Row k reads (u_final, v_final,
     outcome), bitwise the final (u, v) and outcome of
     ``run(replace(cfg, params=runs[k]), u0)``; no series or snapshots are
-    kept.  A row whose nu or mu differs from cfg's is refused with
-    ValueError, as the rows share one chemical matrix.  A row past the
-    blow-up guard reads the BlowUpError its own ``run`` raises."""
+    kept.  A row whose nu or mu differs from cfg's is refused with ValueError,
+    as the rows share one chemical matrix.  A row past the blow-up guard
+    reads the BlowUpError its own ``run`` raises.  An empty block gives []."""
+    if not runs:
+        return []
     monitor = _LagMonitor(cfg.lag_steps)
     sup_diffs = []
     u, v, errors, _ = _march(

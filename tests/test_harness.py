@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kswave import (BlowUpError, BoundaryCase, GrowthProfile, HabitatClass,
                     OutcomeTag, classify_profile, harness)
@@ -95,7 +97,7 @@ def test_mode_override_wins():
 def test_parse_rejects_bad_axis_and_bump():
     with pytest.raises(ConfigError, match="count >= 1"):
         parse_config(MINI_CFG + "sweep_c = 1, 2, 0\n")
-    with pytest.raises(ConfigError, match="exactly xl,xr"):
+    with pytest.raises(ConfigError, match="expected xl, xr"):
         parse_config(MINI_CFG.replace("u0 = -1:0, 1:10", "u0_bump = 1"))
 
 
@@ -249,7 +251,7 @@ BAD_VALUES = [
     ("sweep", "sweep_case1_c.cfg", "u0", "-1:0, 1:-10", "u0",
      "u0 must be nonnegative"),
     ("verify", "case1_exp1.cfg", "verify_epsilons", "0.1, -0.05",
-     "verify_epsilons", "epsilon must be positive, got -0.05"),
+     "verify_epsilons", "must be positive, got '-0.05'"),
     # properties of the parsed values that a mode's analysis needs
     ("regime", "case1_exp1.cfg", "b", "0.05", "b",
      "b must exceed chi*mu = 0.1"),
@@ -291,7 +293,8 @@ def test_an_unknown_mode_is_refused_under_its_key(tmp_path):
     with pytest.raises(ConfigError) as exc:
         parse_config(text, mode="bogus")
     assert exc.value.key == "mode" and exc.value.line is None
-    assert str(exc.value) == "key 'mode': unknown mode 'bogus'"
+    assert str(exc.value) == ("key 'mode': expected one of "
+                              "simulate|eig|regime|verify|sweep")
     out = tmp_path / "o"
     with pytest.raises(ConfigError) as exc:
         run_experiment(replace(parse_config(text), mode="bogus"), out)
@@ -324,8 +327,8 @@ def test_verify_refuses_zero_samples_before_any_envelope(tmp_path,
     spec = parse_config((EXPERIMENTS / "case1_exp1.cfg").read_text(),
                         mode="verify")
     out = tmp_path / "o"
-    with pytest.raises(ConfigError, match="verify_samples must be >= 1") \
-            as exc:
+    with pytest.raises(ConfigError,
+                       match="must be a whole count >= 1, got '0'") as exc:
         run_experiment(replace(spec, verify_samples=0), out)
     assert exc.value.key == "verify_samples"
     assert built == []
@@ -423,19 +426,45 @@ def test_eig_and_regime_modes(tmp_path):
     assert math.isfinite(float(lam.split(" = ")[1]))
 
 
-@pytest.mark.parametrize("key", ("eig_tol", "eig_h", "horizon_scale"))
-def test_a_spec_built_in_code_refuses_an_infinite_number(key, tmp_path):
-    # the parser refuses the text inf; a spec built in code is refused by
-    # the same build, before anything is written (an infinite eig_tol once
-    # wrote converged = true after two rows of the doubling)
-    spec = parse_config((EXPERIMENTS / "case2_exp1.cfg").read_text(),
-                        mode="eig")
-    out = tmp_path / "eig"
-    with pytest.raises(ConfigError, match="must be positive and finite") \
-            as exc:
-        run_experiment(replace(spec, **{key: math.inf}), out)
+# values built in code that the parser would refuse as text, as (key,
+# edits): an infinite eig_tol once wrote converged = true after two rows of
+# the doubling; the next four each ran and wrote a manifest that
+# parse_config refuses, and a str bc ran an eig job and then died writing
+# its manifest
+BUILT_IN_CODE = [
+    ("eig_tol", {"eig_tol": math.inf}),
+    ("eig_h", {"eig_h": math.inf}),
+    ("horizon_scale", {"horizon_scale": math.inf}),
+    ("verify_epsilons", {"verify_epsilons": (math.inf,)}),
+    ("sweep_c", {"sweep_c": (-math.inf, 0.0, 3)}),
+    ("u0_bump", {"u0": None, "u0_bump": (0.0, math.inf)}),
+    ("allow_unstable", {"allow_unstable": 1}),
+    ("bc", {"bc": "case1"}),
+]
+
+
+@pytest.mark.parametrize("key, edits", BUILT_IN_CODE,
+                         ids=[key for key, _ in BUILT_IN_CODE])
+def test_a_spec_built_in_code_refuses_an_infinite_number(key, edits,
+                                                         tmp_path):
+    # the parser refuses each as text; a spec built in code is refused by
+    # the same schema under the same key, in every mode and by sweep(),
+    # before anything is written
+    base = replace(parse_config((EXPERIMENTS / "case1_exp1.cfg").read_text()),
+                   sweep_c=(0.5, 1.0, 2))
+    bad = replace(base, **edits)
+    for mode in ("eig", "simulate", "verify", "sweep"):
+        out = tmp_path / mode
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(replace(bad, mode=mode), out)
+        assert exc.value.key == key, mode
+        assert not out.exists()
+    csv = tmp_path / "map.csv"
+    with pytest.raises(ConfigError) as exc:
+        sweep(SweepSpec(base=bad, axes=(("c", bad.sweep_c),),
+                        horizon_scale=bad.horizon_scale), csv)
     assert exc.value.key == key
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 # eig-mode tables of the shipped configs as the pure-Python Sturm bisection
@@ -498,6 +527,55 @@ def test_verify_logs_a_violated_damping_hypothesis(tmp_path, caplog):
                                verify_samples=5), tmp_path)
     assert not any("damping hypothesis" in r.getMessage()
                    for r in caplog.records)
+
+
+# values a spec built in code may hold, in and out of each key's domain;
+# floats stay within 1e3 so the grid of a drawn L is small enough to build
+# (Grid sets no cap on its node count)
+DRAWN = st.recursive(
+    st.one_of(st.floats(-1e3, 1e3),
+              st.sampled_from([math.inf, -math.inf, math.nan, 10**400]),
+              st.integers(-2, 200), st.booleans(),
+              st.floats(-1e3, 1e3).map(np.float64),
+              st.integers(-2, 200).map(np.int64), st.booleans().map(np.bool_),
+              st.sampled_from(BoundaryCase),
+              st.sampled_from(["case1", "true", "sweep", "1.5", ""])),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.tuples(inner, inner, inner), max_leaves=8)
+
+
+def look_alikes(value):
+    """``value`` and forms of it a caller might build instead: numpy
+    scalars, a list for a tuple, an int for a bool, an enum's text."""
+    if isinstance(value, tuple):
+        return [value, list(value), tuple(look_alikes(v)[1] for v in value)]
+    if isinstance(value, bool):
+        return [value, np.bool_(value), int(value)]
+    if isinstance(value, (int, float)):
+        return [value, np.array(value)[()], float(value), str(value)]
+    if isinstance(value, BoundaryCase):
+        return [value, value.value]
+    return [value]
+
+
+@st.composite
+def one_field_replaced(draw):
+    name = draw(st.sampled_from(sorted(EXPERIMENTS.glob("*.cfg"))))
+    spec = parse_config(name.read_text())
+    key = draw(st.sampled_from([f.name for f in fields(RunSpec)]))
+    value = draw(DRAWN | st.sampled_from(look_alikes(getattr(spec, key))))
+    return replace(spec, **{key: value})
+
+
+@given(one_field_replaced())
+def test_a_spec_built_in_code_is_refused_or_round_trips(spec):
+    # one field of a shipped spec replaced: the build refuses the spec, or
+    # its manifest reads back as the same spec
+    try:
+        harness._build(spec)
+    except ConfigError:
+        return
+    assert parse_config(render_manifest(spec)) == spec
 
 
 @pytest.mark.parametrize("entry", ["sweep", "verify"])
@@ -793,6 +871,7 @@ MALFORMED_SWEEPS = [
      "snapshot_times"),                                     # off the tau grid
     ((("c", (1.0, 2.0, 2)),), {}, 0.5001,
      "horizon_scale"),                          # T = 0.5, T * 0.5001 off it
+    ((("c", (-math.inf, 2.0, 2)),), {}, 1.0, "sweep_c"),    # an infinite end
 ]
 
 
@@ -800,7 +879,7 @@ MALFORMED_SWEEPS = [
                          ids=["no-axis", "axis-C", "axis-twice", "count-0",
                               "count-2.5", "count-True", "count-np-True",
                               "snapshot-off-grid",
-                              "horizon-off-grid"])
+                              "horizon-off-grid", "axis-end-inf"])
 def test_a_malformed_sweep_is_refused_alike_by_both_entries(
         axes, edits, horizon_scale, key, tmp_path):
     base = replace(parse_config(MINI_CFG), **edits)
@@ -1006,17 +1085,21 @@ def test_cli_numerical_fault_exit_code(tmp_path):
 
 def test_cli_verify_ignition_fault_is_numerical(tmp_path, capsys):
     # eps = 8.888 is admissible (alpha = 8.889 - eps > 0), but its front
-    # does not settle at its level within the truncation: a numerical fault
-    # (exit 2), not a traceback, and the verify bundle is not written
-    cfg = tmp_path / "tight.cfg"
-    cfg.write_text(set_key((EXPERIMENTS / "case1_exp1.cfg").read_text(),
-                           "verify_epsilons", "8.888"))
-    out = tmp_path / "o"
-    assert cli_main(["verify", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert any(line.startswith("numerical fault: ") and "truncation" in line
-               for line in err)
-    assert not out.exists()
+    # does not settle at its level within the truncation; eps = 9.5 leaves
+    # no positive zero gap, and once logged a warning and wrote an
+    # ignition.csv without its row.  Each is a numerical fault (exit 2), not
+    # a traceback, and the verify bundle is not written
+    for epsilons, why in (("8.888", "truncation"), ("0.1, 9.5",
+                          "epsilon = 9.5 too large: no positive zero gap")):
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text(set_key((EXPERIMENTS / "case1_exp1.cfg").read_text(),
+                               "verify_epsilons", epsilons))
+        out = tmp_path / "o"
+        assert cli_main(["verify", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("numerical fault: ") and why in line
+                   for line in err), err
+        assert not out.exists()
 
 
 def test_cli_verify_envelope_fault_is_numerical(tmp_path, capsys):
@@ -1093,6 +1176,13 @@ def test_cli_help_lists_every_key_with_its_default(capsys):
         else:
             default = manifest[f.name]
         assert rows[f.name].endswith(f"  {default}"), rows[f.name]
+    # and the value column holds each key's bound
+    for key, syntax in (("eig_h", "number > 0"),
+                        ("horizon_scale", "number > 0"),
+                        ("verify_samples", "integer >= 1"),
+                        ("verify_epsilons", "n1, n2, ... each > 0"),
+                        ("sweep_c", "min, max, count >= 1")):
+        assert rows[key].split(None, 1)[1].startswith(syntax), rows[key]
 
 
 @pytest.mark.parametrize("mode, edit", (

@@ -256,7 +256,7 @@ def test_params_refuse_non_finite_values_under_their_keys(key, value, why):
     (((-1.0, -1.0), (0.0, math.nan), (1.0, 1.0)), "breakpoints must be finite"),
     (((-1.0, -1.0), (0.0, math.inf), (1.0, 1.0)), "breakpoints must be finite"),
     (((-1.0, -1.0), (math.nan, 0.0), (1.0, 1.0)), "breakpoints must be finite"),
-    (((-2.0, -1.0), (-1.0, math.inf)), "limits must be finite"),
+    (((-2.0, -1.0), (-1.0, math.inf)), "breakpoints must be finite"),
 ], ids=["nan-value", "inf-value", "nan-abscissa", "inf-limit"])
 def test_profile_refuses_non_finite_breakpoints(points, why):
     with pytest.raises(ConfigError, match=why) as exc:
@@ -274,6 +274,18 @@ def test_initial_condition_refuses_non_finite_breakpoints(points):
     with pytest.raises(ConfigError, match="finite breakpoints") as exc:
         InitialCondition(breakpoints=points)
     assert exc.value.key == "u0"
+
+
+# an infinite bump end once made an InitialCondition with infinite samples,
+# refused only when a run sampled it; a nan end was refused as "xl < xr"
+@pytest.mark.parametrize("bump", [(0.0, math.inf), (-math.inf, 1.0),
+                                  (math.nan, 1.0)],
+                         ids=["inf-right", "inf-left", "nan-left"])
+def test_initial_condition_refuses_a_non_finite_bump(bump):
+    with pytest.raises(ConfigError, match="bump requires finite xl < xr") \
+            as exc:
+        InitialCondition(bump=bump)
+    assert exc.value.key == "u0_bump"
 
 
 def test_types_are_immutable(exp1_params, case1_profile):

@@ -290,6 +290,14 @@ def test_config_refuses_non_finite_numbers(name, value):
         tiny_cfg(**{name: value})
 
 
+def test_config_refuses_a_step_count_that_overflows():
+    # T/tau = inf at a subnormal tau: a refusal, where round() once raised
+    # OverflowError
+    with pytest.raises(ConfigError, match="T/tau finite") as exc:
+        tiny_cfg(tau=5e-324)
+    assert exc.value.key == "T"
+
+
 @pytest.mark.parametrize("times", ((1.0, 1.0), (1.0, 1.0004)))
 def test_snapshot_times_on_one_step_are_refused(times):
     # at tau = 0.002 both times of each pair round to step 500
@@ -441,6 +449,11 @@ def test_block_keeps_the_run_checks():
     mixed = block_runs("c", (1.0,)) + block_runs("nu", (0.5,))
     with pytest.raises(ValueError, match="nu and mu"):
         run_block(block_cfg(), mixed, block_u0(BoundaryCase.CASE1))
+
+
+def test_an_empty_block_has_no_rows():
+    # a sweep whose every point is refused or skipped marches no block
+    assert run_block(block_cfg(), [], block_u0(BoundaryCase.CASE1)) == []
 
 
 # ---------------------------------------------------------------------------
