@@ -16,7 +16,10 @@ describes, through the same build and runner, logs the run warnings as
 ``parse_config`` does and writes its ``regime_map.csv`` the same way.
 ``render_manifest`` writes back every effective value (defaults included),
 so ``parse_config(render_manifest(spec)) == spec`` and a manifest alone
-reproduces a run bitwise; CSV numbers are shortest round-trip doubles."""
+reproduces a run bitwise.  One writer per format, ``_csv`` or ``_pairs``
+(``key = value`` lines), writes every artifact and the manifest's keys, and
+spells each value through ``_cell``: a float as its shortest round-trip
+double, a bool as true/false, None as undefined, an integer in digits."""
 
 from __future__ import annotations
 
@@ -138,6 +141,34 @@ def fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):     # True would read back as 1.0
         raise TypeError(f"expected a number, got {x!r}")
     return repr(float(x))
+
+
+def _cell(x) -> str:
+    """The one spelling of an artifact value: a float (numpy's too) as
+    ``fmt`` writes it, a bool as true/false, None as undefined, an integer
+    in digits and a str as it is; any other value is refused."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))       # fmt's spelling: no float is a bool
+    if isinstance(x, (bool, np.bool_)):     # before int: True is an int
+        return "true" if x else "false"
+    if x is None:
+        return "undefined"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return x
+    raise TypeError(f"no artifact spelling for {type(x).__name__} {x!r}")
+
+
+def _csv(header: str, rows) -> str:
+    """The header line, then one line of comma-separated cells per row."""
+    return "".join([header + "\n",
+                    *(",".join(map(_cell, row)) + "\n" for row in rows)])
+
+
+def _pairs(*pairs) -> str:
+    """One ``key = value`` line per (key, value) pair."""
+    return "".join(f"{key} = {_cell(value)}\n" for key, value in pairs)
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +309,7 @@ def parse_config(text: str, mode: str | None = None,
         raise ConfigError(f"missing required keys: {sorted(missing)}")
     spec = RunSpec(**values)
     try:
-        cfg, _ = _build(spec)
+        _, cfg, _ = _build(spec)
     except ConfigError as exc:
         raise ConfigError(exc.reason, lines.get(exc.key), exc.key) from None
     _warn(spec, cfg)
@@ -309,11 +340,14 @@ def _build(spec: RunSpec):
     value with a ConfigError under its key.  Every set field must first be
     a value its schema kind writes and reads back unchanged, so a spec
     built in code meets each key's syntax and bound as a parsed one does;
-    the types then apply their own rules.  Returns (cfg, own): the run's
-    config (in sweep mode that of its points), which holds its params,
-    profile and grid, and the mode's own input, which is the closed initial
-    profile for simulate and sweep, the ``check_regime`` report for regime,
-    the habitat (CASE1 or CASE2) for verify and None for eig."""
+    the types then apply their own rules.  Returns (spec, cfg, own): the
+    spec as its manifest reads it back (an int given for a number is its
+    float, so a bundle follows from its manifest), the run's config (in
+    sweep mode that of its points), which holds its params, profile and
+    grid, and the mode's own input: the closed initial profile for simulate
+    and sweep, the ``check_regime`` report for regime, the habitat (CASE1 or
+    CASE2) for verify and None for eig."""
+    read_back = {}
     for f in fields(RunSpec):
         value, kind = getattr(spec, f.name), _SCHEMA[f.name]
         if value is None and f.default is None:
@@ -324,9 +358,11 @@ def _build(spec: RunSpec):
             text = None
         # a parse error names what the text breaks; a value that renders to
         # no text, or to text that parses to another value, its type
-        if text is None or _parse_value(f.name, text, None) != value:
+        if text is None or (back := _parse_value(f.name, text, None)) != value:
             raise ConfigError(f"expected {kind.syntax}, got "
                               f"{type(value).__name__} {value!r}", key=f.name)
+        read_back[f.name] = back
+    spec = replace(spec, **read_back)
     # the run's config holds the params, profile, grid and step grid
     cfg = spec.run_config()
     own = None
@@ -361,59 +397,22 @@ def _build(spec: RunSpec):
                               key="profile")
     if spec.mode in ("eig", "regime"):
         _first_L(cfg.profile, spec.eig_h)
-    return cfg, own
+    return spec, cfg, own
 
 
 def render_manifest(spec: RunSpec) -> str:
-    out = ["# manifest: every effective input, parse_config-compatible"]
-    for f in fields(RunSpec):
-        value = getattr(spec, f.name)
-        if value is None or (f.default == () and value == ()):
-            continue
-        out.append(f"{f.name} = {_SCHEMA[f.name].render(value)}")
-    out.append("# deterministic: no seeds; reruns are bitwise identical")
-    return "\n".join(out) + "\n"
+    # each value is spelled by its key's kind: a field's type, not the
+    # value's, decides, so an int given for L writes 20.0
+    return ("# manifest: every effective input, parse_config-compatible\n"
+            + _pairs(*((f.name, _SCHEMA[f.name].render(value))
+                       for f in fields(RunSpec)
+                       if (value := getattr(spec, f.name)) is not None
+                       and not (f.default == () and value == ())))
+            + "# deterministic: no seeds; reruns are bitwise identical\n")
 
 
 # --------------------------------------------------------------------------
 # experiment execution
-
-def _text(rows) -> str:
-    return "\n".join(rows) + "\n"
-
-
-def _snapshot_csv(nodes, snapshots) -> str:
-    rows = ["t,x,u,v"]
-    for t, u, v in snapshots:
-        for xi, ui, vi in zip(nodes, u, v):
-            rows.append(f"{fmt(t)},{fmt(xi)},{fmt(ui)},{fmt(vi)}")
-    return _text(rows)
-
-
-def _convergence_csv(traj) -> str:
-    rows = ["t,sup_diff,sup_u,u_at_L"]
-    for t, d, s, ur in zip(traj.times, traj.sup_diff, traj.sup_u,
-                           traj.u_at_right):
-        rows.append(f"{fmt(t)},{fmt(d)},{fmt(s)},{fmt(ur)}")
-    return _text(rows)
-
-
-def _outcome_lines(outcome):
-    lines = [f"outcome = {outcome.tag.value}",
-             f"final_sup_diff = {fmt(outcome.final_sup_diff)}"]
-    if outcome.plateau is not None:
-        lines.append(f"plateau = {fmt(outcome.plateau)}")
-    if outcome.peak is not None:
-        lines.append(f"peak = {fmt(outcome.peak[0])}")
-        lines.append(f"peak_x = {fmt(outcome.peak[1])}")
-    return lines
-
-
-def _write_bundle(out: Path, files: dict):
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text)
-
 
 def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     """Execute the spec's mode, writing the artifact bundle into out_dir.
@@ -424,7 +423,7 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     count in every mode.  Every mode finishes its work before it writes
     anything, so a run that fails or is interrupted leaves no bundle."""
     _check_workers(workers)
-    cfg, own = _build(spec)
+    spec, cfg, own = _build(spec)
     out = Path(out_dir)
     # the nearest existing path decides: mkdir makes the missing ones
     for path in (out, *out.parents):
@@ -439,47 +438,47 @@ def run_experiment(spec: RunSpec, out_dir: str | Path, workers: int = 1):
     result, files = (_run_sweep(spec, cfg, own, workers)
                      if spec.mode == "sweep"
                      else _RUNNERS[spec.mode](spec, cfg, own))
-    _write_bundle(out, {"manifest.cfg": render_manifest(spec),
-                        "timestamp.txt": started, **files})
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in {"manifest.cfg": render_manifest(spec),
+                       "timestamp.txt": started, **files}.items():
+        (out / name).write_text(text)
     return result
 
 
 def _run_simulate(spec: RunSpec, cfg: RunConfig, u0):
     traj, outcome = run(cfg, u0)
+    nodes = cfg.grid.nodes
+    peak, peak_x = outcome.peak or (None, None)
     return outcome, {
-        "snapshots.csv": _snapshot_csv(cfg.grid.nodes, traj.snapshots),
-        "convergence.csv": _convergence_csv(traj),
-        "outcome.txt": _text(_outcome_lines(outcome))}
+        "snapshots.csv": _csv("t,x,u,v", (
+            (t, x, ui, vi) for t, u, v in traj.snapshots
+            for x, ui, vi in zip(nodes, u, v))),
+        "convergence.csv": _csv("t,sup_diff,sup_u,u_at_L", zip(
+            traj.times, traj.sup_diff, traj.sup_u, traj.u_at_right)),
+        # plateau and peak lines only for the outcome that has them
+        "outcome.txt": _pairs(*((key, value) for key, value in (
+            ("outcome", outcome.tag.value),
+            ("final_sup_diff", outcome.final_sup_diff),
+            ("plateau", outcome.plateau), ("peak", peak),
+            ("peak_x", peak_x)) if value is not None))}
 
 
 def _run_eig(spec: RunSpec, cfg: RunConfig, _):
     res = lambda_infinity(cfg.profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
-    rows = ["L,h,lambda"]
-    for L, h, lam in res.table:
-        rows.append(f"{fmt(L)},{fmt(h)},{fmt(lam)}")
-    cert = [
-        f"lambda_inf_estimate = {fmt(res.estimate)}",
-        f"lower_bound = {fmt(res.estimate)}",
-        f"upper_bound = {fmt(res.upper_bound)}",
-        f"converged = {'true' if res.converged else 'false'}",
-        f"positive = {'true' if res.positive else 'false'}",
-    ]
-    return res, {"eigenvalues.csv": _text(rows),
-                 "lambda_infinity.txt": _text(cert)}
+    return res, {"eigenvalues.csv": _csv("L,h,lambda", res.table),
+                 "lambda_infinity.txt": _pairs(
+                     ("lambda_inf_estimate", res.estimate),
+                     ("lower_bound", res.estimate),
+                     ("upper_bound", res.upper_bound),
+                     ("converged", res.converged), ("positive", res.positive))}
 
 
 def _run_regime(spec: RunSpec, cfg: RunConfig, report):
     res = lambda_infinity(cfg.profile, spec.c, tol=spec.eig_tol, h=spec.eig_h)
-    thr = "undefined" if report.h1_threshold is None \
-        else fmt(report.h1_threshold)
-    lines = [
-        f"h1_holds = {'true' if report.h1_holds else 'false'}",
-        f"h1_threshold = {thr}",
-        f"h2_damping_holds = {'true' if report.h2_damping_holds else 'false'}",
-        f"c_star = {fmt(report.c_star)}",
-        f"lambda_inf = {fmt(res.estimate)}",
-    ]
-    return report, {"regime.txt": _text(lines)}
+    return report, {"regime.txt": _pairs(
+        ("h1_holds", report.h1_holds), ("h1_threshold", report.h1_threshold),
+        ("h2_damping_holds", report.h2_damping_holds),
+        ("c_star", report.c_star), ("lambda_inf", res.estimate))}
 
 
 def _run_verify(spec: RunSpec, cfg: RunConfig, habitat):
@@ -492,26 +491,23 @@ def _run_verify(spec: RunSpec, cfg: RunConfig, habitat):
     if not report.hypothesis_satisfied:
         _log.warning("damping hypothesis b >= 1.5 chi mu violated: b = %g, "
                      "chi*mu = %g", params.b, params.chi * params.mu)
-    rows = ["branch,region_nodes,worst_residual,worst_x,worst_sample,pass"]
-    for b in report.branches:
-        rows.append(
-            f"{b.branch},{b.n_nodes},{fmt(b.worst_residual)},{fmt(b.worst_x)},"
-            f"{b.worst_sample},{'pass' if b.worst_residual <= report.tol else 'fail'}")
-
-    ign_rows = ["epsilon,speed,bound"]
     waves = []
     if params.strongly_damped:
-        for eps in spec.verify_epsilons:
-            w = ignition_wave(params, profile.r_star, eps)
-            waves.append(w)
-            ign_rows.append(f"{fmt(eps)},{fmt(w.speed)},{fmt(w.speed_bound)}")
+        waves = [ignition_wave(params, profile.r_star, eps)
+                 for eps in spec.verify_epsilons]
     else:
         _log.warning("b <= 2 chi mu, ignition wave construction skipped")
 
     if habitat is HabitatClass.CASE2:
         build_lower_envelope_case2(params, profile, grid, upper=envelope)
-    return (report, waves), {"certification.csv": _text(rows),
-                             "ignition.csv": _text(ign_rows)}
+    return (report, waves), {
+        "certification.csv": _csv(
+            "branch,region_nodes,worst_residual,worst_x,worst_sample,pass",
+            ((b.branch, b.n_nodes, b.worst_residual, b.worst_x,
+              b.worst_sample, "pass" if b.worst_residual <= report.tol
+              else "fail") for b in report.branches)),
+        "ignition.csv": _csv("epsilon,speed,bound", (
+            (w.epsilon, w.speed, w.speed_bound) for w in waves))}
 
 
 # runner(spec, cfg, own), the last two from _build, returns the mode's
@@ -602,10 +598,9 @@ def _run_sweep(spec: RunSpec, cfg: RunConfig, u0, workers: int):
     else:
         blocks = map(_sweep_block, jobs)
     rows = [row for block in blocks for row in block]
-    return rows, {"regime_map.csv": _text(
-        ["b,c,chi,outcome,plateau,final_sup_u"] + [
-            f"{fmt(r['b'])},{fmt(r['c'])},{fmt(r['chi'])},{r['outcome']},"
-            f"{fmt(r['plateau'])},{fmt(r['final_sup_u'])}" for r in rows])}
+    # a row's keys are the columns, in order
+    return rows, {"regime_map.csv": _csv(
+        "b,c,chi,outcome,plateau,final_sup_u", (r.values() for r in rows))}
 
 
 def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
@@ -621,7 +616,7 @@ def sweep(sw: SweepSpec, out_path: str | Path, workers: int = 1):
     spec = replace(sw.base, mode="sweep", horizon_scale=sw.horizon_scale,
                    sweep_b=axes.get("b"), sweep_c=axes.get("c"),
                    sweep_chi=axes.get("chi"))
-    cfg, u0 = _build(spec)
+    spec, cfg, u0 = _build(spec)
     _warn(spec, cfg)
     rows, files = _run_sweep(spec, cfg, u0, workers)
     out_path = Path(out_path)

@@ -198,7 +198,8 @@ class Grid:
 
     2L/h must be an integer to relative tolerance 1e-12; anything else is
     rejected rather than silently adjusted, so node counts reproduce exactly.
-    Refusals name ``L`` or ``h``, and a bad (or overflowing) 2L/h names ``h``.
+    Refusals name ``L`` or ``h``, and a bad (or overflowing) 2L/h names ``h``,
+    as does one whose M+1 nodes no float array can hold.
     """
 
     L: float
@@ -214,6 +215,9 @@ class Grid:
         if m < 2 or abs(ratio - m) > 1e-12 * max(1.0, ratio):
             raise ConfigError(f"2L/h = {ratio!r} is not an integer >= 2",
                               key="h")
+        if m + 1 > np.iinfo(np.intp).max // 8:     # 8 bytes a node
+            raise ConfigError(f"2L/h = {ratio!r} has more nodes than a float "
+                              "array can hold", key="h")
         object.__setattr__(self, "M", int(m))
 
     @property

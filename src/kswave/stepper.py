@@ -95,15 +95,16 @@ class RunConfig:
     """One run's inputs, and the one gate that decides whether a run is
     well-formed.  It refuses, with a ConfigError naming the config key:
     a tau, T, conv_window or tolerance that is not finite and positive;
-    T < tau or T/tau = inf; a step that breaks the CFL bound tau/h^2 <= 1/2
-    (unless allow_unstable); a T or conv_window that is not an integer
-    multiple of tau, or a conv_window shorter than one step; and a snapshot
-    time outside [0, T], on the step of another or off the tau grid.  A time
-    is on the grid when it is within 1e-9 (relative past 1) of a multiple of
-    tau.  ``r_samples`` is the profile on the grid nodes, ``n_steps`` and
-    ``lag_steps`` the steps to T and over the convergence window, and
-    ``snapshot_steps`` maps each snapshot's step to its time; like
-    ``Grid.M`` they are derived (so r is never stale) and cannot be set."""
+    T < tau, T/tau = inf or conv_window/tau = inf; a step that breaks the
+    CFL bound tau/h^2 <= 1/2 (unless allow_unstable); a T or conv_window
+    that is not an integer multiple of tau, or a conv_window shorter than
+    one step; and a snapshot time outside [0, T], on the step of another or
+    off the tau grid.  A time is on the grid when it is within 1e-9
+    (relative past 1) of a multiple of tau.  ``r_samples`` is the profile
+    on the grid nodes, ``n_steps`` and ``lag_steps`` the steps to T and
+    over the convergence window, and ``snapshot_steps`` maps each
+    snapshot's step to its time; like ``Grid.M`` they are derived (so r is
+    never stale) and cannot be set."""
 
     params: SimParams
     profile: GrowthProfile
@@ -130,6 +131,9 @@ class RunConfig:
                                   key=name)
         if not 1.0 <= self.T / self.tau < math.inf:    # inf: tau subnormal
             raise ConfigError("need T >= tau and T/tau finite", key="T")
+        if not self.conv_window / self.tau < math.inf:
+            raise ConfigError("need conv_window/tau finite",
+                              key="conv_window")
         ratio = self.tau / (self.grid.h * self.grid.h)
         if not (self.allow_unstable or ratio <= 0.5):
             raise ConfigError(
@@ -152,7 +156,8 @@ class RunConfig:
                               key="conv_window")
         steps = {}
         for t in self.snapshot_times:
-            j = round(t / self.tau) if 0.0 <= t < math.inf else -1  # nan, inf
+            steps_to_t = t / self.tau       # nan, or inf past an overflow
+            j = round(steps_to_t) if 0.0 <= steps_to_t < math.inf else -1
             if not 0 <= j <= self.n_steps:
                 raise ConfigError(f"snapshot time {t} outside [0, T]",
                                   key="snapshot_times")

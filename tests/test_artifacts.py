@@ -2,8 +2,9 @@
 bundles under out/ are regenerated from their configs and must match byte
 for byte (every file but the wall-clock timestamp.txt), by the comparison
 scripts/check_artifacts.py makes.  A bundle named ``<config>_verify`` is
-the verify mode of ``experiments/<config>.cfg``.  The c-sweep's
-regime_map.csv must match the SHA-256 that the script records."""
+the verify mode of ``experiments/<config>.cfg``.  The untracked eig and
+regime summaries of case1_exp1 and case2_exp1, and the c-sweep's
+regime_map.csv, must match the SHA-256 digests that the script records."""
 
 import hashlib
 import importlib.util
@@ -15,7 +16,7 @@ from kswave.harness import parse_config, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the comparison rule and the digest have one copy, in the script that
+# the comparison rule and the digests have one copy, in the script that
 # checks every artifact
 _script = importlib.util.spec_from_file_location(
     "check_artifacts", ROOT / "scripts" / "check_artifacts.py")
@@ -33,6 +34,15 @@ def test_simulate_bundle_is_byte_identical(name, tmp_path):
     run_experiment(spec, tmp_path)
     assert check_artifacts._differing(name, tmp_path,
                                       ROOT / "out" / name) == []
+
+
+@pytest.mark.parametrize("stem, mode", sorted(check_artifacts.ANALYSIS_SHA256))
+def test_analysis_summaries_match_their_recorded_digests(stem, mode,
+                                                         tmp_path):
+    spec = parse_config((ROOT / "experiments" / f"{stem}.cfg").read_text(),
+                        mode=mode)
+    run_experiment(spec, tmp_path)
+    assert check_artifacts._digests_differing(stem, mode, tmp_path) == []
 
 
 def test_c_sweep_regime_map_matches_its_recorded_digest(sweep_case1_c):

@@ -396,6 +396,35 @@ def test_run_experiment_bitwise_reproducible(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_cell_spells_each_value_one_way():
+    for value, text in ((True, "true"), (np.True_, "true"),
+                        (np.False_, "false"), (None, "undefined"),
+                        (3, "3"), (np.int64(3), "3"), (0.1, "0.1"),
+                        (np.float64(0.1), "0.1"), (math.nan, "nan"),
+                        ("case1", "case1")):
+        assert harness._cell(value) == text, value
+    with pytest.raises(TypeError):
+        harness._cell(object())
+
+
+@pytest.mark.parametrize("mode", ("simulate", "eig", "regime", "verify"))
+def test_a_spec_built_with_ints_writes_the_bundle_of_its_manifest(
+        mode, tmp_path):
+    # an int given for a number runs, and is written, as the float its
+    # manifest holds: the artifacts spell 1.0, never 1
+    spec = replace(parse_config(MINI_CFG, mode=mode), L=5, b=1, c=1, T=1,
+                   snapshot_times=(0, 1), conv_window=1, eig_h=1,
+                   verify_samples=5, verify_epsilons=(1,))
+    run_experiment(spec, tmp_path / "ints")
+    run_experiment(parse_config(render_manifest(spec)), tmp_path / "text")
+    names = sorted(p.name for p in (tmp_path / "ints").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "text").iterdir())
+    for name in names:
+        if name != "timestamp.txt":
+            assert (tmp_path / "ints" / name).read_bytes() == \
+                (tmp_path / "text" / name).read_bytes(), name
+
+
 def test_snapshot_csv_numbers_round_trip(tmp_path):
     spec = parse_config(MINI_CFG)
     run_experiment(spec, tmp_path)
@@ -531,7 +560,8 @@ def test_verify_logs_a_violated_damping_hypothesis(tmp_path, caplog):
 
 # values a spec built in code may hold, in and out of each key's domain;
 # floats stay within 1e3 so the grid of a drawn L is small enough to build
-# (Grid sets no cap on its node count)
+# (Grid refuses only a node count no array can hold: an L of 1e7 at
+# h = 0.1 is still 2e8 nodes)
 DRAWN = st.recursive(
     st.one_of(st.floats(-1e3, 1e3),
               st.sampled_from([math.inf, -math.inf, math.nan, 10**400]),
@@ -1201,6 +1231,24 @@ def test_cli_failing_run_writes_no_files(mode, edit, tmp_path, capsys):
     out = tmp_path / "o"
     assert cli_main([mode, str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edits, key", (
+    ((("tau", "1e-306"), ("conv_window", "1000")), "conv_window"),
+    ((("L", "1e300"),), "h")), ids=("conv_window", "L"))
+def test_cli_refuses_a_count_that_overflows(edits, key, tmp_path, capsys):
+    # the window's step count overflows while T's does not, and 2L/h is
+    # more nodes than an array can hold: each ended in a traceback
+    text = MINI_CFG
+    for name, raw in edits:
+        text = set_key(text, name, raw)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli_main(["simulate", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"key {key!r}" in err, err
     assert not out.exists()
 
 

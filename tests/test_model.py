@@ -182,6 +182,16 @@ def test_grid_rejects_nonintegral_ratio():
         assert exc.value.key == key
 
 
+def test_grid_refuses_more_nodes_than_an_array_can_hold():
+    # L = 1e300 once died in Grid.nodes with numpy's "Maximum allowed size
+    # exceeded", under no key; an L of 1e7 (2e8 nodes) is still accepted
+    for L in (1e300, 1e18):
+        with pytest.raises(ConfigError, match="more nodes than") as exc:
+            Grid(L=L, h=0.1)
+        assert exc.value.key == "h"
+    assert Grid(L=1e7, h=0.1).M == 200_000_000
+
+
 def test_sample_case1_initial_condition(case1_u0):
     # paper hump: 0 below -1, ramp to r*/b at 1; value r*/(2b) = 5 at x = 0
     g = Grid(L=20.0, h=0.1)

@@ -296,6 +296,14 @@ def test_config_refuses_a_step_count_that_overflows():
     with pytest.raises(ConfigError, match="T/tau finite") as exc:
         tiny_cfg(tau=5e-324)
     assert exc.value.key == "T"
+    # T/tau is finite at tau = 1e-306, but the window's and a snapshot's
+    # step counts overflow; each once raised OverflowError
+    with pytest.raises(ConfigError, match="conv_window/tau finite") as exc:
+        tiny_cfg(tau=1e-306, conv_window=1e3)
+    assert exc.value.key == "conv_window"
+    with pytest.raises(ConfigError, match="outside") as exc:
+        tiny_cfg(tau=1e-306, snapshot_times=(1e3,))
+    assert exc.value.key == "snapshot_times"
 
 
 @pytest.mark.parametrize("times", ((1.0, 1.0), (1.0, 1.0004)))
